@@ -114,20 +114,18 @@ class ModelSlab:
 
     # -- formula truth -----------------------------------------------------
 
-    def deep_truth(self, f: Formula, w: int,
-                   memo: dict | None = None,
-                   assignment: Mapping[str, frozenset[int]] | None = None) -> int:
+    def deep_truth(self, f: Formula, w: int, memo: dict | None = None) -> int:
         """Truth mask of a core formula at world w across the family.
 
-        Box steps only into designated worlds, mirroring eval_deep.  When an
-        assignment is given, metavariable leaves read their truth from the
-        assigned world sets, which is how schema instances are evaluated.
+        Box steps only into designated worlds, mirroring eval_deep.
         """
         if memo is None:
             memo = {}
-        return self._deep(f, w, memo, assignment)
+        return self._deep(f, w, memo, None)
 
     def _deep(self, f, w, memo, assignment):
+        # metavariable leaves read their truth from the assigned world sets,
+        # which is how schema_validity_mask evaluates instances
         key = (f, w)
         hit = memo.get(key)
         if hit is not None:
@@ -217,49 +215,26 @@ class ModelSlab:
     # -- schemas -----------------------------------------------------------
 
     def schema_validity_mask(self, s: Schema) -> int:
-        """Models/frames where every subset instantiation of s is valid.
+        """Models where every instantiation of s's metavariables by subsets
+        of the designated worlds is valid.
 
-        Metavariables and atoms both range over all subsets of the designated
-        worlds, so on an atom-free slab this is schema validity on the frame.
+        Concrete atoms read the valuation, so on an atom-free slab a schema
+        whose leaves are all metavariables gives schema validity on the frame.
         """
-        leaves = list(s.metavars) + [a for a in self.atoms]
+        names = s.metavars
         body = s.body
         out = self.full
         ds = self._dsorted
-        n_leaves = len(leaves)
-        for choice in range(1 << (n_leaves * len(ds))):
+        for choice in range(1 << (len(names) * len(ds))):
             assignment = {}
-            for i, name in enumerate(leaves):
+            for i, name in enumerate(names):
                 bits = choice >> (i * len(ds))
                 assignment[name] = frozenset(w for k, w in enumerate(ds) if bits >> k & 1)
             memo: dict = {}
             for w in ds:
-                out &= self._deep_schema(body, w, memo, assignment)
+                out &= self._deep(body, w, memo, assignment)
             if out == 0:
                 break
-        return out
-
-    def _deep_schema(self, f, w, memo, assignment):
-        # like _deep, but atoms also read from the assignment
-        key = (f, w)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        t = type(f)
-        if t is Atom or t is MetaVar:
-            out = self.full if w in assignment[f.name] else 0
-        elif t is Not:
-            out = self.full ^ self._deep_schema(f.body, w, memo, assignment)
-        elif t is Implies:
-            out = ((self.full ^ self._deep_schema(f.left, w, memo, assignment))
-                   | self._deep_schema(f.right, w, memo, assignment))
-        elif t is Box:
-            out = self.full
-            for v in self._dsorted:
-                out &= (self.full ^ self._rel[w][v]) | self._deep_schema(f.body, v, memo, assignment)
-        else:
-            raise TypeError(f"cannot evaluate {f!r} (desugar first)")
-        memo[key] = out
         return out
 
     # -- frame properties ----------------------------------------------------

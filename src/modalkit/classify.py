@@ -10,13 +10,12 @@ raises rather than returning a bogus table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .countermodel import find_countermodel
 from .decide import (Invalid, ResourceLimitExceeded, TableauResult, Valid,
                      decide, frame_properties)
 from .hilbert import ALL_LOGICS, Logic
-from .syntax import Formula, Signature, atoms_of, parse, pretty
+from .syntax import Formula, Signature, atoms_of, parse, pretty, sorted_signature
 
 CORPUS_SIGNATURE = Signature(("p", "q"))
 
@@ -59,31 +58,24 @@ class ClassificationResult:
         return any(v is None for v in self.evidence.values())
 
 
-def _verdict(args) -> tuple[str, TableauResult | None]:
-    f, logic, sig = args
+def _verdict(f: Formula, logic: Logic, sig: Signature) -> TableauResult | None:
     try:
         result = decide(f, logic, sig=sig)
     except ResourceLimitExceeded:
-        return logic.name, None
+        return None
     if isinstance(result, Invalid):
         # normalize the evidence to the canonically first small model
         small = find_countermodel(f, set(frame_properties(logic)), 4, sig)
         if small is not None:
             result = Invalid(small[0], small[1])
-    return logic.name, result
+    return result
 
 
-def classify(f: Formula, *, sig: Signature | None = None, jobs: int = 1) -> ClassificationResult:
+def classify(f: Formula, *, sig: Signature | None = None) -> ClassificationResult:
     """Decide f in all eight logics and extract the minimal antichain."""
     if sig is None:
-        sig = Signature(tuple(sorted(atoms_of(f))) or ("p",))
-    work = [(f, logic, sig) for logic in ALL_LOGICS]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            results = pool.map(_verdict, work)
-    else:
-        results = [_verdict(w) for w in work]
-    evidence = dict(results)
+        sig = sorted_signature(atoms_of(f))
+    evidence = {logic.name: _verdict(f, logic, sig) for logic in ALL_LOGICS}
 
     valid = {l for l in ALL_LOGICS if isinstance(evidence[l.name], Valid)}
     for weaker in valid:
@@ -100,9 +92,8 @@ def classify(f: Formula, *, sig: Signature | None = None, jobs: int = 1) -> Clas
     return ClassificationResult(f, minimal, evidence)
 
 
-def classify_corpus(*, jobs: int = 1) -> list[tuple[str, ClassificationResult]]:
-    return [(name, classify(f, sig=CORPUS_SIGNATURE, jobs=jobs))
-            for name, f in corpus()]
+def classify_corpus() -> list[tuple[str, ClassificationResult]]:
+    return [(name, classify(f, sig=CORPUS_SIGNATURE)) for name, f in corpus()]
 
 
 def render_table(rows: list[tuple[str, ClassificationResult]]) -> str:

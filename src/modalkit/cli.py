@@ -31,11 +31,24 @@ class _InputError(Exception):
 
 
 def _parse_formula(text: str):
-    sig = infer_signature(text)
     try:
+        sig = infer_signature(text)
         return parse(text, sig), sig
     except (FormulaSyntaxError, UnknownAtomError) as e:
         raise _InputError(f"cannot parse formula {text!r}: {e}") from None
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer bound of at least low."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return convert
 
 
 def _parse_logic(name: str) -> Logic:
@@ -141,10 +154,10 @@ def _cmd_countermodel(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.corpus:
-        rows = classify_corpus(jobs=args.jobs)
+        rows = classify_corpus()
     elif args.formula:
         f, sig = _parse_formula(args.formula)
-        rows = [("F", classify(f, sig=sig, jobs=args.jobs))]
+        rows = [("F", classify(f, sig=sig))]
     else:
         raise _InputError("classify needs a formula or --corpus")
     print(render_table(rows), end="")
@@ -225,31 +238,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("countermodel", help="search for a falsifying model")
     p.add_argument("formula")
     p.add_argument("--props", default="", help="comma-separated frame properties")
-    p.add_argument("--max-worlds", type=int, default=4)
+    p.add_argument("--max-worlds", type=_int_at_least(1), default=4)
     p.add_argument("--dot", help="write the model as a digraph to this path")
     p.set_defaults(func=_cmd_countermodel)
 
     p = subs.add_parser("classify", help="find the weakest cube logics proving a formula")
     p.add_argument("formula", nargs="?")
     p.add_argument("--corpus", action="store_true", help="classify the ten study formulas")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("correspond", help="check a schema/frame-property correspondence")
     p.add_argument("schema", help="schema name (T, B, 4, LOEB) or schema text")
     p.add_argument("property", help="frame property name")
-    p.add_argument("--max-worlds", type=int, default=4)
+    p.add_argument("--max-worlds", type=_int_at_least(1), default=4)
     p.set_defaults(func=_cmd_correspond)
 
     p = subs.add_parser("loeb", help="run the provability-logic frame suite")
-    p.add_argument("--max-worlds", type=int, default=4)
+    p.add_argument("--max-worlds", type=_int_at_least(1), default=4)
     p.set_defaults(func=_cmd_loeb)
 
     p = subs.add_parser("faithful", help="compare the evaluators on an exhaustive grid")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--max-worlds", type=int, default=2)
+    p.add_argument("--depth", type=_int_at_least(0), default=2)
+    p.add_argument("--max-worlds", type=_int_at_least(1), default=2)
     p.add_argument("--atoms", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_faithful)
 
     return top

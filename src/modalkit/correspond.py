@@ -10,35 +10,38 @@ around the Loeb schema on the same enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from .bitgrid import ModelSlab
 from .hilbert import SCHEMAS, AxiomSchemaId
-from .kripke import FrameProperty
+from .kripke import FrameProperty, KripkeModel, valid_in_model
 from .reporting import CheckReport, Violation
-from .syntax import (Atom, Box, Implies, MetaVar, Not, Schema, Signature,
-                     atoms_of, desugar)
+from .syntax import (Atom, Box, Formula, Implies, MetaVar, Not, Schema,
+                     Signature, atoms_of, desugar, metavars_of,
+                     sorted_signature, substitute_metavars)
 
 
-def _core_body(s: Schema):
-    """The schema body with sugar removed; metavariables are left alone."""
-    body = s.body
-    sig = Signature(tuple(sorted(atoms_of(body))) or ("p",))
-    return desugar(body, sig)
+def _core_body(s: Schema) -> Formula:
+    """The schema body with sugar removed and every leaf renamed to its own
+    metavariable, in order of first occurrence.  Concrete atoms are thus
+    quantified like metavariables, and ?p stays distinct from p."""
+    body = desugar(s.body, sorted_signature(atoms_of(s.body)))
+    fresh: dict = {}
 
+    def rename(f: Formula) -> Formula:
+        t = type(f)
+        if t is Atom or t is MetaVar:
+            key = (t, f.name)
+            if key not in fresh:
+                fresh[key] = MetaVar(f"m{len(fresh)}")
+            return fresh[key]
+        if t is Not:
+            return Not(rename(f.body))
+        if t is Box:
+            return Box(rename(f.body))
+        return Implies(rename(f.left), rename(f.right))
 
-def _eval_on_frame(f, w, rel_succ, assignment) -> bool:
-    if isinstance(f, (Atom, MetaVar)):
-        return w in assignment[f.name]
-    if isinstance(f, Not):
-        return not _eval_on_frame(f.body, w, rel_succ, assignment)
-    if isinstance(f, Implies):
-        return (not _eval_on_frame(f.left, w, rel_succ, assignment)
-                or _eval_on_frame(f.right, w, rel_succ, assignment))
-    if isinstance(f, Box):
-        return all(_eval_on_frame(f.body, v, rel_succ, assignment)
-                   for v in rel_succ.get(w, ()))
-    raise TypeError(f"not a core formula node: {f!r}")
+    return rename(body)
 
 
 def schema_valid_on_frame(worlds: set, rel: set, s: Schema) -> bool:
@@ -53,22 +56,16 @@ def schema_valid_on_frame(worlds: set, rel: set, s: Schema) -> bool:
     if bad:
         raise ValueError(f"relation pair {bad[0]} leaves the world set")
     body = _core_body(s)
-    names = list(s.metavars) + sorted(atoms_of(body))
+    names = metavars_of(body)
+    f = substitute_metavars(body, {name: Atom(name) for name in names})
+    sig = Signature(names)
     ordered = sorted(worlds)
-    succ: dict = {}
-    for u, v in rel:
-        succ.setdefault(u, []).append(v)
     subsets = list(chain.from_iterable(
         combinations(ordered, k) for k in range(len(ordered) + 1)))
-    def assign(i, assignment):
-        if i == len(names):
-            return all(_eval_on_frame(body, w, succ, assignment) for w in ordered)
-        for sub in subsets:
-            assignment[names[i]] = frozenset(sub)
-            if not assign(i + 1, assignment):
-                return False
-        return True
-    return assign(0, {})
+    return all(
+        valid_in_model(KripkeModel(ordered[-1] + 1, worlds, rel,
+                                   dict(zip(names, val)), sig), f)
+        for val in product(subsets, repeat=len(names)))
 
 
 @dataclass(frozen=True)
@@ -103,14 +100,10 @@ def correspondence_check(s: Schema, p: FrameProperty,
     direction is returned."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    body = _core_body(s)
-    schema = Schema(body)
-    # concrete atoms in the schema are quantified like metavariables, which
-    # needs them present as slab valuation columns
-    atoms = tuple(sorted(atoms_of(body)))
+    schema = Schema(_core_body(s))
     checked = 0
     for n in range(1, max_worlds + 1):
-        slab = ModelSlab(n, atoms)
+        slab = ModelSlab(n, ())
         prop = slab.property_mask(p)
         valid = slab.schema_validity_mask(schema)
         disagree = prop ^ valid

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .countermodel import find_countermodel
 from .hilbert import AxiomSchemaId, Logic
 from .kripke import FrameProperty, KripkeModel, eval_deep, has_property
-from .syntax import Atom, Box, Formula, Implies, Not, Signature, atoms_of, desugar
+from .syntax import (Atom, Box, Formula, Implies, Not, Signature, atoms_of,
+                     desugar, sorted_signature)
 
 LOGIC_FRAME_PROPERTIES: dict[AxiomSchemaId, FrameProperty] = {
     AxiomSchemaId.T: FrameProperty.REFLEXIVE,
@@ -291,7 +292,7 @@ def decide(f: Formula, logic: Logic, *, sig: Signature | None = None,
     within the budget.
     """
     if sig is None:
-        sig = Signature(tuple(sorted(atoms_of(f))) or ("p",))
+        sig = sorted_signature(atoms_of(f))
     goal = desugar(f, sig)
     props = frame_properties(logic)
     trace = TableauTrace()
@@ -340,7 +341,7 @@ class CrossCheckReport:
 def cross_check(f: Formula, logic: Logic, max_worlds: int) -> CrossCheckReport:
     """Run the tableau and the bounded finder on the same question and
     confirm they never both answer positively."""
-    sig = Signature(tuple(sorted(atoms_of(f))) or ("p",))
+    sig = sorted_signature(atoms_of(f))
     props = frame_properties(logic)
     found = find_countermodel(f, set(props), max_worlds, sig)
     if found is not None:

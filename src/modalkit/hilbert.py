@@ -19,9 +19,9 @@ from importlib import resources
 from typing import Mapping
 
 from .syntax import (
-    Box, Dia, Formula, Implies, MetaVar, Not, Schema, Signature, atoms_of,
-    desugar, instantiate, metavars_of, parse, parse_schema, pretty,
-    substitute_metavars,
+    RESERVED_WORDS, Box, Dia, Formula, Implies, MetaVar, Not, Schema,
+    Signature, atoms_of, desugar, instantiate, metavars_of, parse,
+    parse_schema, pretty, sorted_signature, substitute_metavars,
 )
 
 
@@ -155,7 +155,7 @@ def _proof_signature(proof: Proof) -> Signature:
         if isinstance(step, AxStep):
             for f in step.subst.values():
                 names.update(atoms_of(f))
-    return Signature(tuple(sorted(names)) or ("p",))
+    return sorted_signature(names)
 
 
 def check_proof(proof: Proof, logic: Logic) -> CheckResult:
@@ -524,12 +524,11 @@ def parse_proof_script(text: str) -> Proof:
 
 
 def _script_signature(text: str) -> Signature:
-    names: list[str] = []
-    for quoted in re.findall(r'"([^"]*)"', text):
-        for tok in re.findall(r"[A-Za-z][A-Za-z0-9_]*", quoted):
-            if tok not in ("box", "dia", "not", "true", "false") and tok not in names:
-                names.append(tok)
-    return Signature(tuple(sorted(names)) or ("p",))
+    return sorted_signature({
+        tok
+        for quoted in re.findall(r'"([^"]*)"', text)
+        for tok in re.findall(r"[A-Za-z][A-Za-z0-9_]*", quoted)
+        if tok not in RESERVED_WORDS})
 
 
 def serialize_proof(proof: Proof) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Mapping
 
 RESERVED_WORDS = frozenset({"box", "dia", "not", "true", "false"})
 
@@ -66,6 +66,12 @@ class Signature:
 
     def index(self, name: str) -> int:
         return self.atoms.index(name)
+
+
+def sorted_signature(names: Iterable[str]) -> Signature:
+    """Signature of the given atom names in sorted order; a single atom p
+    when there are none."""
+    return Signature(tuple(sorted(names)) or ("p",))
 
 
 class Formula:

@@ -312,7 +312,7 @@ def _run_slab(n: int, designated: tuple[int, ...], sig: Signature, max_depth: in
     examples: dict[str, list[Violation]] = {name: [] for name in CHECK_NAMES}
 
     def record(name: str, diff: int, f: Formula, w: int | None):
-        bad = _popcount(diff)
+        bad = diff.bit_count()
         violations[name] += bad
         if bad and len(examples[name]) < _MAX_EXAMPLES:
             model = slab.model_at(slab.first_index(diff))
@@ -351,14 +351,6 @@ def _run_slab(n: int, designated: tuple[int, ...], sig: Signature, max_depth: in
     return counts, violations, examples
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1") if x else 0
-
-
-def _worker(args):
-    return _run_slab(*args)
-
-
 def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
                        translate_max_fn: Callable[[Formula], CoreForm] | None = None,
                        translate_min_fn: Callable[[Formula], CoreForm] | None = None,
@@ -381,7 +373,7 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_worker, args)
+            results = pool.starmap(_run_slab, args)
     else:
         results = [_run_slab(*a) for a in args]
 

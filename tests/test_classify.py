@@ -121,15 +121,6 @@ def test_classify_unprovable_formula_has_empty_antichain():
     assert res.valid_logics == ()
 
 
-def test_parallel_classification_matches_serial():
-    f = parse("dia box p -> box p", CORPUS_SIGNATURE)
-    serial = classify(f, jobs=1)
-    parallel = classify(f, jobs=4)
-    assert [l.name for l in serial.minimal] == [l.name for l in parallel.minimal]
-    for logic in ALL_LOGICS:
-        assert type(serial.evidence[logic.name]) is type(parallel.evidence[logic.name])
-
-
 def test_render_table_layout(table):
     text = render_table(table)
     lines = text.splitlines()

@@ -203,8 +203,8 @@ def test_classify_needs_input(capsys):
 
 
 def test_classify_output_is_deterministic(capsys):
-    first = run(capsys, "classify", "--corpus", "--jobs", "2")
-    second = run(capsys, "classify", "--corpus", "--jobs", "2")
+    first = run(capsys, "classify", "--corpus")
+    second = run(capsys, "classify", "--corpus")
     assert first == second
 
 
@@ -213,6 +213,10 @@ def test_classify_output_is_deterministic(capsys):
 
 def test_correspond_holds(capsys):
     code, out, _ = run(capsys, "correspond", "T", "reflexive", "--max-worlds", "3")
+    assert code == 0
+    assert out.strip() == "holds on all 530 frames with up to 3 worlds"
+    # a concrete atom is quantified like a metavariable, not slab valuations
+    code, out, _ = run(capsys, "correspond", "box p -> p", "reflexive", "--max-worlds", "3")
     assert code == 0
     assert out.strip() == "holds on all 530 frames with up to 3 worlds"
 
@@ -251,6 +255,31 @@ def test_faithful_defaults(capsys):
 
 
 # --- argparse plumbing ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "p $ q"],
+    ["prove", "p $ q"],
+    ["countermodel", "p $ q"],
+    ["classify", "p $ q"],
+    ["countermodel", "p", "--max-worlds", "0"],
+    ["correspond", "T", "reflexive", "--max-worlds", "0"],
+    ["loeb", "--max-worlds", "0"],
+    ["faithful", "--max-worlds", "0"],
+    ["faithful", "--depth", "-1"],
+    ["faithful", "--jobs", "0"],
+    ["classify", "--corpus", "--jobs", "2"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_an_error_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_missing_subcommand_exits_2():

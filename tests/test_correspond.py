@@ -53,6 +53,8 @@ def test_schema_with_concrete_atoms_quantifies_them():
     s = parse_schema("box p -> p")
     assert schema_valid_on_frame({0}, {(0, 0)}, s)
     assert not schema_valid_on_frame({0, 1}, {(0, 1)}, s)
+    # ?p and p are distinct leaves: p need not be true where ?p is
+    assert not schema_valid_on_frame({0}, set(), parse_schema("?p -> p"))
 
 
 def test_frame_input_validation():
@@ -112,6 +114,10 @@ def test_correspondence_counterexample_other_direction():
     # verify the claim on the concrete frame with the scalar checker
     assert schema_valid_on_frame(set(result.worlds), set(result.rel),
                                  SCHEMAS[AxiomSchemaId.B]) is False
+    # ?p -> p is valid on no frame, so the first reflexive frame disagrees
+    result = correspondence_check(parse_schema("?p -> p"), FrameProperty.REFLEXIVE, 2)
+    assert result.rel == frozenset({(0, 0)})
+    assert result.direction == CounterFrame.PROPERTY_WITHOUT_SCHEMA
 
 
 def test_correspondence_rejects_a_silly_bound():
