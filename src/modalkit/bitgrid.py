@@ -117,7 +117,8 @@ class ModelSlab:
     def deep_truth(self, f: Formula, w: int, memo: dict | None = None) -> int:
         """Truth mask of a core formula at world w across the family.
 
-        Box steps only into designated worlds, mirroring eval_deep.
+        Box steps only into designated worlds, mirroring eval_deep.  memo
+        maps (subformula, world) to its mask and may be shared between calls.
         """
         if memo is None:
             memo = {}
@@ -170,28 +171,35 @@ class ModelSlab:
         """Truth mask of a translated form under a world-variable binding.
 
         Quantifiers range over the whole domain; the designated-set guard is
-        the W predicate, which is constant per slab.
+        the W predicate, which is constant per slab.  memo maps (form, world)
+        to the form's mask with its one free variable bound to that world.
+        Only such forms get entries: a translated subformula has exactly one
+        free variable, and the guards under a quantifier, which have two,
+        are read only through the quantifier's own entry.  Predicates are
+        single look-ups and get none.
         """
         if memo is None:
             memo = {}
         return self._core(c, dict(binding), memo)
 
     def _core(self, c, binding, memo):
-        key = (c, tuple(binding[v] for v in c.free_sorted))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         t = type(c)
         if t is PredW:
-            out = self.full if binding[c.var] in self.designated else 0
-        elif t is PredR:
-            out = self._rel[binding[c.src]][binding[c.dst]]
-        elif t is PredV:
-            try:
-                out = self._val[c.atom][binding[c.var]]
-            except KeyError:
-                raise ValueError(f"atom {c.atom!r} is not in this slab") from None
-        elif t is CNot:
+            return self.full if binding[c.var] in self.designated else 0
+        if t is PredR:
+            return self._rel[binding[c.src]][binding[c.dst]]
+        if t is PredV:
+            masks = self._val.get(c.atom)
+            if masks is None:
+                raise ValueError(f"atom {c.atom!r} is not in this slab")
+            return masks[binding[c.var]]
+        free = c.free_sorted
+        key = (c, binding[free[0]]) if len(free) == 1 else None
+        if key is not None:
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+        if t is CNot:
             out = self.full ^ self._core(c.body, binding, memo)
         elif t is CImp:
             out = (self.full ^ self._core(c.left, binding, memo)) | self._core(c.right, binding, memo)
@@ -209,7 +217,8 @@ class ModelSlab:
                 out &= self._core(body, inner, memo)
         else:
             raise TypeError(f"not a translated form: {c!r}")
-        memo[key] = out
+        if key is not None:
+            memo[key] = out
         return out
 
     # -- schemas -----------------------------------------------------------

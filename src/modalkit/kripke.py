@@ -225,6 +225,10 @@ def dump_model(m: KripkeModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_world_list(value) -> bool:
+    return isinstance(value, list) and all(type(w) is int for w in value)
+
+
 def load_model(text: str) -> KripkeModel:
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -247,14 +251,17 @@ def load_model(text: str) -> KripkeModel:
     if missing:
         raise ModelFormatError(f"missing fields: {', '.join(missing)}")
     n = fields["worlds"]
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:
         raise ModelFormatError("'worlds' must be a positive world count")
-    if not isinstance(fields["val"], dict):
+    if not _is_world_list(fields["in"]):
+        raise ModelFormatError("'in' must be a list of world ids")
+    if not (isinstance(fields["val"], dict)
+            and all(_is_world_list(ws) for ws in fields["val"].values())):
         raise ModelFormatError("'val' must map atom names to world lists")
-    try:
-        rel = [(int(a), int(b)) for a, b in fields["rel"]]
-    except (TypeError, ValueError):
-        raise ModelFormatError("'rel' must be a list of [i, j] pairs") from None
+    rel = fields["rel"]
+    if not (isinstance(rel, list)
+            and all(_is_world_list(pair) and len(pair) == 2 for pair in rel)):
+        raise ModelFormatError("'rel' must be a list of [i, j] pairs")
     sig = Signature(tuple(fields["val"].keys()))
     try:
         return KripkeModel(n, fields["in"], rel, fields["val"], sig)

@@ -2,21 +2,24 @@
 
 translate_max guards each box quantifier with the designated-set predicate W
 and the accessibility predicate R; translate_min keeps only the R guard.
-Both leave a single free world variable named w.  check_faithfulness grinds
-the two translations against the structural evaluator over an exhaustive
-formula/model grid and reports any disagreement.
+Both leave a single free world variable named w.  A box at box depth d
+binds the variable v{d}: the outermost box binds v0 and sibling boxes share
+a name.  An inner binder's name differs from every enclosing one, so no
+variable is captured, and a subformula at a given box depth always
+translates to the same form.  check_faithfulness grinds the two translations
+against the structural evaluator over an exhaustive formula/model grid and
+reports any disagreement.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .kripke import KripkeModel
 from .reporting import CheckReport, Violation
 from .syntax import (
-    Atom, Box, Formula, Implies, Not, Signature, enumerate_formulas, is_core,
+    Atom, Box, Formula, Implies, Not, Signature, enumerate_formulas,
     pretty,
 )
 
@@ -149,38 +152,52 @@ class ForallWorld(CoreForm):
 FREE_WORLD_VAR = "w"
 
 
-def _translate(f: Formula, guarded: bool) -> CoreForm:
-    if not is_core(f):
-        raise ValueError("translation expects a desugared formula")
-    counter = itertools.count()
+def _translate(f: Formula, guarded: bool, memo: dict | None) -> CoreForm:
+    if memo is None:
+        memo = {}
 
-    def go(g: Formula, cur: str) -> CoreForm:
+    def go(g: Formula, depth: int) -> CoreForm:
+        key = (g, depth)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        cur = f"v{depth - 1}" if depth else FREE_WORLD_VAR
         t = type(g)
         if t is Atom:
-            return PredV(g.name, cur)
-        if t is Not:
-            return CNot(go(g.body, cur))
-        if t is Implies:
-            return CImp(go(g.left, cur), go(g.right, cur))
-        if t is Box:
-            v = f"v{next(counter)}"
-            body = CImp(PredR(cur, v), go(g.body, v))
+            out = PredV(g.name, cur)
+        elif t is Not:
+            out = CNot(go(g.body, depth))
+        elif t is Implies:
+            out = CImp(go(g.left, depth), go(g.right, depth))
+        elif t is Box:
+            v = f"v{depth}"
+            body = CImp(PredR(cur, v), go(g.body, depth + 1))
             if guarded:
                 body = CImp(PredW(v), body)
-            return ForallWorld(v, body)
-        raise TypeError(f"cannot translate {g!r}")
+            out = ForallWorld(v, body)
+        else:
+            # sugar is caught where it is met: a memo hit stands for a
+            # subtree that was checked when it was stored
+            raise ValueError("translation expects a desugared formula")
+        memo[key] = out
+        return out
 
-    return go(f, FREE_WORLD_VAR)
+    return go(f, 0)
 
 
-def translate_max(f: Formula) -> CoreForm:
-    """Box becomes a quantifier guarded by both W and R."""
-    return _translate(f, guarded=True)
+def translate_max(f: Formula, *, memo: dict | None = None) -> CoreForm:
+    """Box becomes a quantifier guarded by both W and R.
+
+    memo maps (subformula, box depth) to its translation; passing the same
+    dict to several calls makes equal subformulas translate to one object.
+    """
+    return _translate(f, True, memo)
 
 
-def translate_min(f: Formula) -> CoreForm:
-    """Box becomes a quantifier guarded by R alone; no W nodes appear."""
-    return _translate(f, guarded=False)
+def translate_min(f: Formula, *, memo: dict | None = None) -> CoreForm:
+    """Box becomes a quantifier guarded by R alone; no W nodes appear.
+    memo is as for translate_max, and must not be shared between the two."""
+    return _translate(f, False, memo)
 
 
 @dataclass
@@ -295,15 +312,76 @@ def _slab_jobs(max_worlds: int) -> list[tuple[int, tuple[int, ...]]]:
     return jobs
 
 
+class _SlabRoute:
+    """One translated route through a slab: the translation memo and the
+    core-truth memo that every formula of the slab shares.
+
+    Only the formulas below the grid's top depth keep their entries; they
+    are few, and every proper subformula of the grid is one of them.  A
+    top-depth formula is evaluated through the shared entries and forget()
+    then drops its own, which bounds the memos by the lower formulas.  An
+    injected translation is called without a memo; the core memo still
+    serves it, since its keys are structural.
+    """
+
+    def __init__(self, n_worlds: int, guarded: bool,
+                 translate_fn: Callable[[Formula], CoreForm] | None):
+        self.n = n_worlds
+        self.guarded = guarded
+        self.injected = translate_fn
+        self.translations: dict = {}
+        self.core_memo: dict = {}
+        self.kept: set[CoreForm] = set()
+
+    def translate(self, f: Formula, keep: bool) -> CoreForm:
+        if self.injected is not None:
+            c = self.injected(f)
+            if keep:
+                self.kept.add(c)
+            return c
+        memo = self.translations
+        size = len(memo)
+        # looked up at call time, so a wrapped module attribute is honoured
+        c = (translate_max if self.guarded else translate_min)(f, memo=memo)
+        if not keep:
+            del memo[(f, 0)]
+        if len(memo) != size:
+            self.kept.update(memo.values())
+        return c
+
+    def forget(self, c: CoreForm) -> None:
+        """Drop the core-memo entries of c's nodes above its kept forms.
+        core_truth keys a form over one world variable by (form, world) and
+        gives predicates no entries."""
+        memo = self.core_memo
+        stack = [c]
+        while stack:
+            node = stack.pop()
+            t = type(node)
+            if t is PredW or t is PredR or t is PredV or node in self.kept:
+                continue
+            if t is CImp:
+                stack += (node.left, node.right)
+            else:
+                stack.append(node.body)
+            if len(node.free_sorted) == 1:
+                for w in range(self.n):
+                    memo.pop((node, w), None)
+
+
 def _run_slab(n: int, designated: tuple[int, ...], sig: Signature, max_depth: int,
-              translate_max_fn: Callable[[Formula], CoreForm],
-              translate_min_fn: Callable[[Formula], CoreForm]):
+              translate_max_fn: Callable[[Formula], CoreForm] | None,
+              translate_min_fn: Callable[[Formula], CoreForm] | None):
     """Counts and violation samples for one slab.  Returns, per check name,
-    (instances, violations, examples)."""
+    (instances, violations, examples).  A translation function of None
+    stands for the module's own translation, run through a shared memo."""
     from .bitgrid import ModelSlab
 
     slab = ModelSlab(n, sig.atoms, designated)
     formulas = enumerate_formulas(sig, max_depth)
+    # the enumeration is ordered by depth, so the formulas below max_depth
+    # are a prefix of it
+    n_kept = len(enumerate_formulas(sig, max_depth - 1))
     ds = sorted(slab.designated)
     is_total = len(ds) == n
     full = slab.full
@@ -319,15 +397,17 @@ def _run_slab(n: int, designated: tuple[int, ...], sig: Signature, max_depth: in
             examples[name].append(
                 Violation(check=name, formula=pretty(f), model=model.describe(), world=w))
 
+    max_route = _SlabRoute(n, True, translate_max_fn)
+    min_route = _SlabRoute(n, False, translate_min_fn)
     deep_memo: dict = {}
-    for f in formulas:
-        max_form = translate_max_fn(f)
-        max_memo: dict = {}
+    for i, f in enumerate(formulas):
+        keep = i < n_kept
+        max_form = max_route.translate(f, keep)
         deep_by_w = {}
         max_by_w = {}
         for w in ds:
             deep_mask = slab.deep_truth(f, w, deep_memo)
-            max_mask = slab.core_truth(max_form, {FREE_WORLD_VAR: w}, max_memo)
+            max_mask = slab.core_truth(max_form, {FREE_WORLD_VAR: w}, max_route.core_memo)
             deep_by_w[w] = deep_mask
             max_by_w[w] = max_mask
             counts[CHECK_TRUTH_DEEP_MAX] += slab.count
@@ -340,14 +420,19 @@ def _run_slab(n: int, designated: tuple[int, ...], sig: Signature, max_depth: in
         counts[CHECK_VALIDITY_DEEP_MAX] += slab.count
         record(CHECK_VALIDITY_DEEP_MAX, deep_valid ^ max_valid, f, None)
         if is_total:
-            min_form = translate_min_fn(f)
-            min_memo: dict = {}
+            min_form = min_route.translate(f, keep)
             for w in ds:
-                min_mask = slab.core_truth(min_form, {FREE_WORLD_VAR: w}, min_memo)
+                min_mask = slab.core_truth(min_form, {FREE_WORLD_VAR: w}, min_route.core_memo)
                 counts[CHECK_TRUTH_DEEP_MIN] += slab.count
                 record(CHECK_TRUTH_DEEP_MIN, deep_by_w[w] ^ min_mask, f, w)
                 counts[CHECK_TRUTH_MAX_MIN] += slab.count
                 record(CHECK_TRUTH_MAX_MIN, max_by_w[w] ^ min_mask, f, w)
+            if not keep:
+                min_route.forget(min_form)
+        if not keep:
+            max_route.forget(max_form)
+            for w in ds:
+                del deep_memo[(f, w)]
     return counts, violations, examples
 
 
@@ -365,10 +450,9 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
     functions can be injected, which is how the mutation tests drive the
     grid.
     """
-    tmax = translate_max_fn or translate_max
-    tmin = translate_min_fn or translate_min
     slabs = _slab_jobs(max_worlds)
-    args = [(n, designated, sig, max_depth, tmax, tmin) for n, designated in slabs]
+    args = [(n, designated, sig, max_depth, translate_max_fn, translate_min_fn)
+            for n, designated in slabs]
     if jobs > 1:
         import multiprocessing
 

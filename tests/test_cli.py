@@ -80,6 +80,18 @@ def test_eval_corrupt_model_file(tmp_path, capsys):
     assert "bad model file" in err
 
 
+@pytest.mark.parametrize("field", ['in: 3', 'val: {"p": 3}', 'val: {"p": [[0]]}'])
+def test_eval_model_with_wrongly_typed_field(tmp_path, capsys, field):
+    lines = {"worlds": "worlds: 1", "in": "in: [0]", "rel": "rel: []", "val": 'val: {"p": [0]}'}
+    lines[field.split(":")[0]] = field
+    path = tmp_path / "m.model"
+    path.write_text("\n".join(lines.values()) + "\n")
+    code, out, err = run(capsys, "eval", "p", "--model", str(path), "--world", "0")
+    assert code == 2
+    assert out == ""
+    assert "error: bad model file" in err and "Traceback" not in err
+
+
 # --- check-proof -------------------------------------------------------------
 
 

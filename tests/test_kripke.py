@@ -229,6 +229,12 @@ def test_load_accepts_comments_and_blank_lines():
         ("worlds: 1\nin: [0]", "missing fields"),
         ("worlds: 0\nin: []\nrel: []\nval: {}", "positive"),
         ("worlds: 1\nin: [0]\nrel: [[0]]\nval: {\"p\": []}", "pairs"),
+        # fields of the wrong JSON type
+        ("worlds: 1\nin: 3\nrel: []\nval: {\"p\": []}", "'in'"),
+        ("worlds: 1\nin: [0]\nrel: []\nval: {\"p\": 3}", "'val'"),
+        ("worlds: 1\nin: [0]\nrel: []\nval: {\"p\": [[0]]}", "'val'"),
+        ("worlds: 1\nin: [0]\nrel: [[0.7, \"0\"]]\nval: {\"p\": []}", "pairs"),
+        ("worlds: true\nin: [0]\nrel: []\nval: {\"p\": []}", "positive"),
     ],
 )
 def test_load_rejects_malformed_input(text, fragment):
