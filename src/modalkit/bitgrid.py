@@ -1,26 +1,42 @@
 """Bulk evaluation over exhaustively enumerated model families.
 
-A ModelSlab fixes a world count, an atom list and a designated world subset,
-and represents *every* (relation, valuation) combination at once.  Model
-index m encodes a relation bitmask in its high bits and a valuation bitmask
-in its low bits, so ascending index order is exactly the canonical search
-order: relation bitmask first, then valuation bitmask.
+A ModelSlab fixes a world count, an atom list, a designated world subset and
+a list of admitted frames, and represents every (frame, valuation)
+combination at once.  Model index m is `rank << val_bits | valuation`: rank
+is the frame's position in the admitted list, which ascends by relation
+bitmask, and the valuation bitmask fills the low bits.  Ascending index
+order is therefore exactly the canonical search order, relation bitmask
+first, then valuation bitmask, restricted to the admitted frames.  A slab
+without a frame list admits every relation, and then the rank is the
+relation bitmask itself.
 
 Truth values across the whole family are Python integers with one bit per
 model, which makes the connectives single big-integer operations.  The
 scalar evaluators in kripke and translate stay the reference semantics; the
-test suite pins the two routes against each other.
+test suite pins the two routes against each other.  A slab whose pattern
+masks would exceed MAX_PATTERN_BYTES is refused before anything is
+allocated.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
+from itertools import repeat
 from typing import Iterable, Mapping
 
+from .errors import ResourceLimitExceeded
 from .kripke import FrameProperty, KripkeModel
 from .syntax import (
     Atom, Box, Formula, Implies, MetaVar, Not, Schema, Signature,
 )
 from .translate import CImp, CNot, CoreForm, ForallWorld, PredR, PredV, PredW
+
+
+# Cap on the bytes of a slab's pattern masks (one per relation pair and per
+# valuation cell).  It admits the atom-free 5-world slab (25 masks of 4 MiB)
+# and refuses 4 worlds with 3 atoms (0.88 GiB) or 5 worlds with 1 atom.
+MAX_PATTERN_BYTES = 128 << 20
 
 
 def _bit_pattern(total_index_bits: int, bit: int) -> int:
@@ -35,11 +51,25 @@ def _bit_pattern(total_index_bits: int, bit: int) -> int:
     return mask
 
 
+def admitted_frames(n_worlds: int, props: Iterable[FrameProperty]) -> list[int] | None:
+    """Ascending relation bitmasks of the n-world frames with every property
+    in props, read off the atom-free slab; None, meaning every frame, when
+    props is empty."""
+    props = tuple(props)
+    if not props:
+        return None
+    mask = ModelSlab(n_worlds, ()).properties_mask(props)
+    digits = bin(mask)[:1:-1]  # least significant first: digit k is frame k
+    return [m.start() for m in re.finditer("1", digits)]
+
+
 class ModelSlab:
-    """All models with a fixed world count, atom list and designated subset."""
+    """All models with a fixed world count, atom list and designated subset,
+    over every frame or over an ascending list of admitted relation bitmasks."""
 
     def __init__(self, n_worlds: int, atoms: Iterable[str],
-                 designated: Iterable[int] | None = None):
+                 designated: Iterable[int] | None = None,
+                 frames: list[int] | None = None):
         self.n = n_worlds
         self.atoms = tuple(atoms)
         if designated is None:
@@ -51,28 +81,69 @@ class ModelSlab:
         self._dsorted = tuple(sorted(self.designated))
         self._val_bits = len(self.atoms) * n_worlds
         self._rel_bits = n_worlds * n_worlds
-        total = self._val_bits + self._rel_bits
-        self.count = 1 << total
+        if frames is not None and len(frames) == 1 << self._rel_bits:
+            frames = None  # every frame admitted: rank equals bitmask
+        self._frames = frames
+        n_frames = 1 << self._rel_bits if frames is None else len(frames)
+        self.count = n_frames << self._val_bits
+        pattern_bytes = (self._rel_bits + self._val_bits) * self.count // 8
+        if pattern_bytes > MAX_PATTERN_BYTES:
+            raise ResourceLimitExceeded(
+                f"a slab of {n_worlds} worlds, {len(self.atoms)} atoms and "
+                f"{n_frames} frames needs {pattern_bytes / 2**20:.0f} MiB of "
+                f"masks, over the {MAX_PATTERN_BYTES >> 20} MiB budget")
         self.full = (1 << self.count) - 1
-        self._rel = [
-            [_bit_pattern(total, self._val_bits + i * n_worlds + j)
-             for j in range(n_worlds)]
-            for i in range(n_worlds)
-        ]
+        if frames is None:
+            total = self._val_bits + self._rel_bits
+            self._rel = [
+                [_bit_pattern(total, self._val_bits + i * n_worlds + j)
+                 for j in range(n_worlds)]
+                for i in range(n_worlds)
+            ]
+        else:
+            self._rel = self._ranked_relation_masks(frames)
+        # valuation masks repeat once per frame block, cut at the last frame
+        total = self._val_bits + (n_frames - 1).bit_length()
         self._val = {
-            a: [_bit_pattern(total, ai * n_worlds + w) for w in range(n_worlds)]
+            a: [_bit_pattern(total, ai * n_worlds + w) & self.full
+                for w in range(n_worlds)]
             for ai, a in enumerate(self.atoms)
         }
         self._props: dict[FrameProperty, int] = {}
 
+    def _ranked_relation_masks(self, frames: list[int]) -> list[list[int]]:
+        """Mask of each pair (i, j) over a ranked slab: the bits of the
+        frames holding the edge, each spread over its valuation block."""
+        n, width = self.n, self._rel_bits
+        # one fixed-width row of binary digits per frame, highest rank first,
+        # so a strided slice is an edge's column most significant digit first
+        rows = "".join(map(format, reversed(frames), repeat(f"0{width}b"))).encode()
+        block = 1 << self._val_bits
+        if block >= 8:
+            one, zero = b"\xff" * (block >> 3), bytes(block >> 3)
+            def decode(data): return int.from_bytes(data, "big")
+        else:
+            one, zero = b"1" * block, b"0" * block
+            def decode(data): return int(data or b"0", 2)
+        return [
+            [decode(rows[width - 1 - (i * n + j)::width]
+                    .replace(b"1", one).replace(b"0", zero))
+             for j in range(n)]
+            for i in range(n)
+        ]
+
     # -- decoding ----------------------------------------------------------
+
+    def _relation_bits(self, index: int) -> int:
+        if not 0 <= index < self.count:
+            raise IndexError(f"model index {index} out of range")
+        rank = index >> self._val_bits
+        return rank if self._frames is None else self._frames[rank]
 
     def model_at(self, index: int) -> KripkeModel:
         """The concrete model behind a bit position."""
-        if not 0 <= index < self.count:
-            raise IndexError(f"model index {index} out of range")
+        rel_bits = self._relation_bits(index)
         val_bits = index & ((1 << self._val_bits) - 1)
-        rel_bits = index >> self._val_bits
         n = self.n
         rel = [(i, j) for i in range(n) for j in range(n)
                if rel_bits >> (i * n + j) & 1]
@@ -83,9 +154,7 @@ class ModelSlab:
     def frame_at(self, index: int) -> tuple[int, frozenset[tuple[int, int]]]:
         """World count and relation behind a bit position, ignoring the
         valuation.  Works on atom-free slabs where model_at cannot."""
-        if not 0 <= index < self.count:
-            raise IndexError(f"model index {index} out of range")
-        rel_bits = index >> self._val_bits
+        rel_bits = self._relation_bits(index)
         n = self.n
         rel = frozenset((i, j) for i in range(n) for j in range(n)
                         if rel_bits >> (i * n + j) & 1)
@@ -99,11 +168,16 @@ class ModelSlab:
         rel_bits = 0
         for i, j in m.rel:
             rel_bits |= 1 << (i * n + j)
+        rank = rel_bits
+        if self._frames is not None:
+            rank = bisect_left(self._frames, rel_bits)
+            if rank == len(self._frames) or self._frames[rank] != rel_bits:
+                raise ValueError("the model's frame is not admitted by this slab")
         val_bits = 0
         for ai, a in enumerate(self.atoms):
             for w in m.val[a]:
                 val_bits |= 1 << (ai * n + w)
-        return (rel_bits << self._val_bits) | val_bits
+        return (rank << self._val_bits) | val_bits
 
     @staticmethod
     def first_index(mask: int) -> int:

@@ -64,8 +64,12 @@ def _verdict(f: Formula, logic: Logic, sig: Signature) -> TableauResult | None:
     except ResourceLimitExceeded:
         return None
     if isinstance(result, Invalid):
-        # normalize the evidence to the canonically first small model
-        small = find_countermodel(f, set(frame_properties(logic)), 4, sig)
+        # normalize the evidence to the canonically first small model; over
+        # the slab budget the tableau's certified countermodel stands
+        try:
+            small = find_countermodel(f, set(frame_properties(logic)), 4, sig)
+        except ResourceLimitExceeded:
+            small = None
         if small is not None:
             result = Invalid(small[0], small[1])
     return result

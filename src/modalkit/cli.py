@@ -277,7 +277,7 @@ def main(argv=None) -> int:
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2
     except ResourceLimitExceeded as e:
-        print(f"resource limit exceeded: {e}", file=sys.stderr)
+        print(f"error: resource limit exceeded: {e}", file=sys.stderr)
         return 3
 
 

@@ -6,11 +6,21 @@ order) that satisfies the requested frame properties and falsifies the
 formula at some world wins, which makes results reproducible and minimal in
 world count.  Valuations range only over the atoms that occur in the
 formula; the designated set is always the full domain during search.
+
+The search never builds a model whose frame lacks a requested property: for
+each world count it lists the admitted relation bitmasks in ascending order
+and builds a slab over those frames only, indexed `rank << val_bits |
+valuation`.  The rank order is the bitmask order, so the first falsifying
+index is still the canonically first countermodel.  A search without
+properties uses the slab over every frame.  A slab over the budget of
+bitgrid.MAX_PATTERN_BYTES raises ResourceLimitExceeded.
 """
 
 from __future__ import annotations
 
-from .bitgrid import ModelSlab
+from itertools import product
+
+from .bitgrid import ModelSlab, admitted_frames
 from .kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from .syntax import Formula, Signature, atoms_of, desugar
 
@@ -25,12 +35,21 @@ def enumerate_models(n_worlds: int, atoms: tuple[str, ...]):
     """Yield every model with the given domain size in canonical order.
 
     This is the reference enumeration: 2^(n*n) relations, each with
-    2^(len(atoms)*n) valuations, relation index major.  The fast search in
-    find_countermodel indexes the same space; tests compare the two.
+    2^(len(atoms)*n) valuations, relation bitmask major, where pair (i, j)
+    is bit i*n + j and atom k at world w is bit k*n + w.  It shares no code
+    with the slabs of find_countermodel; tests compare the two.
     """
-    slab = ModelSlab(n_worlds, atoms)
-    for index in range(slab.count):
-        yield slab.model_at(index)
+    n = n_worlds
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    cells = [(a, w) for a in atoms for w in range(n)]
+    sig = Signature(atoms)
+    for rel_bits, val_bits in product(range(1 << len(pairs)), range(1 << len(cells))):
+        rel = [pair for k, pair in enumerate(pairs) if rel_bits >> k & 1]
+        val = {a: [] for a in atoms}
+        for k, (a, w) in enumerate(cells):
+            if val_bits >> k & 1:
+                val[a].append(w)
+        yield KripkeModel(n, range(n), rel, val, sig)
 
 
 def find_countermodel(f: Formula, props: set[FrameProperty], max_worlds: int,
@@ -45,17 +64,17 @@ def find_countermodel(f: Formula, props: set[FrameProperty], max_worlds: int,
     atoms = search_atoms(f, sig)
     goal = desugar(f, sig)
     for n in range(1, max_worlds + 1):
-        slab = ModelSlab(n, atoms)
-        candidates = slab.properties_mask(props)
-        if not candidates:
+        frames = admitted_frames(n, props)
+        if frames == []:
             continue
+        slab = ModelSlab(n, atoms, frames=frames)
         # falsified somewhere: complement of "true at every world"; all
         # worlds must contribute before taking the least index, since a
         # later world may falsify a canonically earlier model
         memo: dict = {}
         failing = 0
         for w in range(n):
-            failing |= candidates & (slab.full ^ slab.deep_truth(goal, w, memo))
+            failing |= slab.full ^ slab.deep_truth(goal, w, memo)
         if not failing:
             continue
         index = ModelSlab.first_index(failing)

@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .countermodel import find_countermodel
+from .errors import ResourceLimitExceeded
 from .hilbert import AxiomSchemaId, Logic
 from .kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from .syntax import (Atom, Box, Formula, Implies, Not, Signature, atoms_of,
@@ -31,11 +32,6 @@ LOGIC_FRAME_PROPERTIES: dict[AxiomSchemaId, FrameProperty] = {
 
 def frame_properties(logic: Logic) -> frozenset[FrameProperty]:
     return frozenset(LOGIC_FRAME_PROPERTIES[s] for s in logic.schemata)
-
-
-class ResourceLimitExceeded(Exception):
-    """The tableau ran out of labels/rule budget and the bounded fallback
-    search found nothing either way."""
 
 
 @dataclass
@@ -333,7 +329,7 @@ class CrossCheckReport:
     formula: Formula
     logic: Logic
     tableau_valid: bool | None   # None when decide hit the resource limit
-    finder_found: bool
+    finder_found: bool | None    # None when the finder's slab was over budget
     consistent: bool
     detail: str = ""
 
@@ -343,7 +339,12 @@ def cross_check(f: Formula, logic: Logic, max_worlds: int) -> CrossCheckReport:
     confirm they never both answer positively."""
     sig = sorted_signature(atoms_of(f))
     props = frame_properties(logic)
-    found = find_countermodel(f, set(props), max_worlds, sig)
+    try:
+        found = find_countermodel(f, set(props), max_worlds, sig)
+    except ResourceLimitExceeded as e:
+        found, found_any, note = None, None, f"finder: {e}"
+    else:
+        found_any, note = found is not None, ""
     if found is not None:
         model, world = found
         if eval_deep(model, world, desugar(f, sig)):
@@ -352,11 +353,12 @@ def cross_check(f: Formula, logic: Logic, max_worlds: int) -> CrossCheckReport:
     try:
         result = decide(f, logic, sig=sig)
     except ResourceLimitExceeded as e:
-        return CrossCheckReport(f, logic, None, found is not None, True, str(e))
+        detail = f"{note}; {e}" if note else str(e)
+        return CrossCheckReport(f, logic, None, found_any, True, detail)
     if isinstance(result, Valid):
         ok = found is None
-        detail = "" if ok else "tableau says valid but the finder has a model"
-        return CrossCheckReport(f, logic, True, found is not None, ok, detail)
+        detail = note if ok else "tableau says valid but the finder has a model"
+        return CrossCheckReport(f, logic, True, found_any, ok, detail)
     ok = not eval_deep(result.model, result.world, desugar(f, sig))
-    detail = "" if ok else "tableau countermodel fails re-evaluation"
-    return CrossCheckReport(f, logic, False, found is not None, ok, detail)
+    detail = note if ok else "tableau countermodel fails re-evaluation"
+    return CrossCheckReport(f, logic, False, found_any, ok, detail)

@@ -7,7 +7,10 @@ anchor that lets the fast path be trusted everywhere else.
 
 import pytest
 
-from modalkit.bitgrid import ModelSlab
+from modalkit.bitgrid import MAX_PATTERN_BYTES, ModelSlab, admitted_frames
+from modalkit.decide import frame_properties
+from modalkit.errors import ResourceLimitExceeded
+from modalkit.hilbert import ALL_LOGICS
 from modalkit.kripke import (
     FrameProperty,
     KripkeModel,
@@ -221,3 +224,112 @@ def test_schema_validity_ignores_the_valuation():
         _, rel = slab.frame_at(index)
         bit = mask >> index & 1
         assert frames.setdefault(rel, bit) == bit
+
+
+# --- ranked slabs over admitted frames ------------------------------------------
+
+
+R, S, T = FrameProperty.REFLEXIVE, FrameProperty.SYMMETRIC, FrameProperty.TRANSITIVE
+
+
+def test_admitted_frames_ascend_and_have_the_properties():
+    frames = admitted_frames(3, {R, T})
+    assert frames == sorted(set(frames))
+    everything = ModelSlab(3, ())
+    for bits in range(everything.count):
+        _, rel = everything.frame_at(bits)
+        m = KripkeModel(3, [0, 1, 2], rel, {"p": []}, SIG_P)
+        admitted = has_property(m, R) and has_property(m, T)
+        assert (bits in frames) == admitted
+    assert admitted_frames(3, ()) is None
+    assert admitted_frames(2, {R, FrameProperty.IRREFLEXIVE}) == []
+
+
+def test_ranked_slab_counts_and_round_trip():
+    frames = admitted_frames(3, {S})
+    slab = ModelSlab(3, ("p",), frames=frames)
+    assert slab.count == len(frames) << 3
+    for index in range(slab.count):
+        m = slab.model_at(index)
+        assert has_property(m, S)
+        assert slab.index_of(m) == index
+        assert slab.frame_at(index) == (3, m.rel)
+    lopsided = KripkeModel(3, [0, 1, 2], [(0, 1)], {"p": []}, SIG_P)
+    with pytest.raises(ValueError):
+        slab.index_of(lopsided)
+    with pytest.raises(IndexError):
+        slab.model_at(slab.count)
+
+
+def test_ranked_slab_is_the_full_slab_restricted_to_its_frames():
+    # bit rank << 2 | val of the ranked slab must equal bit
+    # frames[rank] << 2 | val of the slab over every frame, for every mask
+    frames = admitted_frames(2, {R})
+    ranked = ModelSlab(2, ("p",), frames=frames)
+    full = ModelSlab(2, ("p",))
+    pairs = [((r << 2) | v, (bits << 2) | v)
+             for r, bits in enumerate(frames) for v in range(4)]
+    for f in enumerate_formulas(SIG_P, 2):
+        memo_ranked: dict = {}
+        memo_full: dict = {}
+        for w in (0, 1):
+            a = ranked.deep_truth(f, w, memo_ranked)
+            b = full.deep_truth(f, w, memo_full)
+            assert a >> ranked.count == 0
+            assert all((a >> i & 1) == (b >> j & 1) for i, j in pairs), f
+    for prop in FrameProperty:
+        a, b = ranked.property_mask(prop), full.property_mask(prop)
+        assert all((a >> i & 1) == (b >> j & 1) for i, j in pairs), prop
+
+
+def test_a_slab_listing_every_frame_is_the_unrestricted_slab():
+    listed = ModelSlab(2, ("p",), frames=list(range(16)))
+    plain = ModelSlab(2, ("p",))
+    assert listed.count == plain.count
+    assert listed._rel == plain._rel and listed._val == plain._val
+
+
+def test_an_empty_frame_list_gives_an_empty_slab():
+    slab = ModelSlab(2, ("p",), frames=[])
+    assert slab.count == 0 and slab.full == 0
+    assert slab.deep_truth(parse("box p", SIG_P), 0) == 0
+
+
+# frames per cube logic at 4 worlds: all relations, reflexive (2^12),
+# symmetric (2^10), transitive (OEIS A006905), reflexive and symmetric
+# (2^6), preorders (A000798), symmetric and transitive (partial
+# equivalences, Bell(5)) and equivalences (Bell(4))
+_FOUR_WORLD_FRAMES = {"K": 65_536, "KT": 4_096, "KB": 1_024, "K4": 3_994,
+                      "KTB": 64, "S4": 355, "KB4": 52, "S5": 15}
+
+
+@pytest.mark.parametrize("logic", ALL_LOGICS, ids=lambda l: l.name)
+def test_admitted_frame_counts_match_the_closed_forms(logic):
+    slab = ModelSlab(4, (), frames=admitted_frames(4, frame_properties(logic)))
+    assert slab.count == _FOUR_WORLD_FRAMES[logic.name]
+
+
+# --- slab budget ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, atoms", [(6, ()), (5, ("p",)), (4, ("p", "q", "r"))])
+def test_slabs_over_the_budget_are_refused(n, atoms):
+    with pytest.raises(ResourceLimitExceeded):
+        ModelSlab(n, atoms)
+
+
+def test_the_budget_admits_the_largest_slabs_in_use():
+    # the atom-free 5-world slab of correspond and loeb: 25 masks of 4 MiB
+    assert 25 * (1 << 25) // 8 <= MAX_PATTERN_BYTES
+    # three atoms at four worlds fit once the frames are S5's fifteen
+    s5 = admitted_frames(4, {R, S, T})
+    slab = ModelSlab(4, ("p", "q", "r"), frames=s5)
+    assert slab.count == 15 << 12
+
+
+def test_the_budget_error_is_the_one_the_cli_maps_to_exit_3():
+    import modalkit
+    from modalkit.decide import ResourceLimitExceeded as from_decide
+
+    assert modalkit.ResourceLimitExceeded is ResourceLimitExceeded
+    assert from_decide is ResourceLimitExceeded

@@ -21,7 +21,7 @@ from modalkit.decide import Invalid, Valid
 from modalkit.hilbert import ALL_LOGICS, Logic
 from modalkit.kripke import eval_deep, has_property
 from modalkit.decide import frame_properties
-from modalkit.syntax import parse, pretty
+from modalkit.syntax import Signature, parse, pretty
 
 _EXPECTED_MINIMAL = {
     "F1": {"K4"},
@@ -160,3 +160,17 @@ def test_monotonicity_violations_raise(monkeypatch):
     monkeypatch.setattr(module, "decide", broken)
     with pytest.raises(ClassificationError):
         module.classify(parse("p -> p", CORPUS_SIGNATURE))
+
+
+def test_verdict_keeps_the_tableau_model_when_the_search_is_over_budget():
+    from modalkit.classify import _verdict
+
+    # every countermodel needs four worlds with three atoms, and the search
+    # over all 4-world frames with three atoms is refused by the slab budget
+    sig = Signature(("p", "q", "r"))
+    f = parse("~(p & q & r & dia (p & ~q & ~r) & dia (~p & q & ~r)"
+              " & dia (~p & ~q & r))", sig)
+    result = _verdict(f, Logic.from_name("K"), sig)
+    assert isinstance(result, Invalid)
+    assert result.model.n_worlds >= 4
+    assert eval_deep(result.model, result.world, f) is False

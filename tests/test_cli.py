@@ -182,6 +182,32 @@ def test_countermodel_writes_dot(tmp_path, capsys):
     assert "init -> w0;" in text
 
 
+def test_countermodel_over_an_empty_frame_class(capsys):
+    code, out, _ = run(capsys, "countermodel", "p -> box p",
+                       "--props", "reflexive,irreflexive", "--max-worlds", "3")
+    assert code == 0
+    assert out.strip() == "no countermodel with up to 3 worlds"
+
+
+# the child caps its own address space, so a slab that escaped the budget
+# would fail to allocate instead of taking memory from the machine
+_CAPPED_MAIN = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from modalkit.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+
+
+def test_countermodel_over_the_slab_budget_exits_3():
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "countermodel", "p -> p", "--max-worlds", "5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: resource limit exceeded")
+    assert "Traceback" not in proc.stderr
+
+
 def test_countermodel_bad_property(capsys):
     code, _, err = run(capsys, "countermodel", "p", "--props", "dense")
     assert code == 2

@@ -9,6 +9,8 @@ from modalkit.countermodel import (
     find_countermodel,
     search_atoms,
 )
+from modalkit.decide import frame_properties
+from modalkit.hilbert import ALL_LOGICS
 from modalkit.kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from modalkit.syntax import Signature, parse
 
@@ -92,6 +94,18 @@ def _scalar_first_countermodel(f, props, max_worlds, sig):
     return None
 
 
+def _check_against_reference(text, props, max_worlds, sig):
+    f = parse(text, sig)
+    fast = find_countermodel(f, props, max_worlds, sig)
+    slow = _scalar_first_countermodel(f, props, max_worlds, sig)
+    if slow is None:
+        assert fast is None
+    else:
+        assert fast is not None
+        assert fast[0] == slow[0]
+        assert fast[1] == slow[1]
+
+
 @pytest.mark.parametrize(
     "text, props",
     [
@@ -100,19 +114,29 @@ def _scalar_first_countermodel(f, props, max_worlds, sig):
         ("dia box p -> box dia p", {FrameProperty.SYMMETRIC}),
         ("box (p -> q) -> (box p -> box q)", set()),
         ("p | ~p", set()),
+        ("dia (p & q) -> box (p | dia q)", {R, FrameProperty.TRANSITIVE}),
+        ("box p -> dia q", {FrameProperty.SERIAL, FrameProperty.EUCLIDEAN}),
     ],
 )
 def test_search_agrees_with_scalar_reference(text, props):
-    sig = SIG_PQ
-    f = parse(text, sig)
-    fast = find_countermodel(f, props, 2, sig)
-    slow = _scalar_first_countermodel(f, props, 2, sig)
-    if slow is None:
-        assert fast is None
-    else:
-        assert fast is not None
-        assert fast[0] == slow[0]
-        assert fast[1] == slow[1]
+    _check_against_reference(text, props, 2, SIG_PQ)
+
+
+# one falsifiable formula per cube axiom and Löb's, so every frame class
+# meets both a countermodel and (for its own axioms) none
+_ONE_ATOM_PROBES = ("box p -> p", "p -> box dia p", "box p -> box box p",
+                    "box (box p -> p) -> box p", "dia p -> box dia p")
+
+_PROPERTY_SETS = (
+    [pytest.param({p}, id=p.value) for p in FrameProperty]
+    + [pytest.param(set(frame_properties(logic)), id=logic.name) for logic in ALL_LOGICS]
+)
+
+
+@pytest.mark.parametrize("props", _PROPERTY_SETS)
+def test_search_agrees_with_scalar_reference_at_three_worlds(props):
+    for text in _ONE_ATOM_PROBES:
+        _check_against_reference(text, props, 3, SIG_P)
 
 
 @settings(max_examples=30, deadline=None)

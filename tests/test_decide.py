@@ -156,6 +156,17 @@ def test_cross_check_agreeing_valid():
     assert report.consistent
 
 
+def test_cross_check_reports_a_finder_over_the_slab_budget():
+    sig = Signature(("p", "q", "r"))
+    f = parse("~(p & q & r & dia (p & ~q & ~r) & dia (~p & q & ~r)"
+              " & dia (~p & ~q & r))", sig)
+    report = cross_check(f, K, 4)
+    assert report.finder_found is None
+    assert report.tableau_valid is False
+    assert report.consistent
+    assert report.detail.startswith("finder: ")
+
+
 def test_cross_check_falsum():
     report = cross_check(_f("false"), K, 2)
     assert report.tableau_valid is False and report.finder_found is True
