@@ -16,6 +16,21 @@ scalar evaluators in kripke and translate stay the reference semantics; the
 test suite pins the two routes against each other.  A slab whose pattern
 masks would exceed MAX_PATTERN_BYTES is refused before anything is
 allocated.
+
+Sweeps over every frame of a size run tile by tile.  A tile is a slab whose
+frame list is an aligned block of 2**TILE_BITS relation bitmasks, given as
+a range: the pairs whose bit lies below TILE_BITS take the periodic pattern
+of the block, and the others are fixed across it, so their masks are the
+constants full or 0.  frame_tiles yields the tiles of one size in ascending
+order, which keeps the first set bit of the first tile that has one the
+canonically first frame.  At five worlds a tile's masks are 128 KiB instead
+of the whole slab's 4 MiB, and stay in cache.
+
+Evaluation folds constants.  A metavariable leaf, a fixed relation pair and
+whatever is derived from them only is the slab's own `full` object or 0;
+the connectives test for these by identity, which costs nothing, and return
+an operand or a constant instead of running a big-integer operation.
+Masks are never compared by value for this.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitExceeded
 from .kripke import FrameProperty, KripkeModel
@@ -38,6 +53,22 @@ from .translate import CImp, CNot, CoreForm, ForallWorld, PredR, PredV, PredW
 # and refuses 4 worlds with 3 atoms (0.88 GiB) or 5 worlds with 1 atom.
 MAX_PATTERN_BYTES = 128 << 20
 
+# log2 of the relation bitmasks in a tile of an atom-free sweep: 2**20
+# frames make 128 KiB masks.  Sizes up to four worlds fit in one tile.
+TILE_BITS = 20
+
+
+def _check_slab_budget(n_worlds: int, n_atoms: int, n_frames: int) -> None:
+    """Raise ResourceLimitExceeded when a slab of n_frames frames with that
+    many worlds and atoms needs more than MAX_PATTERN_BYTES of masks."""
+    count = n_frames << n_atoms * n_worlds
+    pattern_bytes = (n_worlds + n_atoms) * n_worlds * count // 8
+    if pattern_bytes > MAX_PATTERN_BYTES:
+        raise ResourceLimitExceeded(
+            f"a slab of {n_worlds} worlds, {n_atoms} atoms and "
+            f"{n_frames} frames needs {pattern_bytes / 2**20:.0f} MiB of "
+            f"masks, over the {MAX_PATTERN_BYTES >> 20} MiB budget")
+
 
 def _bit_pattern(total_index_bits: int, bit: int) -> int:
     """Mask over all 2**total_index_bits indices whose binary digit `bit` is set."""
@@ -51,25 +82,68 @@ def _bit_pattern(total_index_bits: int, bit: int) -> int:
     return mask
 
 
+def frame_tiles(n_worlds: int) -> Iterator[ModelSlab]:
+    """The atom-free slabs over every n-world frame, one tile per aligned
+    block of 2**TILE_BITS relation bitmasks, in ascending order.
+
+    The whole sweep is held to the slab budget when this is called, as one
+    slab over every frame would be; the tiles are built one at a time as
+    they are taken.
+    """
+    total = 1 << n_worlds * n_worlds
+    _check_slab_budget(n_worlds, 0, total)
+    step = min(total, 1 << TILE_BITS)
+    return (ModelSlab(n_worlds, (), frames=range(base, base + step))
+            for base in range(0, total, step))
+
+
 def admitted_frames(n_worlds: int, props: Iterable[FrameProperty]) -> list[int] | None:
     """Ascending relation bitmasks of the n-world frames with every property
-    in props, read off the atom-free slab; None, meaning every frame, when
+    in props, read off the atom-free tiles; None, meaning every frame, when
     props is empty."""
     props = tuple(props)
     if not props:
         return None
-    mask = ModelSlab(n_worlds, ()).properties_mask(props)
-    digits = bin(mask)[:1:-1]  # least significant first: digit k is frame k
-    return [m.start() for m in re.finditer("1", digits)]
+    out: list[int] = []
+    for tile in frame_tiles(n_worlds):
+        base = tile._relation_bits(0)  # a tile's frames are consecutive
+        digits = bin(tile.properties_mask(props))[:1:-1]  # digit k is frame k
+        out += [base + m.start() for m in re.finditer("1", digits)]
+    return out
+
+
+def _meet(full: int, a: int, b: int) -> int:
+    """a & b, or the operand it equals when the other is full or 0."""
+    if a is full or not b:
+        return b
+    if b is full or not a:
+        return a
+    return a & b
+
+
+def _join(full: int, a: int, b: int) -> int:
+    """a | b, or the operand it equals when the other is full or 0."""
+    if b is full or not a:
+        return b
+    if a is full or not b:
+        return a
+    return a | b
+
+
+def _neg(full: int, a: int) -> int:
+    """full ^ a, with full and 0 swapped as constants."""
+    return 0 if a is full else full if not a else full ^ a
 
 
 class ModelSlab:
     """All models with a fixed world count, atom list and designated subset,
-    over every frame or over an ascending list of admitted relation bitmasks."""
+    over every frame or over an ascending list of admitted relation bitmasks.
+    A list given as a range over an aligned block of 2**k bitmasks is a
+    tile, whose relation masks are built without a pass over its frames."""
 
     def __init__(self, n_worlds: int, atoms: Iterable[str],
                  designated: Iterable[int] | None = None,
-                 frames: list[int] | None = None):
+                 frames: Sequence[int] | None = None):
         self.n = n_worlds
         self.atoms = tuple(atoms)
         if designated is None:
@@ -85,21 +159,14 @@ class ModelSlab:
             frames = None  # every frame admitted: rank equals bitmask
         self._frames = frames
         n_frames = 1 << self._rel_bits if frames is None else len(frames)
+        _check_slab_budget(n_worlds, len(self.atoms), n_frames)
         self.count = n_frames << self._val_bits
-        pattern_bytes = (self._rel_bits + self._val_bits) * self.count // 8
-        if pattern_bytes > MAX_PATTERN_BYTES:
-            raise ResourceLimitExceeded(
-                f"a slab of {n_worlds} worlds, {len(self.atoms)} atoms and "
-                f"{n_frames} frames needs {pattern_bytes / 2**20:.0f} MiB of "
-                f"masks, over the {MAX_PATTERN_BYTES >> 20} MiB budget")
         self.full = (1 << self.count) - 1
-        if frames is None:
-            total = self._val_bits + self._rel_bits
-            self._rel = [
-                [_bit_pattern(total, self._val_bits + i * n_worlds + j)
-                 for j in range(n_worlds)]
-                for i in range(n_worlds)
-            ]
+        # every frame, or a tile: an aligned block of 2**k consecutive frames
+        block = range(n_frames) if frames is None else frames
+        if (type(block) is range and block.step == 1 and n_frames
+                and not n_frames & (n_frames - 1) and not block.start % n_frames):
+            self._rel = self._block_relation_masks(block)
         else:
             self._rel = self._ranked_relation_masks(frames)
         # valuation masks repeat once per frame block, cut at the last frame
@@ -110,6 +177,18 @@ class ModelSlab:
             for ai, a in enumerate(self.atoms)
         }
         self._props: dict[FrameProperty, int] = {}
+
+    def _block_relation_masks(self, block: range) -> list[list[int]]:
+        """Mask of each pair (i, j) over an aligned block of 2**k relation
+        bitmasks: the periodic pattern for a pair whose bit is below k, and
+        full or 0, as the block's frames all have the edge or all lack it,
+        for the others."""
+        k = len(block).bit_length() - 1
+        n, vb = self.n, self._val_bits
+        masks = [_bit_pattern(vb + k, vb + bit) if bit < k
+                 else self.full if block.start >> bit & 1 else 0
+                 for bit in range(n * n)]
+        return [masks[i * n:(i + 1) * n] for i in range(n)]
 
     def _ranked_relation_masks(self, frames: list[int]) -> list[list[int]]:
         """Mask of each pair (i, j) over a ranked slab: the bits of the
@@ -206,6 +285,7 @@ class ModelSlab:
         if hit is not None:
             return hit
         t = type(f)
+        full = self.full
         if t is Atom:
             try:
                 out = self._val[f.name][w]
@@ -214,16 +294,36 @@ class ModelSlab:
         elif t is MetaVar:
             if assignment is None:
                 raise ValueError("metavariable outside schema evaluation")
-            out = self.full if w in assignment[f.name] else 0
+            out = full if w in assignment[f.name] else 0
         elif t is Not:
-            out = self.full ^ self._deep(f.body, w, memo, assignment)
+            x = self._deep(f.body, w, memo, assignment)
+            out = 0 if x is full else full if not x else full ^ x
         elif t is Implies:
-            out = ((self.full ^ self._deep(f.left, w, memo, assignment))
-                   | self._deep(f.right, w, memo, assignment))
+            x = self._deep(f.left, w, memo, assignment)
+            if not x:
+                out = full
+            else:
+                y = self._deep(f.right, w, memo, assignment)
+                if x is full or y is full:
+                    out = y
+                elif not y:
+                    out = full ^ x
+                else:
+                    out = (full ^ x) | y
         elif t is Box:
-            out = self.full
+            out = full
+            row = self._rel[w]
             for v in self._dsorted:
-                out &= (self.full ^ self._rel[w][v]) | self._deep(f.body, v, memo, assignment)
+                r = row[v]
+                if not r:
+                    continue
+                x = self._deep(f.body, v, memo, assignment)
+                if x is full:
+                    continue
+                term = x if r is full else full ^ r if not x else (full ^ r) | x
+                out = term if out is full else out & term
+                if not out:
+                    break
         else:
             raise TypeError(f"cannot evaluate {f!r} (desugar first)")
         memo[key] = out
@@ -235,7 +335,7 @@ class ModelSlab:
             memo = {}
         out = self.full
         for w in self._dsorted:
-            out &= self._deep(f, w, memo, None)
+            out = _meet(self.full, out, self._deep(f, w, memo, None))
         return out
 
     # -- translated-form truth ---------------------------------------------
@@ -306,7 +406,8 @@ class ModelSlab:
         """
         names = s.metavars
         body = s.body
-        out = self.full
+        full = self.full
+        out = full
         ds = self._dsorted
         for choice in range(1 << (len(names) * len(ds))):
             assignment = {}
@@ -315,8 +416,8 @@ class ModelSlab:
                 assignment[name] = frozenset(w for k, w in enumerate(ds) if bits >> k & 1)
             memo: dict = {}
             for w in ds:
-                out &= self._deep(body, w, memo, assignment)
-            if out == 0:
+                out = _meet(full, out, self._deep(body, w, memo, assignment))
+            if not out:
                 break
         return out
 
@@ -330,60 +431,59 @@ class ModelSlab:
         ds = self._dsorted
         full = self.full
         rel = self._rel
+        out = full
         if p is FrameProperty.REFLEXIVE:
-            out = full
             for w in ds:
-                out &= rel[w][w]
+                out = _meet(full, out, rel[w][w])
         elif p is FrameProperty.SYMMETRIC:
-            out = full
             for i, w in enumerate(ds):
                 for v in ds[i + 1:]:
-                    out &= full ^ (rel[w][v] ^ rel[v][w])
+                    out = _meet(full, out, _neg(full, rel[w][v] ^ rel[v][w]))
         elif p is FrameProperty.TRANSITIVE:
-            out = full
+            # w R v and v R u give w R u; it holds outright when w = v or v = u
             for w in ds:
                 for v in ds:
                     step = rel[w][v]
+                    if v == w or not step:
+                        continue
                     for u in ds:
-                        out &= (full ^ (step & rel[v][u])) | rel[w][u]
+                        if u != v:
+                            out = _meet(full, out, _join(
+                                full, _neg(full, _meet(full, step, rel[v][u])), rel[w][u]))
         elif p is FrameProperty.SERIAL:
-            out = full
             for w in ds:
                 some = 0
                 for v in ds:
-                    some |= rel[w][v]
-                out &= some
+                    some = _join(full, some, rel[w][v])
+                out = _meet(full, out, some)
         elif p is FrameProperty.EUCLIDEAN:
-            out = full
+            # w R v and w R u give v R u; it holds outright when v = w
             for w in ds:
                 for v in ds:
                     step = rel[w][v]
+                    if v == w or not step:
+                        continue
                     for u in ds:
-                        out &= (full ^ (step & rel[w][u])) | rel[v][u]
+                        out = _meet(full, out, _join(
+                            full, _neg(full, _meet(full, step, rel[w][u])), rel[v][u]))
         elif p is FrameProperty.IRREFLEXIVE:
-            out = full
             for w in ds:
-                out &= full ^ rel[w][w]
+                out = _meet(full, out, _neg(full, rel[w][w]))
         elif p is FrameProperty.CONVERSE_WELL_FOUNDED:
-            # cycle-free inside the designated set: union the diagonals of the
-            # first |ds| powers of the restricted adjacency matrix
-            paths = {(w, v): rel[w][v] for w in ds for v in ds}
-            step = dict(paths)
+            # cycle-free inside the designated set: no world reaches itself
+            # in the transitive closure (Warshall) of the restricted relation
+            path = [[rel[w][v] for v in ds] for w in ds]
+            for k, row_k in enumerate(path):
+                for row in path:
+                    via = row[k]
+                    if not via:
+                        continue
+                    for j, kj in enumerate(row_k):
+                        row[j] = _join(full, row[j], _meet(full, via, kj))
             cyc = 0
-            for w in ds:
-                cyc |= step[(w, w)]
-            for _ in range(len(ds) - 1):
-                nxt = {}
-                for w in ds:
-                    for v in ds:
-                        acc = 0
-                        for u in ds:
-                            acc |= step[(w, u)] & paths[(u, v)]
-                        nxt[(w, v)] = acc
-                step = nxt
-                for w in ds:
-                    cyc |= step[(w, w)]
-            out = full ^ cyc
+            for i, row in enumerate(path):
+                cyc = _join(full, cyc, row[i])
+            out = _neg(full, cyc)
         else:
             raise TypeError(f"unknown frame property {p!r}")
         self._props[p] = out
@@ -392,5 +492,5 @@ class ModelSlab:
     def properties_mask(self, props: Iterable[FrameProperty]) -> int:
         out = self.full
         for p in props:
-            out &= self.property_mask(p)
+            out = _meet(self.full, out, self.property_mask(p))
         return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 
-from .bitgrid import ModelSlab
+from .bitgrid import ModelSlab, frame_tiles
 from .hilbert import SCHEMAS, AxiomSchemaId
 from .kripke import FrameProperty, KripkeModel, valid_in_model
 from .reporting import CheckReport, Violation
@@ -68,6 +68,16 @@ def schema_valid_on_frame(worlds: set, rel: set, s: Schema) -> bool:
         for val in product(subsets, repeat=len(names)))
 
 
+def _sweep(max_worlds: int):
+    """(n, tile) for every atom-free tile with 1 to max_worlds worlds, in
+    canonical order.  Every size is held to the slab budget before the
+    first tile is built."""
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be at least 1")
+    sizes = [frame_tiles(n) for n in range(1, max_worlds + 1)]
+    return ((n, tile) for n, tiles in enumerate(sizes, 1) for tile in tiles)
+
+
 @dataclass(frozen=True)
 class Holds:
     frames_checked: int
@@ -98,12 +108,10 @@ def correspondence_check(s: Schema, p: FrameProperty,
     """Check has_property(frame) <=> schema_valid_on_frame over all frames
     up to max_worlds; the first frame (canonical order) violating either
     direction is returned."""
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
+    tiles = _sweep(max_worlds)
     schema = Schema(_core_body(s))
     checked = 0
-    for n in range(1, max_worlds + 1):
-        slab = ModelSlab(n, ())
+    for n, slab in tiles:
         prop = slab.property_mask(p)
         valid = slab.schema_validity_mask(schema)
         disagree = prop ^ valid
@@ -146,16 +154,14 @@ def loeb_suite(max_worlds: int) -> list[CheckReport]:
     well-foundedness implies Loeb validity, and Loeb validity implies each
     of converse well-foundedness, irreflexivity and transitivity.
     """
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
+    tiles = _sweep(max_worlds)
     loeb = Schema(_core_body(SCHEMAS[AxiomSchemaId.LOEB]))
     claims = ("transitive+cwf-implies-loeb", "loeb-implies-cwf",
               "loeb-implies-irreflexive", "loeb-implies-transitive")
     reports = {name: CheckReport(name=name, instances=0, violation_count=0,
                                  examples=[])
                for name in claims}
-    for n in range(1, max_worlds + 1):
-        slab = ModelSlab(n, ())
+    for n, slab in tiles:
         valid = slab.schema_validity_mask(loeb)
         trans = slab.property_mask(FrameProperty.TRANSITIVE)
         cwf = slab.property_mask(FrameProperty.CONVERSE_WELL_FOUNDED)

@@ -7,10 +7,12 @@ anchor that lets the fast path be trusted everywhere else.
 
 import pytest
 
-from modalkit.bitgrid import MAX_PATTERN_BYTES, ModelSlab, admitted_frames
+from modalkit import bitgrid
+from modalkit.bitgrid import MAX_PATTERN_BYTES, ModelSlab, admitted_frames, frame_tiles
+from modalkit.correspond import _core_body
 from modalkit.decide import frame_properties
 from modalkit.errors import ResourceLimitExceeded
-from modalkit.hilbert import ALL_LOGICS
+from modalkit.hilbert import ALL_LOGICS, SCHEMAS
 from modalkit.kripke import (
     FrameProperty,
     KripkeModel,
@@ -151,8 +153,21 @@ def test_property_mask_matches_scalar_check(prop):
             assert bool(mask >> index & 1) == has_property(slab.model_at(index), prop)
 
 
+@pytest.mark.parametrize("designated", [(0, 1, 2), (0, 2)])
+def test_property_masks_on_three_worlds_match_scalar_check(designated):
+    # three worlds reach the triples the transitive and Euclidean loops
+    # skip as true by construction
+    slab = ModelSlab(3, (), designated)
+    for prop in FrameProperty:
+        mask = slab.property_mask(prop)
+        for index in range(slab.count):
+            _, rel = slab.frame_at(index)
+            m = KripkeModel(3, designated, rel, {"p": []}, SIG_P)
+            assert bool(mask >> index & 1) == has_property(m, prop), (prop, sorted(rel))
+
+
 def test_cycle_detection_on_three_worlds():
-    # the matrix-power route for converse well-foundedness, against the
+    # the Warshall closure for converse well-foundedness, against the
     # scalar depth-first search, over all 512 three-world frames
     slab = ModelSlab(3, ())
     mask = slab.property_mask(FrameProperty.CONVERSE_WELL_FOUNDED)
@@ -295,6 +310,68 @@ def test_an_empty_frame_list_gives_an_empty_slab():
     assert slab.deep_truth(parse("box p", SIG_P), 0) == 0
 
 
+# --- tiles --------------------------------------------------------------------
+
+
+# 320 = 0b101000000: in a tile of 32 frames the pairs with bits 5 to 8,
+# (1, 2), (2, 0), (2, 1) and (2, 2), are fixed, and (2, 0) and (2, 2) are set
+_TILE = range(320, 352)
+
+
+def test_a_tile_is_the_full_slab_restricted_to_its_block():
+    whole = ModelSlab(3, ())
+    tile = ModelSlab(3, (), frames=_TILE)
+    window = (1 << tile.count) - 1
+    assert tile.count == 32
+    assert tile._rel == ModelSlab(3, (), frames=list(_TILE))._rel
+    assert tile._rel[2][0] is tile.full and tile._rel[2][2] is tile.full
+    assert tile._rel[1][2] == 0 and tile._rel[2][1] == 0
+    for prop in FrameProperty:
+        assert tile.property_mask(prop) == whole.property_mask(prop) >> 320 & window, prop
+    for schema in SCHEMAS.values():
+        core = Schema(_core_body(schema))
+        assert (tile.schema_validity_mask(core)
+                == whole.schema_validity_mask(core) >> 320 & window), schema
+
+
+def test_a_tile_with_atoms_round_trips_and_restricts_the_full_slab():
+    tile = ModelSlab(3, ("p",), frames=_TILE)
+    whole = ModelSlab(3, ("p",))
+    assert tile.count == 32 << 3
+    for index in range(tile.count):
+        m = tile.model_at(index)
+        assert tile.index_of(m) == index
+        assert whole.index_of(m) == (320 << 3) + index
+        assert tile.frame_at(index) == (3, m.rel)
+    with pytest.raises(ValueError):
+        tile.index_of(KripkeModel(3, [0, 1, 2], [(0, 1)], {"p": []}, SIG_P))
+    with pytest.raises(IndexError):
+        tile.frame_at(tile.count)
+    window = (1 << tile.count) - 1
+    for f in enumerate_formulas(SIG_P, 2):
+        memo_tile: dict = {}
+        memo_whole: dict = {}
+        for w in range(3):
+            assert (tile.deep_truth(f, w, memo_tile)
+                    == whole.deep_truth(f, w, memo_whole) >> (320 << 3) & window), f
+
+
+def test_frame_tiles_cover_the_frames_in_ascending_blocks(monkeypatch):
+    assert [t._frames for t in frame_tiles(2)] == [None]
+    monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
+    tiles = list(frame_tiles(3))
+    assert [t._frames for t in tiles] == [range(b, b + 16) for b in range(0, 512, 16)]
+    assert sum(t.count for t in tiles) == 512
+
+
+def test_admitted_frames_read_tile_by_tile_equal_the_whole_slab(monkeypatch):
+    classes = [{R, T}, {S}, {FrameProperty.CONVERSE_WELL_FOUNDED},
+               {R, FrameProperty.IRREFLEXIVE}, {FrameProperty.EUCLIDEAN}]
+    whole = [admitted_frames(3, props) for props in classes]
+    monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
+    assert [admitted_frames(3, props) for props in classes] == whole
+
+
 # frames per cube logic at 4 worlds: all relations, reflexive (2^12),
 # symmetric (2^10), transitive (OEIS A006905), reflexive and symmetric
 # (2^6), preorders (A000798), symmetric and transitive (partial
@@ -319,7 +396,8 @@ def test_slabs_over_the_budget_are_refused(n, atoms):
 
 
 def test_the_budget_admits_the_largest_slabs_in_use():
-    # the atom-free 5-world slab of correspond and loeb: 25 masks of 4 MiB
+    # the atom-free 5-world sweep of correspond and loeb, held to the budget
+    # as one slab although it runs in tiles: 25 masks of 4 MiB
     assert 25 * (1 << 25) // 8 <= MAX_PATTERN_BYTES
     # three atoms at four worlds fit once the frames are S5's fifteen
     s5 = admitted_frames(4, {R, S, T})

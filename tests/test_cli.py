@@ -208,6 +208,18 @@ def test_countermodel_over_the_slab_budget_exits_3():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["correspond", "T", "reflexive", "--max-worlds", "6"],
+                                  ["loeb", "--max-worlds", "6"]])
+def test_frame_sweeps_over_the_slab_budget_exit_3(argv):
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: resource limit exceeded: a slab of 6 worlds, 0 atoms "
+                           "and 68719476736 frames needs 294912 MiB of masks, over the "
+                           "128 MiB budget\n")
+
+
 def test_countermodel_bad_property(capsys):
     code, _, err = run(capsys, "countermodel", "p", "--props", "dense")
     assert code == 2

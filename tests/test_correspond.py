@@ -7,6 +7,7 @@ against each other on complete frame enumerations.
 
 import pytest
 
+from modalkit import bitgrid
 from modalkit.bitgrid import ModelSlab
 from modalkit.correspond import (
     SAHLQVIST_PAIRS,
@@ -64,16 +65,24 @@ def test_frame_input_validation():
         schema_valid_on_frame({0}, {(0, 3)}, T_SCHEMA)
 
 
+# every axiom schema, one that stacks negations around boxes, and one with
+# concrete atoms; between them they reach each constant fold in _deep
+_AGREEMENT_SCHEMAS = list(SCHEMAS.values()) + [
+    parse_schema("~~box ~?phi -> ~box ~~?phi"),
+    parse_schema("box (p -> ?q) -> (dia ~p -> box ?q)"),
+]
+
+
 def test_scalar_and_packed_schema_validity_agree():
     from modalkit.correspond import _core_body
 
-    schema = Schema(parse_schema("box ?phi -> box box ?phi").body)
-    slab = ModelSlab(2, ())
-    mask = slab.schema_validity_mask(Schema(_core_body(schema)))
-    for index in range(slab.count):
-        n, rel = slab.frame_at(index)
-        expected = schema_valid_on_frame(set(range(n)), set(rel), schema)
-        assert bool(mask >> index & 1) == expected
+    slab = ModelSlab(3, ())
+    for schema in _AGREEMENT_SCHEMAS:
+        mask = slab.schema_validity_mask(Schema(_core_body(schema)))
+        for index in range(slab.count):
+            n, rel = slab.frame_at(index)
+            expected = schema_valid_on_frame(set(range(n)), set(rel), schema)
+            assert bool(mask >> index & 1) == expected, (str(schema.body), sorted(rel))
 
 
 # --- correspondence -----------------------------------------------------------
@@ -120,6 +129,68 @@ def test_correspondence_counterexample_other_direction():
     assert result.direction == CounterFrame.PROPERTY_WITHOUT_SCHEMA
 
 
+def test_sahlqvist_suite_holds_to_bound_five():
+    # 2 + 16 + 512 + 65536 + 33554432 frames: the benchmark's bound
+    for name, result in sahlqvist_suite(5):
+        assert isinstance(result, Holds), name
+        assert result.frames_checked == 33_620_498
+
+
+# --- sweeps in tiles ------------------------------------------------------------
+
+
+def _untiled_and_tiled(monkeypatch, tile_bits, run):
+    untiled = run()
+    monkeypatch.setattr(bitgrid, "TILE_BITS", tile_bits)
+    return untiled, run()
+
+
+@pytest.mark.parametrize("schema_id", list(AxiomSchemaId), ids=lambda i: i.value)
+def test_tiled_correspondence_checks_equal_the_untiled_ones(monkeypatch, schema_id):
+    # 2**16 four-world frames fit one tile of the default size; with tiles
+    # of 32 frames every size from three worlds on is swept in pieces
+    def run():
+        return [correspondence_check(SCHEMAS[schema_id], p, 4) for p in FrameProperty]
+
+    untiled, tiled = _untiled_and_tiled(monkeypatch, 5, run)
+    assert tiled == untiled
+
+
+def test_a_counter_frame_past_the_first_tile(monkeypatch):
+    # Loeb against converse well-foundedness first fails on the 3-world
+    # frame with bitmask 12 and T against seriality on the 2-world frame
+    # with bitmask 5; in tiles of 4 frames both lie past the first tile
+    loeb, t = SCHEMAS[AxiomSchemaId.LOEB], SCHEMAS[AxiomSchemaId.T]
+
+    def run():
+        return [correspondence_check(loeb, FrameProperty.CONVERSE_WELL_FOUNDED, 3),
+                correspondence_check(t, FrameProperty.SERIAL, 3)]
+
+    untiled, tiled = _untiled_and_tiled(monkeypatch, 2, run)
+    assert tiled == untiled
+    assert tiled[0].rel == frozenset({(0, 2), (1, 0)})
+    assert tiled[0].direction == CounterFrame.PROPERTY_WITHOUT_SCHEMA
+    assert tiled[1].rel == frozenset({(0, 0), (1, 0)})
+
+
+def test_tiled_loeb_suite_equals_the_untiled_one(monkeypatch):
+    untiled, tiled = _untiled_and_tiled(monkeypatch, 5, lambda: loeb_suite(4))
+    assert tiled == untiled
+
+
+def test_sweeps_over_the_budget_are_refused_before_sweeping(monkeypatch):
+    from modalkit.errors import ResourceLimitExceeded
+
+    built = []
+    monkeypatch.setattr(bitgrid.ModelSlab, "__init__",
+                        lambda self, *a, **k: built.append(a))
+    with pytest.raises(ResourceLimitExceeded):
+        correspondence_check(T_SCHEMA, FrameProperty.REFLEXIVE, 6)
+    with pytest.raises(ResourceLimitExceeded):
+        loeb_suite(6)
+    assert built == []
+
+
 def test_correspondence_rejects_a_silly_bound():
     with pytest.raises(ValueError):
         correspondence_check(T_SCHEMA, FrameProperty.REFLEXIVE, 0)
@@ -145,6 +216,13 @@ def test_loeb_suite_names_and_order(loeb_reports):
 def test_loeb_suite_is_clean_to_bound_four(loeb_reports):
     for report in loeb_reports:
         assert report.instances == 66066
+        assert report.violation_count == 0
+        assert report.examples == []
+
+
+def test_loeb_suite_is_clean_to_bound_five():
+    for report in loeb_suite(5):
+        assert report.instances == 33_620_498
         assert report.violation_count == 0
         assert report.examples == []
 
