@@ -2,13 +2,16 @@
 
 To decide f in a logic we saturate a tableau for "f false at a root world",
 applying the logic's frame conditions as edge-closure rules on the fly.  If
-every branch closes, f is valid.  An open saturated branch is read off into a
-concrete model, closed under the frame properties, and re-checked with the
-reference evaluator before being trusted; the re-check is mandatory and a
-branch that fails it is simply abandoned.  When the tableau hits its label
-budget without a definitive answer, a bounded exhaustive search takes over,
-and if that also comes up empty the caller gets an explicit resource error
-rather than a guess.
+every branch closes, f is valid.  In the transitive logics a false box at a
+label whose signed formulas are a subset of an ancestor's is blocked rather
+than expanded (the S4/K4 loop check).  An open saturated branch is read off
+into a concrete model: each blocked label gets an edge to every successor of
+its blocker, and the relation is closed under the frame properties.  The
+model is re-checked with the reference evaluator before being trusted; the
+re-check is mandatory and a branch that fails it is simply abandoned.  When
+the tableau hits its label or rule budget without a definitive answer, a
+bounded exhaustive search takes over, and if that also comes up empty the
+caller gets an explicit resource error rather than a guess.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ def frame_properties(logic: Logic) -> frozenset[FrameProperty]:
 class TableauTrace:
     branches: int = 0
     rule_applications: int = 0
+    blocked: int = 0        # loop edges added at extraction
+    abandoned: int = 0      # open branches whose model failed the re-check
+    fallback: bool = False  # whether the bounded search ran
 
 
 @dataclass
@@ -52,6 +58,7 @@ class Valid:
 class Invalid:
     model: KripkeModel
     world: int
+    trace: TableauTrace | None = None
 
     def __bool__(self):
         return False
@@ -79,9 +86,10 @@ class _Branch:
         self.parent: dict[int, int | None] = {}
         self.todo: deque[tuple[int, bool, Formula]] = deque()
         # false boxes whose expansion was deferred by blocking; rechecked at
-        # saturation because later arrivals can break the blocking subset
+        # saturation because later arrivals can break the blocking subset,
+        # and read off as loop edges if still blocked there
         self.pending: list[tuple[int, Formula]] = []
-        # set when a rule could not be applied (budget / final blocking), so
+        # set when a rule could not be applied (label or rule budget), so
         # an open outcome is unreliable and a closed outcome unreachable
         self.incomplete = False
 
@@ -106,6 +114,7 @@ class _Tableau:
         self.reflexive = FrameProperty.REFLEXIVE in props
         self.symmetric = FrameProperty.SYMMETRIC in props
         self.transitive = FrameProperty.TRANSITIVE in props
+        self.props = props
         self.max_labels = max_labels
         self.trace = trace
         self.any_incomplete = False
@@ -147,7 +156,21 @@ class _Tableau:
     # -- blocking -------------------------------------------------------------
 
     def blocked_by(self, b: _Branch, w: int) -> int | None:
-        """An ancestor whose signed-formula set includes w's, if any."""
+        """An ancestor whose signed-formula set includes w's, if any.
+
+        Only the transitive logics block.  Without transitivity every edge
+        joins a label to its parent or to itself, and a label receives only
+        the body of the false box that made it and the bodies of true boxes
+        at its parent, at itself (reflexive) or at a child (symmetric).  By
+        induction every formula at a label of tree depth k then has modal
+        depth at most d - k, for a goal of depth d, so no false box sits
+        below depth d - 1 and saturation stops by itself: each label has
+        finitely many false boxes.  Transitivity pushes the true boxes
+        themselves, not only their bodies, down every path, which is what
+        makes blocking necessary there.
+        """
+        if not self.transitive:
+            return None
         mine = {(f, s) for (lab, f), s in b.signs.items() if lab == w}
         anc = b.parent.get(w)
         while anc is not None:
@@ -173,12 +196,7 @@ class _Tableau:
             if b.incomplete:
                 return b
             if not self._expand_pending(b) and not b.todo:
-                break
-        if b.pending:
-            # still blocked at saturation: open status is unverified
-            b.incomplete = True
-            self.any_incomplete = True
-        return b
+                return b
 
     def _expand_pending(self, b: _Branch) -> bool:
         expanded = False
@@ -250,32 +268,54 @@ class _Tableau:
         return b
 
 
-def _extract(b: _Branch, sig: Signature, props: frozenset[FrameProperty]) -> tuple[KripkeModel, int]:
-    n = max(b.labels, 1)
-    rel = set(b.edges)
-    changed = True
-    while changed:
-        changed = False
-        if FrameProperty.REFLEXIVE in props:
-            for w in range(n):
-                if (w, w) not in rel:
-                    rel.add((w, w))
-                    changed = True
-        if FrameProperty.SYMMETRIC in props:
-            for (u, v) in list(rel):
-                if (v, u) not in rel:
-                    rel.add((v, u))
-                    changed = True
-        if FrameProperty.TRANSITIVE in props:
-            for (u, v) in list(rel):
-                for (x, y) in list(rel):
-                    if v == x and (u, y) not in rel:
-                        rel.add((u, y))
-                        changed = True
-    val = {a: {w for w in range(n) if b.signs.get((w, Atom(a))) is True}
-           for a in sig.atoms}
-    model = KripkeModel(n, set(range(n)), rel, val, sig)
-    return model, 0
+    # -- extraction -------------------------------------------------------------
+
+    def extract(self, b: _Branch, sig: Signature) -> tuple[KripkeModel, int]:
+        """Read the branch off as a model closed under the frame properties.
+
+        A label still blocked at saturation gets an edge to every successor
+        of its blocker, which holds all of its signed formulas and has its
+        false boxes witnessed there.
+        """
+        n = max(b.labels, 1)
+        edges = set(b.edges)
+        for w in {w for w, _ in b.pending}:
+            blocker = self.blocked_by(b, w)
+            if blocker is None:  # went stale on a branch the budget cut short
+                continue
+            for v in b.succs[blocker]:
+                if (w, v) not in edges:
+                    edges.add((w, v))
+                    self.trace.blocked += 1
+        val = {a: {w for w in range(n) if b.signs.get((w, Atom(a))) is True}
+               for a in sig.atoms}
+        model = KripkeModel(n, set(range(n)), _close(n, edges, self.props), val, sig)
+        return model, 0
+
+
+def _close(n: int, edges: set[tuple[int, int]],
+           props: frozenset[FrameProperty]) -> set[tuple[int, int]]:
+    """The least relation on range(n) holding edges and closed under props.
+
+    Reflexive, then symmetric, then transitive: the transitive closure of a
+    reflexive or symmetric relation keeps that property.
+    """
+    succ = [set() for _ in range(n)]
+    for u, v in edges:
+        succ[u].add(v)
+    if FrameProperty.REFLEXIVE in props:
+        for w in range(n):
+            succ[w].add(w)
+    if FrameProperty.SYMMETRIC in props:
+        for u, v in edges:
+            succ[v].add(u)
+    if FrameProperty.TRANSITIVE in props:
+        for k in range(n):
+            via = succ[k]
+            for row in succ:
+                if k in row:
+                    row |= via
+    return {(u, v) for u in range(n) for v in succ[u]}
 
 
 def decide(f: Formula, logic: Logic, *, sig: Signature | None = None,
@@ -305,20 +345,22 @@ def decide(f: Formula, logic: Logic, *, sig: Signature | None = None,
         open_branch = tab.run(cur, alternatives)
         if open_branch is None:
             continue  # closed
-        model, world = _extract(open_branch, sig, props)
+        model, world = tab.extract(open_branch, sig)
         if (not eval_deep(model, world, goal)
                 and all(has_property(model, p) for p in props)):
-            return Invalid(model, world)
+            return Invalid(model, world, trace)
         # extraction did not survive the mandatory re-check; keep searching
+        trace.abandoned += 1
         tab.any_incomplete = True
 
     if not tab.any_incomplete:
         return Valid(trace)
 
     # the tableau was cut short somewhere: fall back to bounded search
+    trace.fallback = True
     found = find_countermodel(f, set(props), _FALLBACK_WORLDS, sig)
     if found is not None:
-        return Invalid(found[0], found[1])
+        return Invalid(found[0], found[1], trace)
     raise ResourceLimitExceeded(
         f"tableau hit its budget on {f} and no countermodel exists with "
         f"up to {_FALLBACK_WORLDS} worlds")

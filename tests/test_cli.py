@@ -4,13 +4,21 @@ Exit code conventions under test: 0 success/affirmative, 1 negative result
 (falsified, rejected, counter-frame), 2 input error, 3 resource limit.
 """
 
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from modalkit.cli import main
-from modalkit.hilbert import corpus_proof_text
+from modalkit.hilbert import ALL_LOGICS, corpus_proof_text
+from modalkit.kripke import FrameProperty
+from modalkit.syntax import Signature, pretty
+
+from conftest import formulas
 
 GOOD_MODEL = 'worlds: 2\nin: [0, 1]\nrel: [[0, 1]]\nval: {"p": [0]}\n'
 
@@ -353,3 +361,39 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "valid in K"
+
+
+# --- random input ----------------------------------------------------------------
+
+_FRAGMENTS = ("p", "q", "r", "box", "dia", "~", "&", "|", "->", "(", ")",
+              "true", "false", "?p", "-", "$", "box p", "dia ~q", "p -> q")
+
+formula_text = st.one_of(
+    formulas(sig=Signature(("p", "q", "r")), max_leaves=8).map(pretty),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=8).map(" ".join),
+)
+
+argvs = st.one_of(
+    formula_text.map(lambda text: ["parse", text]),
+    st.builds(lambda text, logic: ["prove", "--logic", logic, text],
+              formula_text, st.sampled_from([logic.name for logic in ALL_LOGICS])),
+    st.builds(lambda text, n, props: ["countermodel", text, "--max-worlds", str(n),
+                                      "--props", ",".join(props)],
+              formula_text, st.integers(min_value=1, max_value=3),
+              st.lists(st.sampled_from([p.value for p in FrameProperty]), max_size=2)),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs)
+def test_random_formula_text_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code >= 2:
+        assert "error:" in err.getvalue()

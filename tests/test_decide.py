@@ -5,6 +5,10 @@ Valid verdict must survive an exhaustive bounded model search, and an
 Invalid verdict must hand over a model that scalar evaluation rejects.
 """
 
+import itertools
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,7 +19,9 @@ from modalkit.decide import (
     CrossCheckReport,
     Invalid,
     ResourceLimitExceeded,
+    TableauTrace,
     Valid,
+    _close,
     cross_check,
     decide,
     frame_properties,
@@ -24,7 +30,7 @@ from modalkit.hilbert import ALL_LOGICS, AxiomSchemaId, Logic
 from modalkit.kripke import FrameProperty, eval_deep, has_property
 from modalkit.syntax import Signature, parse
 
-from conftest import SIG_P, formulas
+from conftest import SIG_P, formulas, naive_eval
 
 K = Logic.from_name("K")
 KT = Logic.from_name("KT")
@@ -131,11 +137,94 @@ def test_starved_tableau_can_still_report_invalid():
     assert eval_deep(result.model, result.world, _f("box p -> box box p")) is False
 
 
+@pytest.mark.parametrize("name", ["S4", "S5"])
+def test_starved_branch_with_a_stale_block_is_still_read_off(name):
+    # the label budget cuts a branch short while one of its blocks has gone
+    # stale; extraction skips that label and the re-check rejects the model
+    sig = Signature(("p", "q"))
+    f = parse("dia box (dia dia q -> (p & p))", sig)
+    result = decide(f, Logic.from_name(name), max_labels=3)
+    assert isinstance(result, Invalid)
+    assert result.trace.abandoned == result.trace.branches and result.trace.fallback
+    assert naive_eval(result.model, result.world, f) is False
+
+
 def test_default_budget_handles_the_awkward_s4_case():
     # deep box alternation under reflexive-transitive closure; this is the
     # shape that once required re-examining blocked labels
     f = _f("box dia box dia p -> box dia p")
     assert isinstance(decide(f, S4), Valid)
+
+
+def _no_fallback(*args, **kwargs):
+    raise AssertionError("decide fell back to the bounded search")
+
+
+S4_BLOWUP = "dia box box (dia p -> dia false)"
+
+
+def test_s4_blowup_is_refuted_from_a_blocked_branch():
+    # every open branch of this formula saturates with blocked labels; the
+    # model comes from loop edges, not from the bounded search
+    f = _f(S4_BLOWUP)
+    with mock.patch("modalkit.decide.find_countermodel", _no_fallback):
+        result = decide(f, S4)
+    assert isinstance(result, Invalid)
+    m = result.model
+    assert naive_eval(m, result.world, f) is False
+    for prop in frame_properties(S4):
+        assert has_property(m, prop), prop
+    assert result.trace.rule_applications <= 200
+
+
+def test_tableau_counters():
+    result = decide(_f(S4_BLOWUP), S4)
+    assert result.trace == TableauTrace(branches=2, rule_applications=88,
+                                        blocked=27, abandoned=0, fallback=False)
+    assert result.model.n_worlds == 11
+    # one label: the extracted 1-world model fails the re-check, and the
+    # bounded search supplies the countermodel
+    result = decide(_f("box p -> box box p"), KT, max_labels=1)
+    assert result.trace == TableauTrace(branches=1, rule_applications=4,
+                                        blocked=0, abandoned=1, fallback=True)
+    assert Invalid(result.model, result.world).trace is None
+
+
+def _fixpoint_closure(n, edges, props):
+    """The closure loop extraction used before, kept as the reference."""
+    rel = set(edges)
+    changed = True
+    while changed:
+        changed = False
+        if FrameProperty.REFLEXIVE in props:
+            for w in range(n):
+                if (w, w) not in rel:
+                    rel.add((w, w))
+                    changed = True
+        if FrameProperty.SYMMETRIC in props:
+            for (u, v) in list(rel):
+                if (v, u) not in rel:
+                    rel.add((v, u))
+                    changed = True
+        if FrameProperty.TRANSITIVE in props:
+            for (u, v) in list(rel):
+                for (x, y) in list(rel):
+                    if v == x and (u, y) not in rel:
+                        rel.add((u, y))
+                        changed = True
+    return rel
+
+
+def test_closure_equals_the_fixpoint():
+    rng = random.Random(20)
+    closing = (FrameProperty.REFLEXIVE, FrameProperty.SYMMETRIC, FrameProperty.TRANSITIVE)
+    subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(closing, r)]
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        density = rng.choice((0.05, 0.15, 0.4))
+        edges = {(u, v) for u in range(n) for v in range(n) if rng.random() < density}
+        for props in subsets:
+            assert _close(n, edges, props) == _fixpoint_closure(n, edges, props), (n, edges, props)
 
 
 # --- cross-checking against the bounded finder ----------------------------------
@@ -177,7 +266,12 @@ def test_cross_check_falsum():
 @given(formulas(sig=SIG_P, max_leaves=5), st.sampled_from([l.name for l in ALL_LOGICS]))
 def test_verdicts_agree_with_bounded_search(f, logic_name):
     logic = Logic.from_name(logic_name)
-    result = decide(f, logic)
+    if FrameProperty.TRANSITIVE in frame_properties(logic):
+        # loop-checked extraction answers these without the bounded search
+        with mock.patch("modalkit.decide.find_countermodel", _no_fallback):
+            result = decide(f, logic)
+    else:
+        result = decide(f, logic)
     found = find_countermodel(f, frame_properties(logic), 3, SIG_P)
     if isinstance(result, Valid):
         assert found is None
