@@ -398,6 +398,12 @@ def instantiate(s: Schema, subst: Mapping[str, Formula]) -> Formula:
 # Lexer and parser
 # ---------------------------------------------------------------------------
 
+# Deepest formula the parser accepts.  Deeper text is refused while it is
+# parsed, so no recursive function over formulas meets a deeper one.
+MAX_FORMULA_DEPTH = 100
+
+_PREFIX = {"~": Not, "not": Not, "box": Box, "dia": Dia}
+
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<arrow>->)
@@ -424,10 +430,25 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _within_limit(height: int, pos: int) -> int:
+    """height, refused past MAX_FORMULA_DEPTH."""
+    if height > MAX_FORMULA_DEPTH:
+        raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", pos)
+    return height
+
+
 class _Parser:
+    """Recursive descent that also tracks AST depth: each method leaves the
+    depth of the formula it returns in self.height, and only a method that
+    builds a node changes it.  Only parentheses recurse; chains of prefix
+    operators and of -> are read in loops, so an over-deep formula is
+    refused before it can exhaust the interpreter's stack."""
+
     def __init__(self, text: str, sig: Signature | None, allow_metavars: bool):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.height = 0
+        self.parens = 0
         self.sig = sig
         self.allow_metavars = allow_metavars
 
@@ -454,61 +475,79 @@ class _Parser:
         return f
 
     def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.advance()
-            return Implies(left, self.implication())
-        return left
+        f = self.disjunction()
+        tokens = self.tokens
+        if tokens[self.pos][0] != "arrow":
+            return f
+        start = tokens[self.pos][2]
+        operands = [(f, self.height)]
+        while tokens[self.pos][0] == "arrow":
+            self.pos += 1
+            operands.append((self.disjunction(), self.height))
+        f, height = operands.pop()
+        for left, h in reversed(operands):
+            f = Implies(left, f)
+            height = (h if h > height else height) + 1
+        self.height = _within_limit(height, start)
+        return f
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
-        while self.peek()[1] == "|":
-            self.advance()
+        while self.tokens[self.pos][1] == "|":
+            height, pos = self.height, self.tokens[self.pos][2]
+            self.pos += 1
             f = Or(f, self.conjunction())
+            self.height = _within_limit(max(height, self.height) + 1, pos)
         return f
 
     def conjunction(self) -> Formula:
         f = self.unary()
-        while self.peek()[1] == "&":
-            self.advance()
+        while self.tokens[self.pos][1] == "&":
+            height, pos = self.height, self.tokens[self.pos][2]
+            self.pos += 1
             f = And(f, self.unary())
+            self.height = _within_limit(max(height, self.height) + 1, pos)
         return f
 
     def unary(self) -> Formula:
-        kind, text, pos = self.peek()
-        if text == "~" or (kind == "name" and text == "not"):
-            self.advance()
-            return Not(self.unary())
-        if kind == "name" and text == "box":
-            self.advance()
-            return Box(self.unary())
-        if kind == "name" and text == "dia":
-            self.advance()
-            return Dia(self.unary())
-        return self.primary()
+        # the token texts of the prefix operators belong to no other kind
+        tokens = self.tokens
+        _, text, start = tokens[self.pos]
+        make = _PREFIX.get(text)
+        if make is None:
+            return self.primary()
+        ops = []
+        while make is not None:
+            ops.append(make)
+            self.pos += 1
+            make = _PREFIX.get(tokens[self.pos][1])
+        f = self.primary()
+        for make in reversed(ops):
+            f = make(f)
+        self.height = _within_limit(self.height + len(ops), start)
+        return f
 
     def primary(self) -> Formula:
-        kind, text, pos = self.peek()
+        kind, text, pos = self.tokens[self.pos]
         if text == "(":
-            self.advance()
+            self.pos += 1
+            self.parens = _within_limit(self.parens + 1, pos)
             f = self.implication()
             self.expect(")")
+            self.parens -= 1
             return f
+        self.height = 0
         if kind == "metavar":
             if not self.allow_metavars:
                 raise ParseError(f"metavariable {text!r} not allowed here", pos)
-            self.advance()
+            self.pos += 1
             return MetaVar(text[1:])
         if kind == "name":
+            self.pos += 1
             if text == "true":
-                self.advance()
                 return Top()
             if text == "false":
-                self.advance()
                 return Bot()
-            if text in ("box", "dia", "not"):
-                raise ParseError(f"unexpected keyword {text!r}", pos)
-            self.advance()
             if self.sig is not None and text not in self.sig:
                 raise UnknownAtomError(text, pos)
             return Atom(text)
@@ -520,7 +559,8 @@ def parse(text: str, sig: Signature) -> Formula:
     """Parse formula text over the given signature.
 
     Precedence, tightest first: the prefix operators ~ / box / dia, then &,
-    then |, then the right-associative ->.
+    then |, then the right-associative ->.  A formula deeper than
+    MAX_FORMULA_DEPTH, or with parentheses nested deeper, is a ParseError.
     """
     return _Parser(text, sig, allow_metavars=False).parse()
 

@@ -6,16 +6,22 @@ Both leave a single free world variable named w.  A box at box depth d
 binds the variable v{d}: the outermost box binds v0 and sibling boxes share
 a name.  An inner binder's name differs from every enclosing one, so no
 variable is captured, and a subformula at a given box depth always
-translates to the same form.  check_faithfulness grinds the two translations
-against the structural evaluator over an exhaustive formula/model grid and
-reports any disagreement.
+translates to the same form; the guards of a depth are built once.
+check_faithfulness grinds the two translations against the structural
+evaluator over an exhaustive formula/model grid and reports any
+disagreement.  A slab's formulas share its memos; a top-depth formula's own
+entries are dropped once it is checked (see _run_slab).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import cache, reduce
+from operator import and_
 from typing import Callable, Mapping
 
+from .errors import ResourceLimitExceeded
 from .kripke import KripkeModel
 from .reporting import CheckReport, Violation
 from .syntax import (
@@ -39,9 +45,6 @@ class CoreForm:
         if type(self) is not type(other) or self._hash != other._hash:
             return False
         return self._key() == other._key()
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __str__(self):
         return print_core(self)
@@ -121,9 +124,10 @@ class CImp(CoreForm):
     def __init__(self, left: CoreForm, right: CoreForm):
         self.left = left
         self.right = right
-        merged = set(left.free_sorted)
-        merged.update(right.free_sorted)
-        self.free_sorted = tuple(sorted(merged))
+        free = left.free_sorted
+        if free != right.free_sorted:
+            free = tuple(sorted({*free, *right.free_sorted}))
+        self.free_sorted = free
         self._hash = hash(("cimp", left._hash, right._hash))
 
     def _key(self):
@@ -152,37 +156,44 @@ class ForallWorld(CoreForm):
 FREE_WORLD_VAR = "w"
 
 
-def _translate(f: Formula, guarded: bool, memo: dict | None) -> CoreForm:
-    if memo is None:
-        memo = {}
+@cache
+def _world_var(depth: int) -> str:
+    """The free world variable of a subformula at this box depth."""
+    return f"v{depth - 1}" if depth else FREE_WORLD_VAR
 
-    def go(g: Formula, depth: int) -> CoreForm:
-        key = (g, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        cur = f"v{depth - 1}" if depth else FREE_WORLD_VAR
-        t = type(g)
-        if t is Atom:
-            out = PredV(g.name, cur)
-        elif t is Not:
-            out = CNot(go(g.body, depth))
-        elif t is Implies:
-            out = CImp(go(g.left, depth), go(g.right, depth))
-        elif t is Box:
-            v = f"v{depth}"
-            body = CImp(PredR(cur, v), go(g.body, depth + 1))
-            if guarded:
-                body = CImp(PredW(v), body)
-            out = ForallWorld(v, body)
-        else:
-            # sugar is caught where it is met: a memo hit stands for a
-            # subtree that was checked when it was stored
-            raise ValueError("translation expects a desugared formula")
-        memo[key] = out
-        return out
 
-    return go(f, 0)
+@cache
+def _binder(depth: int) -> tuple[str, PredR, PredW]:
+    """The variable a box at this depth binds, with its R and W guards."""
+    v = f"v{depth}"
+    return v, PredR(_world_var(depth), v), PredW(v)
+
+
+def _translate(g: Formula, depth: int, guarded: bool, memo: dict) -> CoreForm:
+    key = (g, depth)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    t = type(g)
+    if t is Atom:
+        out = PredV(g.name, _world_var(depth))
+    elif t is Not:
+        out = CNot(_translate(g.body, depth, guarded, memo))
+    elif t is Implies:
+        out = CImp(_translate(g.left, depth, guarded, memo),
+                   _translate(g.right, depth, guarded, memo))
+    elif t is Box:
+        v, reach, designated = _binder(depth)
+        out = CImp(reach, _translate(g.body, depth + 1, guarded, memo))
+        if guarded:
+            out = CImp(designated, out)
+        out = ForallWorld(v, out)
+    else:
+        # sugar is caught where it is met: a memo hit stands for a
+        # subtree that was checked when it was stored
+        raise ValueError("translation expects a desugared formula")
+    memo[key] = out
+    return out
 
 
 def translate_max(f: Formula, *, memo: dict | None = None) -> CoreForm:
@@ -191,13 +202,13 @@ def translate_max(f: Formula, *, memo: dict | None = None) -> CoreForm:
     memo maps (subformula, box depth) to its translation; passing the same
     dict to several calls makes equal subformulas translate to one object.
     """
-    return _translate(f, True, memo)
+    return _translate(f, 0, True, {} if memo is None else memo)
 
 
 def translate_min(f: Formula, *, memo: dict | None = None) -> CoreForm:
     """Box becomes a quantifier guarded by R alone; no W nodes appear.
     memo is as for translate_max, and must not be shared between the two."""
-    return _translate(f, False, memo)
+    return _translate(f, 0, False, {} if memo is None else memo)
 
 
 @dataclass
@@ -305,135 +316,110 @@ class FaithfulnessReport:
 
 def _slab_jobs(max_worlds: int) -> list[tuple[int, tuple[int, ...]]]:
     """Every (world count, designated subset) pair, subsets by ascending bitmask."""
-    jobs = []
-    for n in range(1, max_worlds + 1):
-        for bits in range(1, 1 << n):
-            jobs.append((n, tuple(w for w in range(n) if bits >> w & 1)))
-    return jobs
-
-
-class _SlabRoute:
-    """One translated route through a slab: the translation memo and the
-    core-truth memo that every formula of the slab shares.
-
-    Only the formulas below the grid's top depth keep their entries; they
-    are few, and every proper subformula of the grid is one of them.  A
-    top-depth formula is evaluated through the shared entries and forget()
-    then drops its own, which bounds the memos by the lower formulas.  An
-    injected translation is called without a memo; the core memo still
-    serves it, since its keys are structural.
-    """
-
-    def __init__(self, n_worlds: int, guarded: bool,
-                 translate_fn: Callable[[Formula], CoreForm] | None):
-        self.n = n_worlds
-        self.guarded = guarded
-        self.injected = translate_fn
-        self.translations: dict = {}
-        self.core_memo: dict = {}
-        self.kept: set[CoreForm] = set()
-
-    def translate(self, f: Formula, keep: bool) -> CoreForm:
-        if self.injected is not None:
-            c = self.injected(f)
-            if keep:
-                self.kept.add(c)
-            return c
-        memo = self.translations
-        size = len(memo)
-        # looked up at call time, so a wrapped module attribute is honoured
-        c = (translate_max if self.guarded else translate_min)(f, memo=memo)
-        if not keep:
-            del memo[(f, 0)]
-        if len(memo) != size:
-            self.kept.update(memo.values())
-        return c
-
-    def forget(self, c: CoreForm) -> None:
-        """Drop the core-memo entries of c's nodes above its kept forms.
-        core_truth keys a form over one world variable by (form, world) and
-        gives predicates no entries."""
-        memo = self.core_memo
-        stack = [c]
-        while stack:
-            node = stack.pop()
-            t = type(node)
-            if t is PredW or t is PredR or t is PredV or node in self.kept:
-                continue
-            if t is CImp:
-                stack += (node.left, node.right)
-            else:
-                stack.append(node.body)
-            if len(node.free_sorted) == 1:
-                for w in range(self.n):
-                    memo.pop((node, w), None)
+    return [(n, tuple(w for w in range(n) if bits >> w & 1))
+            for n in range(1, max_worlds + 1) for bits in range(1, 1 << n)]
 
 
 def _run_slab(n: int, designated: tuple[int, ...], sig: Signature, max_depth: int,
               translate_max_fn: Callable[[Formula], CoreForm] | None,
               translate_min_fn: Callable[[Formula], CoreForm] | None):
     """Counts and violation samples for one slab.  Returns, per check name,
-    (instances, violations, examples).  A translation function of None
-    stands for the module's own translation, run through a shared memo."""
+    (instances, violations, examples).
+
+    A translation function of None stands for the module's own translation,
+    whose route keeps one translation memo and one core memo for the slab.
+    Once a top-depth formula is checked, (f, 0) leaves the translation memo
+    and (its form, w) the core memo for each designated w.  It stored
+    nothing else: bound variables are named by box depth, so every other
+    node of its translation with one free variable is the stored translation
+    of a lower formula, and the guards have two free variables, which
+    core_truth never memoises.  The memos thus hold at most the lower
+    formulas at each box depth, times n in the core memo.  An injected
+    translation gets a fresh core memo per formula, which bounds it without
+    assuming any sharing.
+    """
     from .bitgrid import ModelSlab
 
     slab = ModelSlab(n, sig.atoms, designated)
     formulas = enumerate_formulas(sig, max_depth)
     # the enumeration is ordered by depth, so the formulas below max_depth
     # are a prefix of it
-    n_kept = len(enumerate_formulas(sig, max_depth - 1))
+    n_lower = len(enumerate_formulas(sig, max_depth - 1))
     ds = sorted(slab.designated)
     is_total = len(ds) == n
-    full = slab.full
-    counts = {name: 0 for name in CHECK_NAMES}
-    violations = {name: 0 for name in CHECK_NAMES}
+    violations = dict.fromkeys(CHECK_NAMES, 0)
     examples: dict[str, list[Violation]] = {name: [] for name in CHECK_NAMES}
 
-    def record(name: str, diff: int, f: Formula, w: int | None):
-        bad = diff.bit_count()
-        violations[name] += bad
-        if bad and len(examples[name]) < _MAX_EXAMPLES:
-            model = slab.model_at(slab.first_index(diff))
-            examples[name].append(
-                Violation(check=name, formula=pretty(f), model=model.describe(), world=w))
+    def record(name: str, f: Formula, rows):
+        """Count and sample the models where a row's two masks differ."""
+        for w, x, y in rows:
+            diff = x ^ y
+            if diff:
+                violations[name] += diff.bit_count()
+                if len(examples[name]) < _MAX_EXAMPLES:
+                    model = slab.model_at(slab.first_index(diff))
+                    examples[name].append(Violation(
+                        check=name, formula=pretty(f), model=model.describe(), world=w))
 
-    max_route = _SlabRoute(n, True, translate_max_fn)
-    min_route = _SlabRoute(n, False, translate_min_fn)
-    deep_memo: dict = {}
-    for i, f in enumerate(formulas):
-        keep = i < n_kept
-        max_form = max_route.translate(f, keep)
-        deep_by_w = {}
-        max_by_w = {}
-        for w in ds:
-            deep_mask = slab.deep_truth(f, w, deep_memo)
-            max_mask = slab.core_truth(max_form, {FREE_WORLD_VAR: w}, max_route.core_memo)
-            deep_by_w[w] = deep_mask
-            max_by_w[w] = max_mask
-            counts[CHECK_TRUTH_DEEP_MAX] += slab.count
-            record(CHECK_TRUTH_DEEP_MAX, deep_mask ^ max_mask, f, w)
-        deep_valid = full
-        max_valid = full
-        for w in ds:
-            deep_valid &= deep_by_w[w]
-            max_valid &= max_by_w[w]
-        counts[CHECK_VALIDITY_DEEP_MAX] += slab.count
-        record(CHECK_VALIDITY_DEEP_MAX, deep_valid ^ max_valid, f, None)
-        if is_total:
-            min_form = min_route.translate(f, keep)
+    def route(f: Formula, top: bool, translate, translate_fn, memo: dict, core: dict):
+        """Truth masks of f's translation at the designated worlds."""
+        if translate_fn is not None:
+            c = translate_fn(f)
+            return [slab.core_truth(c, {FREE_WORLD_VAR: w}, {}) for w in ds]
+        c = translate(f, memo=memo)
+        masks = [slab.core_truth(c, {FREE_WORLD_VAR: w}, core) for w in ds]
+        if top:
+            del memo[(f, 0)]
             for w in ds:
-                min_mask = slab.core_truth(min_form, {FREE_WORLD_VAR: w}, min_route.core_memo)
-                counts[CHECK_TRUTH_DEEP_MIN] += slab.count
-                record(CHECK_TRUTH_DEEP_MIN, deep_by_w[w] ^ min_mask, f, w)
-                counts[CHECK_TRUTH_MAX_MIN] += slab.count
-                record(CHECK_TRUTH_MAX_MIN, max_by_w[w] ^ min_mask, f, w)
-            if not keep:
-                min_route.forget(min_form)
-        if not keep:
-            max_route.forget(max_form)
+                core.pop((c, w), None)  # predicates have no entry
+        return masks
+
+    deep_memo: dict = {}
+    max_memos: tuple[dict, dict] = ({}, {})
+    min_memos: tuple[dict, dict] = ({}, {})
+    for i, f in enumerate(formulas):
+        top = i >= n_lower
+        deep = [slab.deep_truth(f, w, deep_memo) for w in ds]
+        # the module's translations are looked up at call time, so a wrapped
+        # module attribute is honoured
+        tmax = route(f, top, translate_max, translate_max_fn, *max_memos)
+        if deep != tmax:
+            record(CHECK_TRUTH_DEEP_MAX, f, zip(ds, deep, tmax))
+            record(CHECK_VALIDITY_DEEP_MAX, f,
+                   [(None, reduce(and_, deep), reduce(and_, tmax))])
+        if is_total:
+            tmin = route(f, top, translate_min, translate_min_fn, *min_memos)
+            if deep != tmin:
+                record(CHECK_TRUTH_DEEP_MIN, f, zip(ds, deep, tmin))
+            if tmax != tmin:
+                record(CHECK_TRUTH_MAX_MIN, f, zip(ds, tmax, tmin))
+        if top:
             for w in ds:
                 del deep_memo[(f, w)]
+
+    per_world = len(formulas) * slab.count
+    min_count = per_world * n if is_total else 0
+    counts = {
+        CHECK_TRUTH_DEEP_MAX: per_world * len(ds),
+        CHECK_VALIDITY_DEEP_MAX: per_world,
+        CHECK_TRUTH_DEEP_MIN: min_count,
+        CHECK_TRUTH_MAX_MIN: min_count,
+    }
     return counts, violations, examples
+
+
+MAX_GRID_FORMULAS = 10**6
+
+
+def _formula_count(n_atoms: int, max_depth: int) -> int:
+    """len(enumerate_formulas) over k atoms in closed form, c(d) = k +
+    2c(d-1) + c(d-1)**2, or the first c(d) over MAX_GRID_FORMULAS."""
+    count = n_atoms
+    for _ in range(max_depth):
+        if count > MAX_GRID_FORMULAS:
+            break
+        count = n_atoms + 2 * count + count * count
+    return count
 
 
 def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
@@ -449,10 +435,25 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
     whose designated set is the whole domain.  Alternative translation
     functions can be injected, which is how the mutation tests drive the
     grid.
+
+    A grid over the slab budget or MAX_GRID_FORMULAS raises
+    ResourceLimitExceeded before any formula, slab or process exists.  The
+    pool has at most one process per slab and per CPU.
     """
+    from .bitgrid import _check_slab_budget
+
+    # slabs grow with the world count, so the first one refused here is the
+    # first one the run would have reached
+    for n in range(1, max_worlds + 1):
+        _check_slab_budget(n, len(sig.atoms), 1 << n * n)
+    if _formula_count(len(sig.atoms), max_depth) > MAX_GRID_FORMULAS:
+        raise ResourceLimitExceeded(
+            f"a grid of depth {max_depth} over {len(sig.atoms)} atoms lists "
+            f"more than {MAX_GRID_FORMULAS} formulas, the grid budget")
     slabs = _slab_jobs(max_worlds)
     args = [(n, designated, sig, max_depth, translate_max_fn, translate_min_fn)
             for n, designated in slabs]
+    jobs = min(jobs, len(slabs), os.cpu_count() or 1)
     if jobs > 1:
         import multiprocessing
 
@@ -465,11 +466,7 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
     for name in CHECK_NAMES:
         instances = sum(r[0][name] for r in results)
         count = sum(r[1][name] for r in results)
-        examples: list[Violation] = []
-        for r in results:
-            for v in r[2][name]:
-                if len(examples) < _MAX_EXAMPLES:
-                    examples.append(v)
+        examples = [v for r in results for v in r[2][name]][:_MAX_EXAMPLES]
         report.checks.append(CheckReport(
             name=name, instances=instances, violation_count=count, examples=examples))
     return report

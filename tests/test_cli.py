@@ -312,6 +312,44 @@ def test_faithful_defaults(capsys):
         assert name in out
 
 
+# --- formula nesting limit -------------------------------------------------------------
+
+_DEEP = 2000
+_TOO_DEEP = {
+    "implication": "(p -> " * _DEEP + "p" + ")" * _DEEP,
+    "diamonds": "dia " * _DEEP + "p",
+    "negations": "~" * _DEEP + "p",
+    "conjunction": " & ".join(["p"] * _DEEP),
+    "parentheses": "(" * _DEEP + "p" + ")" * _DEEP,
+}
+
+
+@pytest.mark.parametrize("text", _TOO_DEEP.values(), ids=_TOO_DEEP.keys())
+def test_too_deep_formulas_exit_2_in_every_command(tmp_path, capsys, text):
+    model = tmp_path / "m.model"
+    model.write_text(GOOD_MODEL)
+    proof = tmp_path / "deep.proof"
+    proof.write_text(f'1: AX T [phi := "p"]\nQED "{text}"\n')
+    for argv in (["parse", text], ["prove", text], ["countermodel", text],
+                 ["eval", text, "--model", str(model), "--world", "0"],
+                 ["classify", text], ["correspond", text.replace("p", "?p"), "reflexive"],
+                 ["check-proof", str(proof)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert err.startswith("error:") and "nested deeper than 100 levels" in err, argv[0]
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, code", [
+    ("(p -> " * 100 + "p" + ")" * 100, 0),
+    ("dia " * 100 + "p", 1),
+    (" & ".join(["p"] * 101), 1),
+], ids=["implication", "diamonds", "conjunction"])
+def test_formulas_at_the_depth_limit_still_answer(capsys, text, code):
+    assert run(capsys, "parse", text)[0] == 0
+    assert run(capsys, "prove", text)[0] == code
+
+
 # --- argparse plumbing ---------------------------------------------------------------
 
 

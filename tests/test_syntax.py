@@ -5,7 +5,8 @@ from hypothesis import given
 
 from conftest import SIG_P, SIG_PQ, formulas
 from modalkit.syntax import (
-    And, Atom, Bot, Box, Dia, Formula, Implies, MetaVar, Not, Or, ParseError,
+    MAX_FORMULA_DEPTH, And, Atom, Bot, Box, Dia, Formula, Implies, MetaVar, Not,
+    Or, ParseError,
     Schema, SchemaError, Signature, Top, UnknownAtomError, atoms_of, depth,
     desugar, enumerate_formulas, infer_signature, instantiate, is_core,
     metavars_of, parse, parse_schema, pretty, size, to_sexpr,
@@ -43,6 +44,36 @@ def test_syntax_error_carries_position():
 def test_malformed_inputs_rejected(text):
     with pytest.raises(ParseError):
         parse(text, SIG_PQ)
+
+
+# each shape at AST depth k; parentheses are counted on their own
+_NESTED = {
+    "implication": lambda k: "(p -> " * k + "p" + ")" * k,
+    "left implication": lambda k: "(" * k + "p" + " -> p)" * k,
+    "diamonds": lambda k: "dia " * k + "p",
+    "negations": lambda k: "~" * k + "p",
+    "conjunction": lambda k: " & ".join(["p"] * (k + 1)),
+    "disjunction": lambda k: " | ".join(["p"] * (k + 1)),
+    "mixed": lambda k: "~(" * (k // 2) + "p" + ")" * (k // 2) + " & p" * (k - k // 2),
+}
+
+
+@pytest.mark.parametrize("shape", _NESTED.values(), ids=_NESTED.keys())
+def test_nesting_limit(shape):
+    f = parse(shape(MAX_FORMULA_DEPTH), SIG_P)
+    assert depth(f) == MAX_FORMULA_DEPTH
+    assert parse_schema(shape(MAX_FORMULA_DEPTH).replace("p", "?p")).metavars == ("p",)
+    for k in (MAX_FORMULA_DEPTH + 1, 2000):
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+            parse(shape(k), SIG_P)
+
+
+def test_parentheses_are_limited_on_their_own():
+    limit = MAX_FORMULA_DEPTH
+    assert parse("(" * limit + "p" + ")" * limit, SIG_P) == Atom("p")
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse("(" * (limit + 1) + "p" + ")" * (limit + 1), SIG_P)
+    assert exc.value.position == limit
 
 
 def test_signature_validation():

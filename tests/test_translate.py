@@ -1,10 +1,19 @@
 """Translations into the explicit first-order core and the faithfulness grid."""
 
+import multiprocessing
+import os
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 
+from modalkit import translate
+from modalkit.bitgrid import ModelSlab
+from modalkit.cli import main
+from modalkit.countermodel import enumerate_models
 from modalkit.kripke import KripkeModel, eval_deep
-from modalkit.syntax import Signature, desugar, parse
+from modalkit.reporting import CheckReport, Violation
+from modalkit.syntax import Signature, desugar, enumerate_formulas, parse, pretty
 from modalkit.translate import (
     CHECK_NAMES,
     CHECK_TRUTH_DEEP_MAX,
@@ -247,3 +256,171 @@ def test_parallel_grid_matches_serial():
     parallel = check_faithfulness(SIG_P, 2, 2, translate_max_fn=translate_min, jobs=2)
     assert not serial.ok
     assert parallel.render() == serial.render()
+
+
+# --- the grid against a scalar reference ---------------------------------------
+
+
+@cache
+def _scalar_models(sig, n, designated):
+    """enumerate_models in canonical order, with the designated set replaced."""
+    return [KripkeModel(n, designated, m.rel, m.val, sig)
+            for m in enumerate_models(n, sig.atoms)]
+
+
+@cache
+def _scalar_truths(route, sig, n, designated, f):
+    """Truth of f at each designated world, model by model, along a route:
+    None for eval_deep, else a translation read by eval_core."""
+    models = _scalar_models(sig, n, designated)
+    if route is None:
+        return {w: [eval_deep(m, w, f) for m in models] for w in designated}
+    c = route(f)
+    return {w: [eval_core(c, CoreEnv(m, {"w": w})) for m in models] for w in designated}
+
+
+def _scalar_report(sig, route_max, route_min, max_depth=2, max_worlds=2):
+    """check_faithfulness recomputed one model at a time from
+    enumerate_models, eval_deep and eval_core, sharing no code with
+    ModelSlab.  Examples are the first violating model of each (formula,
+    world), in slab, formula and world order, ten per check."""
+    checks = {name: CheckReport(name, 0, 0) for name in CHECK_NAMES}
+
+    def compare(name, f, models, w, left, right):
+        bad = [m for m, x, y in zip(models, left, right) if x != y]
+        check = checks[name]
+        check.instances += len(models)
+        check.violation_count += len(bad)
+        if bad and len(check.examples) < 10:
+            check.examples.append(Violation(name, pretty(f), bad[0].describe(), w))
+
+    for n in range(1, max_worlds + 1):
+        for bits in range(1, 1 << n):
+            ds = tuple(w for w in range(n) if bits >> w & 1)
+            models = _scalar_models(sig, n, ds)
+            for f in enumerate_formulas(sig, max_depth):
+                deep = _scalar_truths(None, sig, n, ds, f)
+                tmax = _scalar_truths(route_max, sig, n, ds, f)
+                for w in ds:
+                    compare(CHECK_TRUTH_DEEP_MAX, f, models, w, deep[w], tmax[w])
+                compare(CHECK_VALIDITY_DEEP_MAX, f, models, None,
+                        [all(t) for t in zip(*deep.values())],
+                        [all(t) for t in zip(*tmax.values())])
+                if len(ds) == n:
+                    tmin = _scalar_truths(route_min, sig, n, ds, f)
+                    for w in ds:
+                        compare(CHECK_TRUTH_DEEP_MIN, f, models, w, deep[w], tmin[w])
+                        compare(CHECK_TRUTH_MAX_MIN, f, models, w, tmax[w], tmin[w])
+    return [checks[name] for name in CHECK_NAMES]
+
+
+@pytest.mark.parametrize("sig", [SIG_P, SIG_PQ], ids=["p", "pq"])
+@pytest.mark.parametrize("routes", [
+    (translate_max, translate_min, {}),
+    (translate_max, _unguarded_min, {"translate_min_fn": _unguarded_min}),
+    (translate_min, translate_min, {"translate_max_fn": translate_min}),
+], ids=["own", "unguarded-min", "min-as-max"])
+def test_grid_matches_the_scalar_reference(sig, routes):
+    route_max, route_min, injected = routes
+    report = check_faithfulness(sig, 2, 2, **injected)
+    assert report.ok == (not injected)  # the mutants leave examples to compare
+    assert report.checks == _scalar_report(sig, route_max, route_min)
+
+
+# --- grid memory and resource bounds ------------------------------------------------
+
+
+def test_slab_memos_hold_no_top_depth_formula(monkeypatch):
+    memos, sizes = {}, []  # (kind, memo) by id, and (kind, size) at each call
+
+    def seen(kind, memo):
+        memos[id(memo)] = (kind, memo)
+        sizes.append((kind, len(memo)))
+
+    def wrap_core(core_truth):
+        def wrapper(self, c, binding, memo):
+            seen("core", memo)
+            return core_truth(self, c, binding, memo)
+        return wrapper
+
+    def wrap_translation(translation):
+        def wrapper(f, *, memo):
+            seen("translation", memo)
+            return translation(f, memo=memo)
+        return wrapper
+
+    monkeypatch.setattr(ModelSlab, "core_truth", wrap_core(ModelSlab.core_truth))
+    for name in ("translate_max", "translate_min"):
+        monkeypatch.setattr(translate, name, wrap_translation(getattr(translate, name)))
+    assert check_faithfulness(SIG_PQ, 3, 1).ok
+    assert sorted(kind for kind, _ in memos.values()) == ["core"] * 2 + ["translation"] * 2
+    lower = enumerate_formulas(SIG_PQ, 2)
+    top = enumerate_formulas(SIG_PQ, 3)[len(lower):]
+    top_forms = {tr(f) for f in top for tr in (translate_max, translate_min)}
+    for kind, memo in memos.values():
+        forbidden = set(top) if kind == "translation" else top_forms
+        assert not forbidden & {key for key, _ in memo}
+    # lower formulas at box depths 0-3 (atoms only at 3, which the core memo
+    # does not store), at the one world
+    assert max(size for kind, size in sizes if kind == "translation") <= len(lower) * 4
+    assert max(size for kind, size in sizes if kind == "core") <= len(lower) * 3 * 1
+
+
+def test_grid_is_refused_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr("modalkit.translate.enumerate_formulas", refuse)
+    monkeypatch.setattr("modalkit.bitgrid.ModelSlab", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    for argv, message in [
+        (["--max-worlds", "5", "--depth", "3"],
+         "a slab of 5 worlds, 1 atoms and 33554432 frames needs 3840 MiB of masks, "
+         "over the 128 MiB budget"),
+        (["--depth", "4", "--atoms", "2", "--jobs", "2"],
+         "a grid of depth 4 over 2 atoms lists more than 1000000 formulas, the grid budget"),
+        (["--depth", "1000000000"],
+         "a grid of depth 1000000000 over 1 atoms lists more than 1000000 formulas, "
+         "the grid budget"),
+    ]:
+        assert main(["faithful", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: resource limit exceeded: {message}\n"
+
+
+def test_formula_count_is_the_enumeration_length():
+    for atoms in (SIG_P, SIG_PQ):
+        for depth in range(4):
+            count = translate._formula_count(len(atoms.atoms), depth)
+            assert count == len(enumerate_formulas(atoms, depth))
+
+
+class _SerialPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, args):
+        return [fn(*a) for a in args]
+
+
+@pytest.mark.parametrize("cpus, want", [(64, [4]), (2, [2]), (None, [])])
+def test_pool_is_capped_by_slabs_and_cpus(monkeypatch, cpus, want):
+    # one atom, two worlds: four slabs; no real process is started
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    report = check_faithfulness(SIG_P, 2, 2, translate_max_fn=translate_min, jobs=10**9)
+    assert _SerialPool.sizes == want
+    assert report.render() == check_faithfulness(
+        SIG_P, 2, 2, translate_max_fn=translate_min).render()
