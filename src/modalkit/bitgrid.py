@@ -10,6 +10,15 @@ first, then valuation bitmask, restricted to the admitted frames.  A slab
 without a frame list admits every relation, and then the rank is the
 relation bitmask itself.
 
+A ranked slab builds its relation masks from packed byte lanes, with no
+Python work per frame.  The frames are packed once into an array of
+fixed-width little-endian items.  For pair bit b, byte b >> 3 of every item
+is one strided slice, read from the end so the highest rank comes first; a
+256-entry translate table turns it into one 0/1 byte or binary digit per
+frame.  Spread to one per valuation block, as the last byte of the block or
+a base-2**block digit, and decoded, that is an integer with the lowest bit
+of each block holding the edge set; (low << block) - low fills the blocks.
+
 Truth values across the whole family are Python integers with one bit per
 model, which makes the connectives single big-integer operations.  The
 scalar evaluators in kripke and translate stay the reference semantics; the
@@ -36,8 +45,10 @@ Masks are never compared by value for this.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from bisect import bisect_left
-from itertools import repeat
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitExceeded
@@ -58,11 +69,23 @@ MAX_PATTERN_BYTES = 128 << 20
 TILE_BITS = 20
 
 
+# _BITS[k] maps a byte to 1 when its bit k is set and to 0 otherwise, and
+# _DIGITS[k] to the digits b"1" and b"0"
+_BITS = [bytes(x >> k & 1 for x in range(256)) for k in range(8)]
+_DIGITS = [table.translate(b"01" + bytes(254)) for table in _BITS]
+
+
+def _pattern_bytes(n_worlds: int, n_atoms: int, n_frames: int) -> int:
+    """Bytes of the pattern masks of a slab of n_frames frames with that many
+    worlds and atoms."""
+    count = n_frames << n_atoms * n_worlds
+    return (n_worlds + n_atoms) * n_worlds * count // 8
+
+
 def _check_slab_budget(n_worlds: int, n_atoms: int, n_frames: int) -> None:
     """Raise ResourceLimitExceeded when a slab of n_frames frames with that
     many worlds and atoms needs more than MAX_PATTERN_BYTES of masks."""
-    count = n_frames << n_atoms * n_worlds
-    pattern_bytes = (n_worlds + n_atoms) * n_worlds * count // 8
+    pattern_bytes = _pattern_bytes(n_worlds, n_atoms, n_frames)
     if pattern_bytes > MAX_PATTERN_BYTES:
         raise ResourceLimitExceeded(
             f"a slab of {n_worlds} worlds, {n_atoms} atoms and "
@@ -97,18 +120,54 @@ def frame_tiles(n_worlds: int) -> Iterator[ModelSlab]:
             for base in range(0, total, step))
 
 
+def _frame_typecode(n_worlds: int) -> str:
+    """Typecode of the narrowest unsigned array item that holds an n-world
+    relation bitmask."""
+    bits = n_worlds * n_worlds
+    return next(c for c in "BHILQ" if array(c).itemsize * 8 >= bits)
+
+
 def admitted_frames(n_worlds: int, props: Iterable[FrameProperty]) -> list[int] | None:
     """Ascending relation bitmasks of the n-world frames with every property
     in props, read off the atom-free tiles; None, meaning every frame, when
     props is empty."""
-    props = tuple(props)
+    frames = _admitted(n_worlds, props, 0)
+    return None if frames is None else list(frames)
+
+
+def _admitted(n_worlds: int, props: Iterable[FrameProperty],
+              n_atoms: int) -> array | None:
+    """admitted_frames as the memo's own array, which callers must not
+    write.  A slab with n_atoms atoms over those frames is held to the
+    budget before they are listed."""
+    props = frozenset(props)
     if not props:
         return None
-    out: list[int] = []
-    for tile in frame_tiles(n_worlds):
-        base = tile._relation_bits(0)  # a tile's frames are consecutive
-        digits = bin(tile.properties_mask(props))[:1:-1]  # digit k is frame k
-        out += [base + m.start() for m in re.finditer("1", digits)]
+    if _pattern_bytes(n_worlds, n_atoms, 1 << n_worlds * n_worlds) <= MAX_PATTERN_BYTES:
+        n_atoms = 0  # the slab over every frame fits, so one over any list does
+    return _listed_frames(n_worlds, props, n_atoms)
+
+
+# A refute round asks for a few dozen keys; a 4-world list takes at most
+# 128 KiB.  The atom count is part of the key only where the budget can
+# refuse the list: where the slab over every frame of the size is over it.
+@lru_cache(maxsize=128)
+def _listed_frames(n_worlds: int, props: frozenset[FrameProperty],
+                   n_atoms: int) -> array:
+    # count the frames tile by tile, and list them only once the budget
+    # has admitted that many
+    tiles = [(tile._relation_bits(0), tile.properties_mask(props))
+             for tile in frame_tiles(n_worlds)]  # a tile's frames are consecutive
+    _check_slab_budget(n_worlds, n_atoms, sum(mask.bit_count() for _, mask in tiles))
+    return _frame_array(n_worlds, tiles)
+
+
+def _frame_array(n_worlds: int, tiles: list[tuple[int, int]]) -> array:
+    """The frames of (first frame, admitted mask) tiles, in ascending order."""
+    out = array(_frame_typecode(n_worlds))
+    for base, mask in tiles:
+        digits = bin(mask)[:1:-1]  # digit k is frame k
+        out.fromlist([base + m.start() for m in re.finditer("1", digits)])
     return out
 
 
@@ -190,26 +249,33 @@ class ModelSlab:
                  for bit in range(n * n)]
         return [masks[i * n:(i + 1) * n] for i in range(n)]
 
-    def _ranked_relation_masks(self, frames: list[int]) -> list[list[int]]:
+    def _ranked_relation_masks(self, frames: Sequence[int]) -> list[list[int]]:
         """Mask of each pair (i, j) over a ranked slab: the bits of the
         frames holding the edge, each spread over its valuation block."""
-        n, width = self.n, self._rel_bits
-        # one fixed-width row of binary digits per frame, highest rank first,
-        # so a strided slice is an edge's column most significant digit first
-        rows = "".join(map(format, reversed(frames), repeat(f"0{width}b"))).encode()
+        n = self.n
+        # the frames as fixed-width little-endian items; byte b >> 3 of each
+        # item, one strided slice taken from the end, is the byte lane of
+        # pair bit b, highest rank first
+        packed = array(_frame_typecode(n), frames)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        data, size = packed.tobytes(), packed.itemsize
         block = 1 << self._val_bits
-        if block >= 8:
-            one, zero = b"\xff" * (block >> 3), bytes(block >> 3)
-            def decode(data): return int.from_bytes(data, "big")
-        else:
-            one, zero = b"1" * block, b"0" * block
-            def decode(data): return int(data or b"0", 2)
-        return [
-            [decode(rows[width - 1 - (i * n + j)::width]
-                    .replace(b"1", one).replace(b"0", zero))
-             for j in range(n)]
-            for i in range(n)
-        ]
+        width = block >> 3  # bytes in a valuation block, 0 below a byte
+
+        def mask(bit: int) -> int:
+            lane = data[len(data) - size + (bit >> 3)::-size]
+            if width:
+                # a frame holding the edge sets the last byte of its block
+                spaced = bytearray(width * len(lane))
+                spaced[width - 1::width] = lane.translate(_BITS[bit & 7])
+                low = int.from_bytes(spaced, "big")
+            else:
+                # a base-2**block digit per frame: the lowest bit of its block
+                low = int(lane.translate(_DIGITS[bit & 7]) or b"0", 1 << block)
+            return (low << block) - low  # fill each block from its lowest bit
+
+        return [[mask(i * n + j) for j in range(n)] for i in range(n)]
 
     # -- decoding ----------------------------------------------------------
 

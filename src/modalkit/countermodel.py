@@ -13,14 +13,21 @@ and builds a slab over those frames only, indexed `rank << val_bits |
 valuation`.  The rank order is the bitmask order, so the first falsifying
 index is still the canonically first countermodel.  A search without
 properties uses the slab over every frame.  A slab over the budget of
-bitgrid.MAX_PATTERN_BYTES raises ResourceLimitExceeded.
+bitgrid.MAX_PATTERN_BYTES raises ResourceLimitExceeded.  The admitted
+frames are counted tile by tile before they are listed, so a search over
+too many is refused before any is listed.
+
+Admitted frame lists are memoised per process, as compact arrays keyed by
+world count and property set (and by atom count where the budget can
+refuse the list), so repeated searches list each set once.  The memo keeps
+the 128 most recently used keys; a 4-world list takes at most 128 KiB.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .bitgrid import ModelSlab, admitted_frames
+from .bitgrid import ModelSlab, _admitted
 from .kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from .syntax import Formula, Signature, atoms_of, desugar
 
@@ -64,8 +71,8 @@ def find_countermodel(f: Formula, props: set[FrameProperty], max_worlds: int,
     atoms = search_atoms(f, sig)
     goal = desugar(f, sig)
     for n in range(1, max_worlds + 1):
-        frames = admitted_frames(n, props)
-        if frames == []:
+        frames = _admitted(n, props, len(atoms))
+        if frames is not None and not frames:
             continue
         slab = ModelSlab(n, atoms, frames=frames)
         # falsified somewhere: complement of "true at every world"; all

@@ -5,11 +5,14 @@ equal the scalar answer on the decoded model at i.  These tests are the
 anchor that lets the fast path be trusted everywhere else.
 """
 
+import random
+
 import pytest
 
 from modalkit import bitgrid
 from modalkit.bitgrid import MAX_PATTERN_BYTES, ModelSlab, admitted_frames, frame_tiles
 from modalkit.correspond import _core_body
+from modalkit.countermodel import enumerate_models, find_countermodel
 from modalkit.decide import frame_properties
 from modalkit.errors import ResourceLimitExceeded
 from modalkit.hilbert import ALL_LOGICS, SCHEMAS
@@ -297,6 +300,38 @@ def test_ranked_slab_is_the_full_slab_restricted_to_its_frames():
         assert all((a >> i & 1) == (b >> j & 1) for i, j in pairs), prop
 
 
+def _reference_relation_masks(n, n_atoms, frames):
+    """Each pair's mask read frame by frame: one run of valuation-block
+    digits per frame, highest rank first."""
+    block = 1 << n_atoms * n
+    return [[int("".join(("1" if frame >> (i * n + j) & 1 else "0") * block
+                         for frame in reversed(frames)) or "0", 2)
+             for j in range(n)]
+            for i in range(n)]
+
+
+# (worlds, atoms, frames listed): 1-2 worlds pack into B items, 3-4 into H
+# and 5 into I; valuation blocks run from 1 bit to 2**15
+_RANKED_SHAPES = [(1, 0, 1), (1, 3, 1), (2, 0, 9), (2, 1, 11), (2, 2, 7), (2, 3, 5),
+                  (3, 0, 300), (3, 1, 200), (3, 2, 60), (3, 3, 20), (4, 0, 3000),
+                  (4, 1, 500), (4, 2, 40), (5, 0, 4000), (5, 1, 300), (5, 3, 6)]
+
+
+@pytest.mark.parametrize("n, n_atoms, k", _RANKED_SHAPES)
+def test_ranked_relation_masks_match_a_frame_by_frame_reference(n, n_atoms, k):
+    rng = random.Random(n * 100 + n_atoms * 10 + k)
+    atoms = ("p", "q", "r")[:n_atoms]
+    for _ in range(3):
+        frames = sorted(rng.sample(range(1 << n * n), k))
+        slab = ModelSlab(n, atoms, frames=frames)
+        assert slab._rel == _reference_relation_masks(n, n_atoms, frames)
+    # an aligned block listed frame by frame is the tile over that range
+    bits = min(n * n - 1, 6)
+    base = rng.randrange(1 << n * n - bits) << bits
+    block = range(base, base + (1 << bits))
+    assert ModelSlab(n, atoms, frames=list(block))._rel == ModelSlab(n, atoms, frames=block)._rel
+
+
 def test_a_slab_listing_every_frame_is_the_unrestricted_slab():
     listed = ModelSlab(2, ("p",), frames=list(range(16)))
     plain = ModelSlab(2, ("p",))
@@ -369,7 +404,52 @@ def test_admitted_frames_read_tile_by_tile_equal_the_whole_slab(monkeypatch):
                {R, FrameProperty.IRREFLEXIVE}, {FrameProperty.EUCLIDEAN}]
     whole = [admitted_frames(3, props) for props in classes]
     monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
+    bitgrid._listed_frames.cache_clear()  # list them again, in small tiles
     assert [admitted_frames(3, props) for props in classes] == whole
+
+
+def test_admitted_frames_are_memoised_per_size_and_property_set():
+    E = FrameProperty.EUCLIDEAN
+    first = admitted_frames(3, {R, E})
+    misses = bitgrid._listed_frames.cache_info().misses
+    assert admitted_frames(3, (R, E)) == first == admitted_frames(3, (E, R, E))
+    assert bitgrid._listed_frames.cache_info().misses == misses
+    first.append(-1)
+    first[0] = -1
+    assert admitted_frames(3, {R, E}) == admitted_frames(3, (E, R))
+    assert admitted_frames(3, {R, E})[0] != -1 and admitted_frames(3, {R, E})[-1] != -1
+
+
+@pytest.mark.parametrize("props", [{R}, {S, T}, {FrameProperty.SERIAL},
+                                   {FrameProperty.CONVERSE_WELL_FOUNDED},
+                                   {R, FrameProperty.EUCLIDEAN}])
+def test_admitted_frames_are_the_enumerated_frames_with_the_properties(props):
+    for n in (1, 2, 3):
+        frames = [sum(1 << i * n + j for i, j in m.rel)
+                  for m in enumerate_models(n, ("p",))
+                  if not m.val["p"] and all(has_property(m, p) for p in props)]
+        assert admitted_frames(n, props) == frames
+
+
+def test_a_repeated_search_lists_no_frames_again(monkeypatch):
+    bitgrid._listed_frames.cache_clear()
+    tiles = bitgrid.frame_tiles
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return tiles(n)
+
+    monkeypatch.setattr(bitgrid, "frame_tiles", counted)
+    f = parse("box p -> box box p", SIG_P)
+    first = find_countermodel(f, {R, S}, 3, SIG_P)
+    assert built == [1, 2, 3]
+
+    def refused(n):
+        raise AssertionError("built an atom-free tile for a memoised frame list")
+
+    monkeypatch.setattr(bitgrid, "frame_tiles", refused)
+    assert find_countermodel(f, {S, R}, 3, SIG_P) == first
 
 
 # frames per cube logic at 4 worlds: all relations, reflexive (2^12),

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from modalkit import bitgrid
 from modalkit.cli import main
 from modalkit.hilbert import ALL_LOGICS, corpus_proof_text
 from modalkit.kripke import FrameProperty
@@ -214,6 +215,24 @@ def test_countermodel_over_the_slab_budget_exits_3():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: resource limit exceeded")
     assert "Traceback" not in proc.stderr
+
+
+def test_an_over_budget_ranked_search_lists_no_frames(capsys, monkeypatch):
+    # 28,629,151 serial 5-world frames: counted tile by tile, never listed
+    listed = bitgrid._frame_array
+
+    def listing(n, tiles):
+        if n == 5:
+            raise AssertionError("listed the frames of a refused slab")
+        return listed(n, tiles)
+
+    monkeypatch.setattr(bitgrid, "_frame_array", listing)
+    code, out, err = run(capsys, "countermodel", "box p -> dia p",
+                         "--props", "serial", "--max-worlds", "5")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: resource limit exceeded: a slab of 5 worlds, 1 atoms and "
+                   "28629151 frames needs 3276 MiB of masks, over the 128 MiB budget\n")
 
 
 @pytest.mark.parametrize("argv", [["correspond", "T", "reflexive", "--max-worlds", "6"],
