@@ -1,17 +1,20 @@
 """Labeled-tableau validity decision for the modal cube.
 
 To decide f in a logic we saturate a tableau for "f false at a root world",
-applying the logic's frame conditions as edge-closure rules on the fly.  If
-every branch closes, f is valid.  In the transitive logics a false box at a
-label whose signed formulas are a subset of an ancestor's is blocked rather
-than expanded (the S4/K4 loop check).  An open saturated branch is read off
-into a concrete model: each blocked label gets an edge to every successor of
-its blocker, and the relation is closed under the frame properties.  The
-model is re-checked with the reference evaluator before being trusted; the
-re-check is mandatory and a branch that fails it is simply abandoned.  When
-the tableau hits its label or rule budget without a definitive answer, a
-bounded exhaustive search takes over, and if that also comes up empty the
-caller gets an explicit resource error rather than a guess.
+applying the logic's frame conditions as edge-closure rules on the fly.  A
+branch keeps its state per label (signed formulas, successors, true-box
+bodies, parent), and add_edge keeps its relation closed under the frame
+properties after every edge.  If every branch closes, f is valid.  In the
+transitive logics a false box at a label whose signed formulas are a subset
+of an ancestor's is blocked rather than expanded (the S4/K4 loop check).  An
+open saturated branch is read off into a concrete model: each blocked label
+gets an edge to every successor of its blocker, added through add_edge so
+the relation stays closed.  The model is re-checked with the reference
+evaluator before being trusted; the re-check is mandatory and a branch that
+fails it is simply abandoned.  When the tableau hits its label or rule
+budget without a definitive answer, a bounded exhaustive search takes over,
+and if that also comes up empty the caller gets an explicit resource error
+rather than a guess.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .correspond import SAHLQVIST_PAIRS
 from .countermodel import find_countermodel
 from .errors import ResourceLimitExceeded
 from .hilbert import AxiomSchemaId, Logic
@@ -26,11 +30,8 @@ from .kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from .syntax import (Atom, Box, Formula, Implies, Not, Signature, atoms_of,
                      desugar, sorted_signature)
 
-LOGIC_FRAME_PROPERTIES: dict[AxiomSchemaId, FrameProperty] = {
-    AxiomSchemaId.T: FrameProperty.REFLEXIVE,
-    AxiomSchemaId.B: FrameProperty.SYMMETRIC,
-    AxiomSchemaId.FOUR: FrameProperty.TRANSITIVE,
-}
+# each axiom of the cube adds the frame property it corresponds to
+LOGIC_FRAME_PROPERTIES: dict[AxiomSchemaId, FrameProperty] = dict(SAHLQVIST_PAIRS)
 
 
 def frame_properties(logic: Logic) -> frozenset[FrameProperty]:
@@ -71,19 +72,18 @@ _FALLBACK_WORLDS = 4
 
 
 class _Branch:
-    """One tableau branch: signed formulas per label plus the frame built
-    so far.  Copied wholesale at disjunctive choice points."""
+    """One tableau branch, held per label: signed formulas, successors,
+    true-box bodies and parent, each a list indexed by label.  Copied
+    wholesale at disjunctive choice points."""
 
-    __slots__ = ("signs", "edges", "succs", "universals", "labels",
-                 "parent", "todo", "pending", "incomplete")
+    __slots__ = ("signs", "succs", "universals", "parent", "todo", "pending",
+                 "incomplete")
 
     def __init__(self):
-        self.signs: dict[tuple[int, Formula], bool] = {}
-        self.edges: set[tuple[int, int]] = set()
-        self.succs: dict[int, list[int]] = {}
-        self.universals: dict[int, list[Formula]] = {}
-        self.labels = 0
-        self.parent: dict[int, int | None] = {}
+        self.signs: list[dict[Formula, bool]] = []
+        self.succs: list[list[int]] = []
+        self.universals: list[list[Formula]] = []
+        self.parent: list[int | None] = []
         self.todo: deque[tuple[int, bool, Formula]] = deque()
         # false boxes whose expansion was deferred by blocking; rechecked at
         # saturation because later arrivals can break the blocking subset,
@@ -95,12 +95,10 @@ class _Branch:
 
     def copy(self) -> "_Branch":
         b = _Branch.__new__(_Branch)
-        b.signs = dict(self.signs)
-        b.edges = set(self.edges)
-        b.succs = {w: list(v) for w, v in self.succs.items()}
-        b.universals = {w: list(v) for w, v in self.universals.items()}
-        b.labels = self.labels
-        b.parent = dict(self.parent)
+        b.signs = [dict(s) for s in self.signs]
+        b.succs = [list(v) for v in self.succs]
+        b.universals = [list(v) for v in self.universals]
+        b.parent = list(self.parent)
         b.todo = deque(self.todo)
         b.pending = list(self.pending)
         b.incomplete = self.incomplete
@@ -108,13 +106,11 @@ class _Branch:
 
 
 class _Tableau:
-    def __init__(self, goal: Formula, props: frozenset[FrameProperty],
-                 max_labels: int, trace: TableauTrace):
-        self.goal = goal
+    def __init__(self, props: frozenset[FrameProperty], max_labels: int,
+                 trace: TableauTrace):
         self.reflexive = FrameProperty.REFLEXIVE in props
         self.symmetric = FrameProperty.SYMMETRIC in props
         self.transitive = FrameProperty.TRANSITIVE in props
-        self.props = props
         self.max_labels = max_labels
         self.trace = trace
         self.any_incomplete = False
@@ -122,36 +118,47 @@ class _Tableau:
     # -- frame construction --------------------------------------------------
 
     def new_label(self, b: _Branch, parent: int | None) -> int | None:
-        if b.labels >= self.max_labels:
+        w = len(b.parent)
+        if w >= self.max_labels:
             b.incomplete = True
+            self.any_incomplete = True
             return None
-        w = b.labels
-        b.labels += 1
-        b.parent[w] = parent
-        b.succs[w] = []
-        b.universals[w] = []
+        b.signs.append({})
+        b.succs.append([])
+        b.universals.append([])
+        b.parent.append(parent)
         if self.reflexive:
             self.add_edge(b, w, w)
         return w
 
     def add_edge(self, b: _Branch, u: int, v: int) -> None:
+        """Add u -> v and every edge the frame properties then demand."""
         queue = [(u, v)]
         while queue:
             x, y = queue.pop()
-            if (x, y) in b.edges:
+            if y in b.succs[x]:
                 continue
-            b.edges.add((x, y))
             b.succs[x].append(y)
             for g in b.universals[x]:
                 b.todo.append((y, True, g))
             if self.symmetric:
                 queue.append((y, x))
             if self.transitive:
-                for z in list(b.succs[y]):
+                for z in b.succs[y]:
                     queue.append((x, z))
-                for w, ws in list(b.succs.items()):
+                for w, ws in enumerate(b.succs):
                     if x in ws:
                         queue.append((w, y))
+
+    def witness(self, b: _Branch, w: int, f: Box) -> bool:
+        """Open a successor of w where the body of the false box f is false;
+        False when the label budget refuses it."""
+        v = self.new_label(b, parent=w)
+        if v is None:
+            return False
+        b.todo.append((v, False, f.body))
+        self.add_edge(b, w, v)
+        return True
 
     # -- blocking -------------------------------------------------------------
 
@@ -171,13 +178,12 @@ class _Tableau:
         """
         if not self.transitive:
             return None
-        mine = {(f, s) for (lab, f), s in b.signs.items() if lab == w}
-        anc = b.parent.get(w)
+        mine = b.signs[w].items()
+        anc = b.parent[w]
         while anc is not None:
-            theirs = {(f, s) for (lab, f), s in b.signs.items() if lab == anc}
-            if mine <= theirs:
+            if mine <= b.signs[anc].items():
                 return anc
-            anc = b.parent.get(anc)
+            anc = b.parent[anc]
         return None
 
     # -- saturation -----------------------------------------------------------
@@ -205,13 +211,7 @@ class _Tableau:
             if self.blocked_by(b, w) is not None:
                 continue
             b.pending.remove(item)
-            v = self.new_label(b, parent=w)
-            if v is None:
-                self.any_incomplete = True
-                continue
-            b.todo.append((v, False, f.body))
-            self.add_edge(b, w, v)
-            expanded = True
+            expanded |= self.witness(b, w, f)
         return expanded
 
     def _drain(self, b: _Branch, alternatives: list[_Branch]) -> _Branch | None:
@@ -228,13 +228,13 @@ class _Tableau:
                 return b
             self.trace.rule_applications += 1
             w, sign, f = b.todo.popleft()
-            key = (w, f)
-            prev = b.signs.get(key)
+            signs = b.signs[w]
+            prev = signs.get(f)
             if prev is not None:
                 if prev != sign:
                     return None  # clash: branch closes
                 continue
-            b.signs[key] = sign
+            signs[f] = sign
             if isinstance(f, Atom):
                 continue
             if isinstance(f, Not):
@@ -251,22 +251,15 @@ class _Tableau:
             elif isinstance(f, Box):
                 if sign:
                     b.universals[w].append(f.body)
-                    for v in list(b.succs[w]):
+                    for v in b.succs[w]:
                         b.todo.append((v, True, f.body))
+                elif self.blocked_by(b, w) is not None:
+                    b.pending.append((w, f))
                 else:
-                    if self.blocked_by(b, w) is not None:
-                        b.pending.append((w, f))
-                        continue
-                    v = self.new_label(b, parent=w)
-                    if v is None:
-                        self.any_incomplete = True
-                        continue
-                    b.todo.append((v, False, f.body))
-                    self.add_edge(b, w, v)
+                    self.witness(b, w, f)
             else:
                 raise AssertionError(f"unexpected node in core formula: {f!r}")
         return b
-
 
     # -- extraction -------------------------------------------------------------
 
@@ -275,47 +268,23 @@ class _Tableau:
 
         A label still blocked at saturation gets an edge to every successor
         of its blocker, which holds all of its signed formulas and has its
-        false boxes witnessed there.
+        false boxes witnessed there.  The loop edges go in through add_edge,
+        so the relation stays closed; the branch is not run again.
         """
-        n = max(b.labels, 1)
-        edges = set(b.edges)
+        loops = []
         for w in {w for w, _ in b.pending}:
             blocker = self.blocked_by(b, w)
             if blocker is None:  # went stale on a branch the budget cut short
                 continue
-            for v in b.succs[blocker]:
-                if (w, v) not in edges:
-                    edges.add((w, v))
-                    self.trace.blocked += 1
-        val = {a: {w for w in range(n) if b.signs.get((w, Atom(a))) is True}
+            loops += [(w, v) for v in b.succs[blocker] if v not in b.succs[w]]
+        self.trace.blocked += len(loops)
+        for w, v in loops:
+            self.add_edge(b, w, v)
+        n = len(b.parent)
+        rel = [(w, v) for w in range(n) for v in b.succs[w]]
+        val = {a: {w for w in range(n) if b.signs[w].get(Atom(a)) is True}
                for a in sig.atoms}
-        model = KripkeModel(n, set(range(n)), _close(n, edges, self.props), val, sig)
-        return model, 0
-
-
-def _close(n: int, edges: set[tuple[int, int]],
-           props: frozenset[FrameProperty]) -> set[tuple[int, int]]:
-    """The least relation on range(n) holding edges and closed under props.
-
-    Reflexive, then symmetric, then transitive: the transitive closure of a
-    reflexive or symmetric relation keeps that property.
-    """
-    succ = [set() for _ in range(n)]
-    for u, v in edges:
-        succ[u].add(v)
-    if FrameProperty.REFLEXIVE in props:
-        for w in range(n):
-            succ[w].add(w)
-    if FrameProperty.SYMMETRIC in props:
-        for u, v in edges:
-            succ[v].add(u)
-    if FrameProperty.TRANSITIVE in props:
-        for k in range(n):
-            via = succ[k]
-            for row in succ:
-                if k in row:
-                    row |= via
-    return {(u, v) for u in range(n) for v in succ[u]}
+        return KripkeModel(n, set(range(n)), rel, val, sig), 0
 
 
 def decide(f: Formula, logic: Logic, *, sig: Signature | None = None,
@@ -325,14 +294,17 @@ def decide(f: Formula, logic: Logic, *, sig: Signature | None = None,
     Returns Valid with a trace, or Invalid with a finite model that
     falsifies f at the named world and has the logic's frame properties.
     Raises ResourceLimitExceeded when neither outcome can be certified
-    within the budget.
+    within the budget, and ValueError when max_labels leaves no room for
+    the root label.
     """
+    if max_labels < 1:
+        raise ValueError(f"max_labels must be at least 1, got {max_labels}")
     if sig is None:
         sig = sorted_signature(atoms_of(f))
     goal = desugar(f, sig)
     props = frame_properties(logic)
     trace = TableauTrace()
-    tab = _Tableau(goal, props, max_labels, trace)
+    tab = _Tableau(props, max_labels, trace)
 
     root_branch = _Branch()
     tab.new_label(root_branch, parent=None)

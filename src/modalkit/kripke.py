@@ -120,28 +120,35 @@ def eval_deep(m: KripkeModel, w: int, f: Formula) -> bool:
     """
     if w not in m.worlds:
         raise ValueError(f"world {w} is not in the designated world set")
-    return _eval(m, w, desugar(f, m.sig))
+    return _eval(m, w, desugar(f, m.sig), {})
 
 
-def _eval(m: KripkeModel, w: int, f: Formula) -> bool:
+def _eval(m: KripkeModel, w: int, f: Formula, memo: dict) -> bool:
+    """memo holds each box's truth per world for one top-level call, so
+    nested boxes on a dense relation are not re-walked along every path."""
     t = type(f)
     if t is Atom:
         if f.name not in m.val:
             raise ValueError(f"atom {f.name!r} is not in the model's signature")
         return w in m.val[f.name]
     if t is Not:
-        return not _eval(m, w, f.body)
+        return not _eval(m, w, f.body, memo)
     if t is Implies:
-        return (not _eval(m, w, f.left)) or _eval(m, w, f.right)
+        return (not _eval(m, w, f.left, memo)) or _eval(m, w, f.right, memo)
     if t is Box:
-        return all(_eval(m, v, f.body) for v in m._succ[w])
+        key = (f, w)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = all(_eval(m, v, f.body, memo) for v in m._succ[w])
+        return value
     raise TypeError(f"cannot evaluate {f!r}")
 
 
 def valid_in_model(m: KripkeModel, f: Formula) -> bool:
     """True when f holds at every designated world."""
     g = desugar(f, m.sig)
-    return all(_eval(m, w, g) for w in sorted(m.worlds))
+    memo: dict = {}
+    return all(_eval(m, w, g, memo) for w in sorted(m.worlds))
 
 
 def has_property(m: KripkeModel, p: FrameProperty) -> bool:
@@ -262,8 +269,8 @@ def load_model(text: str) -> KripkeModel:
     if not (isinstance(rel, list)
             and all(_is_world_list(pair) and len(pair) == 2 for pair in rel)):
         raise ModelFormatError("'rel' must be a list of [i, j] pairs")
-    sig = Signature(tuple(fields["val"].keys()))
     try:
+        sig = Signature(tuple(fields["val"].keys()))
         return KripkeModel(n, fields["in"], rel, fields["val"], sig)
-    except ModelError as e:
+    except ValueError as e:  # a bad atom name or a ModelError
         raise ModelFormatError(str(e)) from None

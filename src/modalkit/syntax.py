@@ -240,9 +240,6 @@ class MetaVar(Formula):
         return f"MetaVar({self.name!r})"
 
 
-_CORE_TYPES = (Atom, Not, Implies, Box)
-
-
 def is_core(f: Formula) -> bool:
     """True when f uses only atoms, negation, implication and box."""
     t = type(f)

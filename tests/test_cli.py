@@ -6,6 +6,7 @@ Exit code conventions under test: 0 success/affirmative, 1 negative result
 
 import contextlib
 import io
+import json
 import subprocess
 import sys
 
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 from modalkit import bitgrid
 from modalkit.cli import main
-from modalkit.hilbert import ALL_LOGICS, corpus_proof_text
-from modalkit.kripke import FrameProperty
+from modalkit.hilbert import (ALL_LOGICS, ProofScriptError, corpus_proof_text,
+                              parse_proof_script)
+from modalkit.kripke import FrameProperty, ModelFormatError, load_model
 from modalkit.syntax import Signature, pretty
 
 from conftest import formulas
@@ -420,6 +422,20 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip() == "valid in K"
 
 
+def test_k4_refutes_seventy_nested_boxes_quickly():
+    # the tableau gives up on a 64-label transitive chain; re-checking that
+    # model must not walk every path of it once per nested box
+    proc = subprocess.run(
+        [sys.executable, "-m", "modalkit.cli", "prove", "--logic", "K4",
+         "box " * 70 + "p"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("invalid in K4: falsified at world ")
+
+
 # --- random input ----------------------------------------------------------------
 
 _FRAGMENTS = ("p", "q", "r", "box", "dia", "~", "&", "|", "->", "(", ")",
@@ -454,3 +470,172 @@ def test_random_formula_text_keeps_the_exit_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code >= 2:
         assert "error:" in err.getvalue()
+
+
+# --- random argv, model files and proof scripts ----------------------------------
+#
+# Bounds stay small (at most 3 worlds, depth at most 2, one job), so no case
+# builds a big slab or starts a process.
+
+_IDS = st.integers(min_value=-1, max_value=3)
+_WORLD_LISTS = st.lists(_IDS, max_size=4)
+_VALUATIONS = st.dictionaries(st.sampled_from(["p", "q", "box", "1x", ""]), _WORLD_LISTS,
+                              max_size=2)
+
+
+def _model_file(n, worlds, rel, val):
+    return (f"worlds: {n}\nin: {json.dumps(worlds)}\nrel: {json.dumps(rel)}\n"
+            f"val: {json.dumps(val)}\n")
+
+
+def _well_formed_model(n):
+    ids = st.integers(min_value=0, max_value=n - 1)
+    subsets = st.lists(ids, max_size=n, unique=True)
+    return st.builds(_model_file, st.just(n),
+                     st.lists(ids, min_size=1, max_size=n, unique=True),
+                     st.lists(st.tuples(ids, ids).map(list), max_size=n * n),
+                     st.fixed_dictionaries({"p": subsets}, optional={"q": subsets}))
+
+
+_MODEL_LINES = st.one_of(
+    _IDS.map(lambda n: f"worlds: {n}"),
+    _WORLD_LISTS.map(lambda ws: f"in: {json.dumps(ws)}"),
+    st.lists(st.lists(_IDS, min_size=1, max_size=3), max_size=5).map(
+        lambda pairs: f"rel: {json.dumps(pairs)}"),
+    _VALUATIONS.map(lambda val: f"val: {json.dumps(val)}"),
+    st.sampled_from(["", "# note", "worlds 2", "rel: [[0, 1]", "val: 3", "in: {}",
+                     "extra: 1", "worlds: true", "in: [0.5]", 'val: {"p": [[0]]}']),
+)
+
+model_text = st.one_of(
+    st.integers(min_value=1, max_value=3).flatmap(_well_formed_model),
+    st.builds(_model_file, _IDS, _WORLD_LISTS,
+              st.lists(st.tuples(_IDS, _IDS).map(list), max_size=5), _VALUATIONS),
+    st.lists(_MODEL_LINES, max_size=6).map("\n".join),
+    st.text(max_size=40),
+)
+
+_STEP_NUMBERS = st.integers(min_value=0, max_value=5)
+_AXIOMS = st.sampled_from(["H1", "H2", "H3", "K", "T", "B", "4", "LOEB", "X", ""])
+_BINDINGS = st.sampled_from(["", 'phi := "p"', 'phi := "p", psi := "q"',
+                             'phi := "box p", psi := "p", gamma := "p"',
+                             'p := "p"', 'phi := "("', 'phi = "p"', 'phi := "?p"'])
+_STEP_BODIES = st.one_of(
+    st.builds(lambda ax, binds: f"AX {ax} [{binds}]", _AXIOMS, _BINDINGS),
+    st.builds(lambda i, j: f"MP {i} {j}", _STEP_NUMBERS, _STEP_NUMBERS),
+    _STEP_NUMBERS.map(lambda i: f"NEC {i}"),
+    st.sampled_from(["", "MP 1", "NEC", "AX H1", "QED"]),
+)
+_PROOF_LINES = st.one_of(
+    st.builds(lambda n, body: f"{n}: {body}", _STEP_NUMBERS, _STEP_BODIES),
+    formula_text.map(lambda text: f'QED "{text}"'),
+    st.sampled_from(["", "# comment", "QED p", "1 AX H1 []", 'QED ""']),
+)
+
+
+def _numbered(bodies, conclusion):
+    steps = [f"{n}: {body}" for n, body in enumerate(bodies, start=1)]
+    return "\n".join(steps + [f'QED "{conclusion}"'])
+
+
+_IDENTITY_LINES = corpus_proof_text("identity").splitlines()
+
+proof_text = st.one_of(
+    st.sets(st.integers(min_value=0, max_value=len(_IDENTITY_LINES) - 1), max_size=2).map(
+        lambda drop: "\n".join(line for i, line in enumerate(_IDENTITY_LINES)
+                               if i not in drop)),
+    formula_text.map(lambda text: _numbered(
+        [line.split(": ", 1)[1] for line in _IDENTITY_LINES[:-1]], text)),
+    st.builds(_numbered, st.lists(_STEP_BODIES, max_size=4), formula_text),
+    st.lists(_PROOF_LINES, max_size=6).map("\n".join),
+    st.text(max_size=40),
+)
+
+_COMMANDS = ("parse", "eval", "check-proof", "prove", "countermodel", "classify",
+             "correspond", "loeb", "faithful")
+_LOGIC_NAMES = st.sampled_from([logic.name for logic in ALL_LOGICS] + ["KX", ""])
+_SMALL = st.integers(min_value=-1, max_value=3).map(str)
+
+_TOKENS = st.one_of(
+    formula_text,
+    _LOGIC_NAMES,
+    _SMALL,
+    st.sampled_from(_COMMANDS + (
+        "--logic", "--props", "--max-worlds", "--world", "--model", "--corpus",
+        "--depth", "--atoms", "--dot", "--help", "-x", "T", "4", "LOEB", "reflexive",
+        "serial,cwf", "MODEL", "SCRIPT", "DOT", "MISSING")),
+)
+
+# countermodel, correspond and loeb default to 4 worlds and faithful grows
+# with depth and atoms, so a random argv for them always ends with small
+# bounds (argparse keeps the last)
+_TAILS = {
+    "countermodel": ["--max-worlds"],
+    "correspond": ["--max-worlds"],
+    "loeb": ["--max-worlds"],
+    "faithful": ["--max-worlds", "--depth", "--atoms"],
+}
+
+
+def _bounded(tokens, bounds):
+    if not tokens or tokens[0] not in _TAILS:
+        return tokens
+    values = dict(zip(("--max-worlds", "--depth", "--atoms"), map(str, bounds)))
+    return tokens + [part for flag in _TAILS[tokens[0]] for part in (flag, values[flag])]
+
+
+cli_argvs = st.one_of(
+    st.builds(lambda text, world: ["eval", text, "--model", "MODEL", "--world", world],
+              formula_text, _SMALL),
+    st.builds(lambda logic: ["check-proof", "SCRIPT", "--logic", logic], _LOGIC_NAMES),
+    st.builds(lambda text, n: ["countermodel", text, "--max-worlds", str(n),
+                               "--dot", "DOT"],
+              formula_text, st.integers(min_value=1, max_value=3)),
+    st.builds(_bounded,
+              st.one_of(st.builds(lambda cmd, rest: [cmd, *rest],
+                                  st.sampled_from(_COMMANDS), st.lists(_TOKENS, max_size=4)),
+                        st.lists(_TOKENS, max_size=6)),
+              st.tuples(st.integers(min_value=1, max_value=3),
+                        st.integers(min_value=0, max_value=2),
+                        st.sampled_from([0, 1, 2, 9]))),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argvs, model_text, proof_text)
+def test_random_argv_and_files_keep_the_exit_contract(tmp_path_factory, argv, model,
+                                                      script):
+    where = tmp_path_factory.getbasetemp() / "cli_fuzz"
+    where.mkdir(exist_ok=True)
+    paths = {name: where / name for name in ("MODEL", "SCRIPT", "DOT", "MISSING")}
+    paths["MODEL"].write_text(model, encoding="utf-8")
+    paths["SCRIPT"].write_text(script, encoding="utf-8")
+    argv = [str(paths[a]) if a in paths else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code >= 2:
+        assert "error:" in err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_text)
+def test_load_model_raises_only_its_own_error(text):
+    try:
+        load_model(text)
+    except ModelFormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(proof_text)
+def test_parse_proof_script_raises_only_its_own_error(text):
+    try:
+        parse_proof_script(text)
+    except ProofScriptError:
+        pass

@@ -21,7 +21,8 @@ from modalkit.decide import (
     ResourceLimitExceeded,
     TableauTrace,
     Valid,
-    _close,
+    _Branch,
+    _Tableau,
     cross_check,
     decide,
     frame_properties,
@@ -191,7 +192,8 @@ def test_tableau_counters():
 
 
 def _fixpoint_closure(n, edges, props):
-    """The closure loop extraction used before, kept as the reference."""
+    """The least relation holding edges and closed under props, by fixpoint
+    iteration: the reference for the tableau's incremental closure."""
     rel = set(edges)
     changed = True
     while changed:
@@ -216,6 +218,8 @@ def _fixpoint_closure(n, edges, props):
 
 
 def test_closure_equals_the_fixpoint():
+    # add_edge keeps a branch's relation closed edge by edge; extraction
+    # relies on that for its loop edges
     rng = random.Random(20)
     closing = (FrameProperty.REFLEXIVE, FrameProperty.SYMMETRIC, FrameProperty.TRANSITIVE)
     subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(closing, r)]
@@ -224,7 +228,20 @@ def test_closure_equals_the_fixpoint():
         density = rng.choice((0.05, 0.15, 0.4))
         edges = {(u, v) for u in range(n) for v in range(n) if rng.random() < density}
         for props in subsets:
-            assert _close(n, edges, props) == _fixpoint_closure(n, edges, props), (n, edges, props)
+            tab = _Tableau(props, n, TableauTrace())
+            b = _Branch()
+            for _ in range(n):
+                tab.new_label(b, parent=None)
+            for u, v in edges:
+                tab.add_edge(b, u, v)
+            closed = {(u, v) for u in range(n) for v in b.succs[u]}
+            assert closed == _fixpoint_closure(n, edges, props), (n, edges, props)
+
+
+@pytest.mark.parametrize("max_labels", [0, -1])
+def test_a_label_budget_below_one_is_rejected(max_labels):
+    with pytest.raises(ValueError, match="max_labels"):
+        decide(_f("~box p"), K, max_labels=max_labels)
 
 
 # --- cross-checking against the bounded finder ----------------------------------
