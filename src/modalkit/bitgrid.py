@@ -32,14 +32,20 @@ a range: the pairs whose bit lies below TILE_BITS take the periodic pattern
 of the block, and the others are fixed across it, so their masks are the
 constants full or 0.  frame_tiles yields the tiles of one size in ascending
 order, which keeps the first set bit of the first tile that has one the
-canonically first frame.  At five worlds a tile's masks are 128 KiB instead
-of the whole slab's 4 MiB, and stay in cache.
+canonically first frame.  At five worlds a tile's masks are 16 KiB instead
+of the whole slab's 4 MiB.  That is below the allocator's mmap threshold, so
+each big-integer result reuses heap memory instead of faulting in fresh
+pages.  The periodic masks are the same in every tile of a size and are
+built once.
 
 Evaluation folds constants.  A metavariable leaf, a fixed relation pair and
 whatever is derived from them only is the slab's own `full` object or 0;
 the connectives test for these by identity, which costs nothing, and return
 an operand or a constant instead of running a big-integer operation.
-Masks are never compared by value for this.
+Masks are never compared by value for this.  A box collects the models
+that have a successor where its body fails and negates them once; an
+implication whose consequent is a metavariable true at the world is full
+without reading its antecedent.
 """
 
 from __future__ import annotations
@@ -64,9 +70,10 @@ from .translate import CImp, CNot, CoreForm, ForallWorld, PredR, PredV, PredW
 # and refuses 4 worlds with 3 atoms (0.88 GiB) or 5 worlds with 1 atom.
 MAX_PATTERN_BYTES = 128 << 20
 
-# log2 of the relation bitmasks in a tile of an atom-free sweep: 2**20
-# frames make 128 KiB masks.  Sizes up to four worlds fit in one tile.
-TILE_BITS = 20
+# log2 of the relation bitmasks in a tile of an atom-free sweep: 2**17
+# frames make 16 KiB masks, well under glibc's 128 KiB mmap and trim
+# thresholds.  Sizes up to four worlds fit in one tile.
+TILE_BITS = 17
 
 
 # _BITS[k] maps a byte to 1 when its bit k is set and to 0 otherwise, and
@@ -103,6 +110,14 @@ def _bit_pattern(total_index_bits: int, bit: int) -> int:
         mask |= mask << width
         width <<= 1
     return mask
+
+
+@lru_cache(maxsize=1)
+def _block_patterns(val_bits: int, k: int) -> tuple[int, ...]:
+    """The periodic masks of the low k relation bits over an aligned block
+    of 2**k frames with val_bits valuation bits each.  They are the same
+    for every tile of a sweep, so they are built once per size."""
+    return tuple(_bit_pattern(val_bits + k, val_bits + bit) for bit in range(k))
 
 
 def frame_tiles(n_worlds: int) -> Iterator[ModelSlab]:
@@ -243,8 +258,9 @@ class ModelSlab:
         full or 0, as the block's frames all have the edge or all lack it,
         for the others."""
         k = len(block).bit_length() - 1
-        n, vb = self.n, self._val_bits
-        masks = [_bit_pattern(vb + k, vb + bit) if bit < k
+        n = self.n
+        patterns = _block_patterns(self._val_bits, k)
+        masks = [patterns[bit] if bit < k
                  else self.full if block.start >> bit & 1 else 0
                  for bit in range(n * n)]
         return [masks[i * n:(i + 1) * n] for i in range(n)]
@@ -365,11 +381,14 @@ class ModelSlab:
             x = self._deep(f.body, w, memo, assignment)
             out = 0 if x is full else full if not x else full ^ x
         elif t is Implies:
-            x = self._deep(f.left, w, memo, assignment)
-            if not x:
+            right = f.right
+            if (type(right) is MetaVar and assignment is not None
+                    and w in assignment[right.name]):
+                out = full  # a true consequent: the antecedent is not read
+            elif not (x := self._deep(f.left, w, memo, assignment)):
                 out = full
             else:
-                y = self._deep(f.right, w, memo, assignment)
+                y = self._deep(right, w, memo, assignment)
                 if x is full or y is full:
                     out = y
                 elif not y:
@@ -377,7 +396,10 @@ class ModelSlab:
                 else:
                     out = (full ^ x) | y
         elif t is Box:
-            out = full
+            # collect the models with a successor v where the body fails,
+            # r & ~body(v), which is r itself where the body is 0, and
+            # negate once
+            bad = 0
             row = self._rel[w]
             for v in self._dsorted:
                 r = row[v]
@@ -386,10 +408,10 @@ class ModelSlab:
                 x = self._deep(f.body, v, memo, assignment)
                 if x is full:
                     continue
-                term = x if r is full else full ^ r if not x else (full ^ r) | x
-                out = term if out is full else out & term
-                if not out:
+                bad = _join(full, bad, r if not x else _meet(full, r, full ^ x))
+                if bad is full:
                     break
+            out = _neg(full, bad)
         else:
             raise TypeError(f"cannot evaluate {f!r} (desugar first)")
         memo[key] = out

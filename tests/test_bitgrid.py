@@ -24,6 +24,9 @@ from modalkit.kripke import (
     valid_in_model,
 )
 from modalkit.syntax import (
+    Atom,
+    Implies,
+    MetaVar,
     Schema,
     Signature,
     desugar,
@@ -219,16 +222,31 @@ def _schema_valid_scalar(slab, index, body, names):
     return True
 
 
-@pytest.mark.parametrize("text", ["box ?phi -> ?phi", "?phi -> box dia ?phi"])
+# T, B, Loeb and 4, and two schemas of two metavariables whose consequent
+# is a bare metavariable, on full and proper designated sets
+@pytest.mark.parametrize("text", [
+    "box ?phi -> ?phi", "?phi -> box dia ?phi",
+    "box (box ?phi -> ?phi) -> box ?phi", "box ?phi -> box box ?phi",
+    "dia ?phi -> ?psi", "box (?phi -> ?psi) -> ?psi",
+])
 def test_schema_validity_mask_matches_scalar_check(text):
     raw = parse_schema(text)
     body = desugar(raw.body, SIG_P)
     schema = Schema(body)
     names = list(schema.metavars)
-    slab = ModelSlab(2, ())
-    mask = slab.schema_validity_mask(schema)
-    for index in range(slab.count):
-        assert bool(mask >> index & 1) == _schema_valid_scalar(slab, index, body, names)
+    for designated in ((0, 1, 2), (0, 2)):
+        slab = ModelSlab(3, (), designated)
+        mask = slab.schema_validity_mask(schema)
+        for index in range(slab.count):
+            assert (bool(mask >> index & 1)
+                    == _schema_valid_scalar(slab, index, body, names)), (designated, index)
+
+
+def test_a_metavariable_consequent_is_still_read_outside_a_schema():
+    slab = ModelSlab(2, ("p",))
+    f = Implies(Atom("p"), MetaVar("q"))
+    with pytest.raises(ValueError, match="metavariable outside schema evaluation"):
+        slab.deep_truth(f, 0)
 
 
 def test_schema_validity_ignores_the_valuation():
@@ -397,6 +415,16 @@ def test_frame_tiles_cover_the_frames_in_ascending_blocks(monkeypatch):
     tiles = list(frame_tiles(3))
     assert [t._frames for t in tiles] == [range(b, b + 16) for b in range(0, 512, 16)]
     assert sum(t.count for t in tiles) == 512
+
+
+def test_the_tiles_of_a_size_share_their_periodic_masks():
+    # the masks of the pairs below TILE_BITS are built once per size
+    tiles = frame_tiles(5)
+    first, second = next(tiles), next(tiles)
+    assert first._frames == range(1 << bitgrid.TILE_BITS)
+    for bit in range(bitgrid.TILE_BITS):
+        i, j = divmod(bit, 5)
+        assert first._rel[i][j] is second._rel[i][j], (i, j)
 
 
 def test_admitted_frames_read_tile_by_tile_equal_the_whole_slab(monkeypatch):

@@ -178,6 +178,14 @@ def test_tiled_loeb_suite_equals_the_untiled_one(monkeypatch):
     assert tiled == untiled
 
 
+def test_both_suites_in_tiles_of_sixteen_frames_equal_the_default_ones(monkeypatch):
+    def run():
+        return loeb_suite(4), sahlqvist_suite(4)
+
+    default, tiled = _untiled_and_tiled(monkeypatch, 4, run)
+    assert tiled == default
+
+
 def test_sweeps_over_the_budget_are_refused_before_sweeping(monkeypatch):
     from modalkit.errors import ResourceLimitExceeded
 
