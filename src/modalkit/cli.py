@@ -201,8 +201,7 @@ def _cmd_faithful(args) -> int:
     if not 1 <= args.atoms <= len(_ATOM_POOL):
         raise _InputError(f"--atoms must be between 1 and {len(_ATOM_POOL)}")
     sig = Signature(_ATOM_POOL[:args.atoms])
-    report = check_faithfulness(sig, max_depth=args.depth,
-                                max_worlds=args.max_worlds, jobs=args.jobs)
+    report = check_faithfulness(sig, max_depth=args.depth, max_worlds=args.max_worlds)
     print(report.render())
     return 0 if report.ok else 1
 
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_int_at_least(0), default=2)
     p.add_argument("--max-worlds", type=_int_at_least(1), default=2)
     p.add_argument("--atoms", type=int, default=1)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_faithful)
 
     return top

@@ -10,7 +10,7 @@ around the Loeb schema on the same enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 from .bitgrid import ModelSlab, frame_tiles
 from .hilbert import SCHEMAS, AxiomSchemaId
@@ -58,14 +58,16 @@ def schema_valid_on_frame(worlds: set, rel: set, s: Schema) -> bool:
     body = _core_body(s)
     names = metavars_of(body)
     f = substitute_metavars(body, {name: Atom(name) for name in names})
-    sig = Signature(names)
     ordered = sorted(worlds)
-    subsets = list(chain.from_iterable(
-        combinations(ordered, k) for k in range(len(ordered) + 1)))
-    return all(
-        valid_in_model(KripkeModel(ordered[-1] + 1, worlds, rel,
-                                   dict(zip(names, val)), sig), f)
-        for val in product(subsets, repeat=len(names)))
+    subsets = [frozenset(c) for k in range(len(ordered) + 1)
+               for c in combinations(ordered, k)]
+    # one model of the frame, whose valuation alone varies
+    m = KripkeModel(ordered[-1] + 1, worlds, rel, dict.fromkeys(names, ()), Signature(names))
+    for val in product(subsets, repeat=len(names)):
+        m.val = dict(zip(names, val))
+        if not valid_in_model(m, f):
+            return False
+    return True
 
 
 def _sweep(max_worlds: int):

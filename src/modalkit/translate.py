@@ -10,14 +10,13 @@ translates to the same form; the guards of a depth are built once.
 check_faithfulness grinds the two translations against the structural
 evaluator over an exhaustive formula/model grid and reports any
 disagreement.  A slab's formulas share its memos; a top-depth formula's own
-entries are dropped once it is checked (see _run_slab).
+entries are dropped once it is checked (see _check_slab).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from operator import and_
 from typing import Callable, Mapping
 
@@ -314,101 +313,10 @@ class FaithfulnessReport:
         return "\n".join(c.render() for c in self.checks)
 
 
-def _slab_jobs(max_worlds: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Every (world count, designated subset) pair, subsets by ascending bitmask."""
-    return [(n, tuple(w for w in range(n) if bits >> w & 1))
-            for n in range(1, max_worlds + 1) for bits in range(1, 1 << n)]
-
-
-def _run_slab(n: int, designated: tuple[int, ...], sig: Signature, max_depth: int,
-              translate_max_fn: Callable[[Formula], CoreForm] | None,
-              translate_min_fn: Callable[[Formula], CoreForm] | None):
-    """Counts and violation samples for one slab.  Returns, per check name,
-    (instances, violations, examples).
-
-    A translation function of None stands for the module's own translation,
-    whose route keeps one translation memo and one core memo for the slab.
-    Once a top-depth formula is checked, (f, 0) leaves the translation memo
-    and (its form, w) the core memo for each designated w.  It stored
-    nothing else: bound variables are named by box depth, so every other
-    node of its translation with one free variable is the stored translation
-    of a lower formula, and the guards have two free variables, which
-    core_truth never memoises.  The memos thus hold at most the lower
-    formulas at each box depth, times n in the core memo.  An injected
-    translation gets a fresh core memo per formula, which bounds it without
-    assuming any sharing.
-    """
-    from .bitgrid import ModelSlab
-
-    slab = ModelSlab(n, sig.atoms, designated)
-    formulas = enumerate_formulas(sig, max_depth)
-    # the enumeration is ordered by depth, so the formulas below max_depth
-    # are a prefix of it
-    n_lower = len(enumerate_formulas(sig, max_depth - 1))
-    ds = sorted(slab.designated)
-    is_total = len(ds) == n
-    violations = dict.fromkeys(CHECK_NAMES, 0)
-    examples: dict[str, list[Violation]] = {name: [] for name in CHECK_NAMES}
-
-    def record(name: str, f: Formula, rows):
-        """Count and sample the models where a row's two masks differ."""
-        for w, x, y in rows:
-            diff = x ^ y
-            if diff:
-                violations[name] += diff.bit_count()
-                if len(examples[name]) < _MAX_EXAMPLES:
-                    model = slab.model_at(slab.first_index(diff))
-                    examples[name].append(Violation(
-                        check=name, formula=pretty(f), model=model.describe(), world=w))
-
-    def route(f: Formula, top: bool, translate, translate_fn, memo: dict, core: dict):
-        """Truth masks of f's translation at the designated worlds."""
-        if translate_fn is not None:
-            c = translate_fn(f)
-            return [slab.core_truth(c, {FREE_WORLD_VAR: w}, {}) for w in ds]
-        c = translate(f, memo=memo)
-        masks = [slab.core_truth(c, {FREE_WORLD_VAR: w}, core) for w in ds]
-        if top:
-            del memo[(f, 0)]
-            for w in ds:
-                core.pop((c, w), None)  # predicates have no entry
-        return masks
-
-    deep_memo: dict = {}
-    max_memos: tuple[dict, dict] = ({}, {})
-    min_memos: tuple[dict, dict] = ({}, {})
-    for i, f in enumerate(formulas):
-        top = i >= n_lower
-        deep = [slab.deep_truth(f, w, deep_memo) for w in ds]
-        # the module's translations are looked up at call time, so a wrapped
-        # module attribute is honoured
-        tmax = route(f, top, translate_max, translate_max_fn, *max_memos)
-        if deep != tmax:
-            record(CHECK_TRUTH_DEEP_MAX, f, zip(ds, deep, tmax))
-            record(CHECK_VALIDITY_DEEP_MAX, f,
-                   [(None, reduce(and_, deep), reduce(and_, tmax))])
-        if is_total:
-            tmin = route(f, top, translate_min, translate_min_fn, *min_memos)
-            if deep != tmin:
-                record(CHECK_TRUTH_DEEP_MIN, f, zip(ds, deep, tmin))
-            if tmax != tmin:
-                record(CHECK_TRUTH_MAX_MIN, f, zip(ds, tmax, tmin))
-        if top:
-            for w in ds:
-                del deep_memo[(f, w)]
-
-    per_world = len(formulas) * slab.count
-    min_count = per_world * n if is_total else 0
-    counts = {
-        CHECK_TRUTH_DEEP_MAX: per_world * len(ds),
-        CHECK_VALIDITY_DEEP_MAX: per_world,
-        CHECK_TRUTH_DEEP_MIN: min_count,
-        CHECK_TRUTH_MAX_MIN: min_count,
-    }
-    return counts, violations, examples
-
+Translation = Callable[[Formula], CoreForm]
 
 MAX_GRID_FORMULAS = 10**6
+MAX_GRID_INSTANCES = 2 * 10**10
 
 
 def _formula_count(n_atoms: int, max_depth: int) -> int:
@@ -422,10 +330,67 @@ def _formula_count(n_atoms: int, max_depth: int) -> int:
     return count
 
 
+def _record(check: CheckReport, slab, f: Formula, rows) -> None:
+    """Count and sample the models where a row's two masks differ."""
+    for w, x, y in rows:
+        diff = x ^ y
+        if diff:
+            check.violation_count += diff.bit_count()
+            if len(check.examples) < _MAX_EXAMPLES:
+                model = slab.model_at(slab.first_index(diff))
+                check.examples.append(Violation(
+                    check=check.name, formula=pretty(f), model=model.describe(), world=w))
+
+
+def _check_slab(slab, formulas: list[Formula], n_lower: int, translate_max_fn: Translation,
+                translate_min_fn: Translation, translation_memos: list[dict],
+                report: FaithfulnessReport) -> None:
+    """Add one slab's instances, violations and examples to the report.
+
+    The slab's formulas share its deep memo, a core memo per route and the
+    grid's translation memos.  From the first top-depth formula, the
+    n_lower-th, every memo is cut back after each formula to its size at
+    that point: a memo only grows and a dict pops its newest entry first,
+    so the cut drops exactly that formula's entries.
+    """
+    truth_max, validity_max, truth_min, max_min = report.checks
+    ds = sorted(slab.designated)
+    is_total = len(ds) == slab.n
+    per_world = len(formulas) * slab.count
+    truth_max.instances += per_world * len(ds)
+    validity_max.instances += per_world
+    if is_total:
+        truth_min.instances += per_world * slab.n
+        max_min.instances += per_world * slab.n
+
+    deep_memo, max_core, min_core = {}, {}, {}
+    memos = [deep_memo, max_core, min_core, *translation_memos]
+    sizes: list[int] = []
+    for i, f in enumerate(formulas):
+        if i == n_lower:
+            sizes = [len(memo) for memo in memos]
+        deep = [slab.deep_truth(f, w, deep_memo) for w in ds]
+        c = translate_max_fn(f)
+        tmax = [slab.core_truth(c, {FREE_WORLD_VAR: w}, max_core) for w in ds]
+        if deep != tmax:
+            _record(truth_max, slab, f, zip(ds, deep, tmax))
+            _record(validity_max, slab, f,
+                    [(None, reduce(and_, deep), reduce(and_, tmax))])
+        if is_total:
+            c = translate_min_fn(f)
+            tmin = [slab.core_truth(c, {FREE_WORLD_VAR: w}, min_core) for w in ds]
+            if deep != tmin:
+                _record(truth_min, slab, f, zip(ds, deep, tmin))
+            if tmax != tmin:
+                _record(max_min, slab, f, zip(ds, tmax, tmin))
+        for memo, size in zip(memos, sizes):
+            while len(memo) > size:
+                memo.popitem()
+
+
 def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
-                       translate_max_fn: Callable[[Formula], CoreForm] | None = None,
-                       translate_min_fn: Callable[[Formula], CoreForm] | None = None,
-                       jobs: int = 1) -> FaithfulnessReport:
+                       translate_max_fn: Translation | None = None,
+                       translate_min_fn: Translation | None = None) -> FaithfulnessReport:
     """Compare the structural evaluator with both translations over every
     formula up to max_depth and every model up to max_worlds.
 
@@ -436,37 +401,44 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
     functions can be injected, which is how the mutation tests drive the
     grid.
 
-    A grid over the slab budget or MAX_GRID_FORMULAS raises
-    ResourceLimitExceeded before any formula, slab or process exists.  The
-    pool has at most one process per slab and per CPU.
+    A grid over the slab budget, MAX_GRID_FORMULAS or MAX_GRID_INSTANCES
+    raises ResourceLimitExceeded before any formula or slab exists.
     """
-    from .bitgrid import _check_slab_budget
+    from .bitgrid import ModelSlab, _check_slab_budget
 
+    k = len(sig.atoms)
     # slabs grow with the world count, so the first one refused here is the
     # first one the run would have reached
     for n in range(1, max_worlds + 1):
-        _check_slab_budget(n, len(sig.atoms), 1 << n * n)
-    if _formula_count(len(sig.atoms), max_depth) > MAX_GRID_FORMULAS:
+        _check_slab_budget(n, k, 1 << n * n)
+    n_formulas = _formula_count(k, max_depth)
+    if n_formulas > MAX_GRID_FORMULAS:
         raise ResourceLimitExceeded(
-            f"a grid of depth {max_depth} over {len(sig.atoms)} atoms lists "
+            f"a grid of depth {max_depth} over {k} atoms lists "
             f"more than {MAX_GRID_FORMULAS} formulas, the grid budget")
-    slabs = _slab_jobs(max_worlds)
-    args = [(n, designated, sig, max_depth, translate_max_fn, translate_min_fn)
-            for n, designated in slabs]
-    jobs = min(jobs, len(slabs), os.cpu_count() or 1)
-    if jobs > 1:
-        import multiprocessing
+    # validity is checked once per formula and model; n worlds give 2**n - 1
+    # designated sets of 2**(n*n + n*k) models each
+    instances = n_formulas * sum(((1 << n) - 1) << n * (n + k)
+                                 for n in range(1, max_worlds + 1))
+    if instances > MAX_GRID_INSTANCES:
+        raise ResourceLimitExceeded(
+            f"a grid of depth {max_depth} over {k} atoms and up to {max_worlds} "
+            f"worlds checks {instances} validity instances, over the "
+            f"{MAX_GRID_INSTANCES} work budget")
 
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(_run_slab, args)
-    else:
-        results = [_run_slab(*a) for a in args]
-
-    report = FaithfulnessReport()
-    for name in CHECK_NAMES:
-        instances = sum(r[0][name] for r in results)
-        count = sum(r[1][name] for r in results)
-        examples = [v for r in results for v in r[2][name]][:_MAX_EXAMPLES]
-        report.checks.append(CheckReport(
-            name=name, instances=instances, violation_count=count, examples=examples))
+    formulas = enumerate_formulas(sig, max_depth)
+    # the enumeration is ordered by depth, so the formulas below max_depth
+    # are a prefix of it
+    n_lower = _formula_count(k, max_depth - 1) if max_depth else 0
+    # the module's translations are looked up at call time, so a wrapped
+    # module attribute is honoured; an injected one keeps no memo
+    memos: list[dict] = [{}, {}]
+    translate_max_fn = translate_max_fn or partial(translate_max, memo=memos[0])
+    translate_min_fn = translate_min_fn or partial(translate_min, memo=memos[1])
+    report = FaithfulnessReport([CheckReport(name, 0, 0) for name in CHECK_NAMES])
+    for n in range(1, max_worlds + 1):
+        for bits in range(1, 1 << n):
+            slab = ModelSlab(n, sig.atoms, [w for w in range(n) if bits >> w & 1])
+            _check_slab(slab, formulas, n_lower, translate_max_fn, translate_min_fn,
+                        memos, report)
     return report

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 from modalkit.kripke import KripkeModel
 from modalkit.syntax import (And, Atom, Bot, Box, Dia, Implies, Not, Or,
                              Signature, Top)
+from modalkit.translate import CImp, CNot, ForallWorld, PredV
 
 SIG_P = Signature(("p",))
 SIG_PQ = Signature(("p", "q"))
@@ -72,3 +73,22 @@ def naive_eval(m: KripkeModel, w: int, f) -> bool:
     if isinstance(f, Dia):
         return any(naive_eval(m, v, f.body) for v in succ)
     raise TypeError(f"unknown node {f!r}")
+
+
+def unguarded_min(f):
+    """Deliberately broken minimal translation: drops the R guard.  The
+    mutation tests inject it into the faithfulness grid."""
+
+    def go(g, cur, counter):
+        t = type(g)
+        if t is Atom:
+            return PredV(g.name, cur)
+        if t is Not:
+            return CNot(go(g.body, cur, counter))
+        if t is Implies:
+            return CImp(go(g.left, cur, counter), go(g.right, cur, counter))
+        v = f"v{counter[0]}"
+        counter[0] += 1
+        return ForallWorld(v, go(g.body, v, counter))
+
+    return go(f, "w", [0])

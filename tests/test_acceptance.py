@@ -34,6 +34,8 @@ from modalkit.syntax import Box, Implies, Signature, parse
 from modalkit.translate import check_faithfulness
 from modalkit.classify import corpus
 
+from conftest import unguarded_min
+
 SIG = Signature(("p", "q"))
 
 
@@ -90,25 +92,7 @@ def test_criterion_2_faithfulness_grid():
         }
 
         # mutation: strip the accessibility guard from the minimal route
-        def unguarded(f):
-            from modalkit.syntax import Atom, Not
-            from modalkit.translate import (CImp, CNot, ForallWorld, PredV)
-
-            def go(g, cur, counter):
-                t = type(g)
-                if t is Atom:
-                    return PredV(g.name, cur)
-                if t is Not:
-                    return CNot(go(g.body, cur, counter))
-                if t is Implies:
-                    return CImp(go(g.left, cur, counter), go(g.right, cur, counter))
-                v = f"v{counter[0]}"
-                counter[0] += 1
-                return ForallWorld(v, go(g.body, v, counter))
-
-            return go(f, "w", [0])
-
-        mutated = check_faithfulness(Signature(("p",)), 2, 2, translate_min_fn=unguarded)
+        mutated = check_faithfulness(Signature(("p",)), 2, 2, translate_min_fn=unguarded_min)
         assert mutated.by_name("truth-deep-min").violation_count >= 1
 
 

@@ -384,7 +384,7 @@ def test_formulas_at_the_depth_limit_still_answer(capsys, text, code):
     ["loeb", "--max-worlds", "0"],
     ["faithful", "--max-worlds", "0"],
     ["faithful", "--depth", "-1"],
-    ["faithful", "--jobs", "0"],
+    ["faithful", "--jobs", "2"],
     ["classify", "--corpus", "--jobs", "2"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_an_error_line(capsys, argv):

@@ -1,7 +1,5 @@
 """Translations into the explicit first-order core and the faithfulness grid."""
 
-import multiprocessing
-import os
 from functools import cache
 
 import pytest
@@ -34,7 +32,7 @@ from modalkit.translate import (
     translate_min,
 )
 
-from conftest import SIG_P, SIG_PQ, formulas, models
+from conftest import SIG_P, SIG_PQ, formulas, models, unguarded_min
 
 
 def _core(text, sig=SIG_P):
@@ -208,27 +206,8 @@ def test_report_render_lists_every_check():
         report.by_name("no-such-check")
 
 
-def _unguarded_min(f):
-    """Deliberately broken minimal translation: drops the R guard."""
-    from modalkit.syntax import Atom, Box, Implies, Not
-
-    def go(g, cur, counter):
-        t = type(g)
-        if t is Atom:
-            return PredV(g.name, cur)
-        if t is Not:
-            return CNot(go(g.body, cur, counter))
-        if t is Implies:
-            return CImp(go(g.left, cur, counter), go(g.right, cur, counter))
-        v = f"v{counter[0]}"
-        counter[0] += 1
-        return ForallWorld(v, go(g.body, v, counter))
-
-    return go(f, "w", [0])
-
-
 def test_dropping_the_r_guard_is_caught():
-    report = check_faithfulness(SIG_P, 2, 2, translate_min_fn=_unguarded_min)
+    report = check_faithfulness(SIG_P, 2, 2, translate_min_fn=unguarded_min)
     assert not report.ok
     assert report.by_name(CHECK_TRUTH_DEEP_MIN).violation_count > 0
     assert report.by_name(CHECK_TRUTH_MAX_MIN).violation_count > 0
@@ -248,14 +227,6 @@ def test_swapping_max_for_min_is_caught():
     assert report.by_name(CHECK_VALIDITY_DEEP_MAX).violation_count > 0
     assert report.by_name(CHECK_TRUTH_DEEP_MIN).violation_count == 0
     assert report.by_name(CHECK_TRUTH_MAX_MIN).violation_count == 0
-
-
-def test_parallel_grid_matches_serial():
-    # a grid with violations, so the rendered examples are compared too
-    serial = check_faithfulness(SIG_P, 2, 2, translate_max_fn=translate_min)
-    parallel = check_faithfulness(SIG_P, 2, 2, translate_max_fn=translate_min, jobs=2)
-    assert not serial.ok
-    assert parallel.render() == serial.render()
 
 
 # --- the grid against a scalar reference ---------------------------------------
@@ -317,7 +288,7 @@ def _scalar_report(sig, route_max, route_min, max_depth=2, max_worlds=2):
 @pytest.mark.parametrize("sig", [SIG_P, SIG_PQ], ids=["p", "pq"])
 @pytest.mark.parametrize("routes", [
     (translate_max, translate_min, {}),
-    (translate_max, _unguarded_min, {"translate_min_fn": _unguarded_min}),
+    (translate_max, unguarded_min, {"translate_min_fn": unguarded_min}),
     (translate_min, translate_min, {"translate_max_fn": translate_min}),
 ], ids=["own", "unguarded-min", "min-as-max"])
 def test_grid_matches_the_scalar_reference(sig, routes):
@@ -366,22 +337,71 @@ def test_slab_memos_hold_no_top_depth_formula(monkeypatch):
     assert max(size for kind, size in sizes if kind == "core") <= len(lower) * 3 * 1
 
 
+@pytest.mark.parametrize("injected", [{}, {"translate_min_fn": unguarded_min}],
+                         ids=["own", "unguarded-min"])
+def test_every_memo_is_cut_back_after_each_top_depth_formula(monkeypatch, injected):
+    memos = {}  # every memo the grid passed, by id; keeping them keeps the ids unique
+    at_top = {}  # per slab (kept alive too), memo sizes at each top formula
+
+    def seen(memo):
+        memos[id(memo)] = memo
+
+    def wrap_deep(deep_truth):
+        def wrapper(self, f, w, memo):
+            seen(memo)
+            if f in top and w == min(self.designated):  # f's first call
+                at_top.setdefault(self, []).append(
+                    {key: len(m) for key, m in memos.items()})
+            return deep_truth(self, f, w, memo)
+        return wrapper
+
+    def wrap_core(core_truth):
+        def wrapper(self, c, binding, memo):
+            seen(memo)
+            return core_truth(self, c, binding, memo)
+        return wrapper
+
+    def wrap_translation(translation):
+        def wrapper(f, *, memo):
+            seen(memo)
+            return translation(f, memo=memo)
+        return wrapper
+
+    monkeypatch.setattr(ModelSlab, "deep_truth", wrap_deep(ModelSlab.deep_truth))
+    monkeypatch.setattr(ModelSlab, "core_truth", wrap_core(ModelSlab.core_truth))
+    for name in ("translate_max", "translate_min"):
+        monkeypatch.setattr(translate, name, wrap_translation(getattr(translate, name)))
+    top = set(enumerate_formulas(SIG_P, 3)) - set(enumerate_formulas(SIG_P, 2))
+    report = check_faithfulness(SIG_P, 3, 2, **injected)
+    assert report.ok == (not injected)
+    final = {key: len(m) for key, m in memos.items()}
+    assert len(at_top) == 4  # one entry per slab
+    for sizes in at_top.values():
+        first = sizes[0]
+        assert len(sizes) == len(top)
+        assert any(first.values())  # the lower formulas filled the memos
+        for later in [*sizes[1:], final]:
+            assert {key: later[key] for key in first} == first
+
+
 def test_grid_is_refused_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
     monkeypatch.setattr("modalkit.translate.enumerate_formulas", refuse)
     monkeypatch.setattr("modalkit.bitgrid.ModelSlab", refuse)
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
     for argv, message in [
         (["--max-worlds", "5", "--depth", "3"],
          "a slab of 5 worlds, 1 atoms and 33554432 frames needs 3840 MiB of masks, "
          "over the 128 MiB budget"),
-        (["--depth", "4", "--atoms", "2", "--jobs", "2"],
+        (["--depth", "4", "--atoms", "2"],
          "a grid of depth 4 over 2 atoms lists more than 1000000 formulas, the grid budget"),
         (["--depth", "1000000000"],
          "a grid of depth 1000000000 over 1 atoms lists more than 1000000 formulas, "
          "the grid budget"),
+        (["--depth", "2", "--max-worlds", "3", "--atoms", "5"],
+         "a grid of depth 2 over 5 atoms and up to 3 worlds checks 197970191680 "
+         "validity instances, over the 20000000000 work budget"),
     ]:
         assert main(["faithful", *argv]) == 3
         out, err = capsys.readouterr()
@@ -394,33 +414,3 @@ def test_formula_count_is_the_enumeration_length():
         for depth in range(4):
             count = translate._formula_count(len(atoms.atoms), depth)
             assert count == len(enumerate_formulas(atoms, depth))
-
-
-class _SerialPool:
-    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
-
-    sizes: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, fn, args):
-        return [fn(*a) for a in args]
-
-
-@pytest.mark.parametrize("cpus, want", [(64, [4]), (2, [2]), (None, [])])
-def test_pool_is_capped_by_slabs_and_cpus(monkeypatch, cpus, want):
-    # one atom, two worlds: four slabs; no real process is started
-    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    report = check_faithfulness(SIG_P, 2, 2, translate_max_fn=translate_min, jobs=10**9)
-    assert _SerialPool.sizes == want
-    assert report.render() == check_faithfulness(
-        SIG_P, 2, 2, translate_max_fn=translate_min).render()
