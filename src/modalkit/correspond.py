@@ -16,9 +16,9 @@ from .bitgrid import ModelSlab, frame_tiles
 from .hilbert import SCHEMAS, AxiomSchemaId
 from .kripke import FrameProperty, KripkeModel, valid_in_model
 from .reporting import CheckReport, Violation
-from .syntax import (Atom, Box, Formula, Implies, MetaVar, Not, Schema,
-                     Signature, atoms_of, desugar, metavars_of,
-                     sorted_signature, substitute_metavars)
+from .syntax import (Atom, Formula, MetaVar, Schema, Signature, atoms_of,
+                     desugar, map_leaves, metavars_of, sorted_signature,
+                     substitute_metavars)
 
 
 def _core_body(s: Schema) -> Formula:
@@ -28,20 +28,10 @@ def _core_body(s: Schema) -> Formula:
     body = desugar(s.body, sorted_signature(atoms_of(s.body)))
     fresh: dict = {}
 
-    def rename(f: Formula) -> Formula:
-        t = type(f)
-        if t is Atom or t is MetaVar:
-            key = (t, f.name)
-            if key not in fresh:
-                fresh[key] = MetaVar(f"m{len(fresh)}")
-            return fresh[key]
-        if t is Not:
-            return Not(rename(f.body))
-        if t is Box:
-            return Box(rename(f.body))
-        return Implies(rename(f.left), rename(f.right))
+    def rename(leaf: Formula) -> Formula:
+        return fresh.setdefault((type(leaf), leaf.name), MetaVar(f"m{len(fresh)}"))
 
-    return rename(body)
+    return map_leaves(body, rename)
 
 
 def schema_valid_on_frame(worlds: set, rel: set, s: Schema) -> bool:

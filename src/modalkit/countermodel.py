@@ -75,13 +75,8 @@ def find_countermodel(f: Formula, props: set[FrameProperty], max_worlds: int,
         if frames is not None and not frames:
             continue
         slab = ModelSlab(n, atoms, frames=frames)
-        # falsified somewhere: complement of "true at every world"; all
-        # worlds must contribute before taking the least index, since a
-        # later world may falsify a canonically earlier model
-        memo: dict = {}
-        failing = 0
-        for w in range(n):
-            failing |= slab.full ^ slab.deep_truth(goal, w, memo)
+        # falsified somewhere: the complement of "true at every world"
+        failing = slab.full ^ slab.validity_mask(goal)
         if not failing:
             continue
         index = ModelSlab.first_index(failing)

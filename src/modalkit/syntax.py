@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 RESERVED_WORDS = frozenset({"box", "dia", "not", "true", "false"})
 
@@ -64,9 +64,6 @@ class Signature:
     def __contains__(self, name: str) -> bool:
         return name in self.atoms
 
-    def index(self, name: str) -> int:
-        return self.atoms.index(name)
-
 
 def sorted_signature(names: Iterable[str]) -> Signature:
     """Signature of the given atom names in sorted order; a single atom p
@@ -74,9 +71,10 @@ def sorted_signature(names: Iterable[str]) -> Signature:
     return Signature(tuple(sorted(names)) or ("p",))
 
 
-class Formula:
-    """Base class for formula nodes.  Instances are immutable; equality and
-    hashing are structural, with the hash precomputed at construction."""
+class Node:
+    """Base class for immutable syntax nodes: the formulas here and the
+    translated forms of translate.  Equality and hashing are structural,
+    with the hash precomputed at construction; each class gives its _key."""
 
     __slots__ = ("_hash",)
 
@@ -93,163 +91,144 @@ class Formula:
     def __ne__(self, other):
         return not self.__eq__(other)
 
+
+class Formula(Node):
+    """Base class for formula nodes.  A connective declares only its tag,
+    which seeds its hash and heads its s-expression; the base of its arity
+    builds, compares and represents it."""
+
+    __slots__ = ()
+    tag: str
+
+    # Node.__hash__ again: CPython specialises attribute reads per function,
+    # and the grid hashes formulas and forms in turn (one shared: 5% slower)
+    def __hash__(self):
+        return self._hash
+
     def __str__(self):
         return pretty(self)
 
 
-class Atom(Formula):
+class _Leaf(Formula):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
-        self._hash = hash(("atom", name))
+        self._hash = hash((self.tag, name))
 
     def _key(self):
         return self.name
 
     def __repr__(self):
-        return f"Atom({self.name!r})"
+        return f"{type(self).__name__}({self.name!r})"
 
 
-class Not(Formula):
-    __slots__ = ("body",)
-
-    def __init__(self, body: Formula):
-        self.body = body
-        self._hash = hash(("not", body._hash))
-
-    def _key(self):
-        return self.body
-
-    def __repr__(self):
-        return f"Not({self.body!r})"
-
-
-class Implies(Formula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        self.left = left
-        self.right = right
-        self._hash = hash(("implies", left._hash, right._hash))
-
-    def _key(self):
-        return (self.left, self.right)
-
-    def __repr__(self):
-        return f"Implies({self.left!r}, {self.right!r})"
-
-
-class Box(Formula):
-    __slots__ = ("body",)
-
-    def __init__(self, body: Formula):
-        self.body = body
-        self._hash = hash(("box", body._hash))
-
-    def _key(self):
-        return self.body
-
-    def __repr__(self):
-        return f"Box({self.body!r})"
-
-
-class Or(Formula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        self.left = left
-        self.right = right
-        self._hash = hash(("or", left._hash, right._hash))
-
-    def _key(self):
-        return (self.left, self.right)
-
-    def __repr__(self):
-        return f"Or({self.left!r}, {self.right!r})"
-
-
-class And(Formula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        self.left = left
-        self.right = right
-        self._hash = hash(("and", left._hash, right._hash))
-
-    def _key(self):
-        return (self.left, self.right)
-
-    def __repr__(self):
-        return f"And({self.left!r}, {self.right!r})"
-
-
-class Dia(Formula):
-    __slots__ = ("body",)
-
-    def __init__(self, body: Formula):
-        self.body = body
-        self._hash = hash(("dia", body._hash))
-
-    def _key(self):
-        return self.body
-
-    def __repr__(self):
-        return f"Dia({self.body!r})"
-
-
-class Top(Formula):
+class _Constant(Formula):
     __slots__ = ()
 
     def __init__(self):
-        self._hash = hash(("top",))
+        self._hash = hash((self.tag,))
 
     def _key(self):
         return ()
 
     def __repr__(self):
-        return "Top()"
+        return f"{type(self).__name__}()"
 
 
-class Bot(Formula):
-    __slots__ = ()
+class _Unary(Formula):
+    __slots__ = ("body",)
 
-    def __init__(self):
-        self._hash = hash(("bot",))
+    def __init__(self, body: Formula):
+        self.body = body
+        self._hash = hash((self.tag, body._hash))
 
     def _key(self):
-        return ()
+        return self.body
 
     def __repr__(self):
-        return "Bot()"
+        return f"{type(self).__name__}({self.body!r})"
 
 
-class MetaVar(Formula):
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        self.left = left
+        self.right = right
+        self._hash = hash((self.tag, left._hash, right._hash))
+
+    def _key(self):
+        return (self.left, self.right)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
+
+
+class Atom(_Leaf):
+    __slots__ = ()
+    tag = "atom"
+
+
+class MetaVar(_Leaf):
     """Schema placeholder leaf; never appears in a plain formula."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
+    tag = "metavar"
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("metavar", name))
 
-    def _key(self):
-        return self.name
+class Top(_Constant):
+    __slots__ = ()
+    tag = "top"
 
-    def __repr__(self):
-        return f"MetaVar({self.name!r})"
+
+class Bot(_Constant):
+    __slots__ = ()
+    tag = "bot"
+
+
+class Not(_Unary):
+    __slots__ = ()
+    tag = "not"
+
+
+class Box(_Unary):
+    __slots__ = ()
+    tag = "box"
+
+
+class Dia(_Unary):
+    __slots__ = ()
+    tag = "dia"
+
+
+class Implies(_Binary):
+    __slots__ = ()
+    tag = "implies"
+
+
+class Or(_Binary):
+    __slots__ = ()
+    tag = "or"
+
+
+class And(_Binary):
+    __slots__ = ()
+    tag = "and"
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    """The operands of f, left to right; a leaf or constant has none."""
+    if isinstance(f, _Binary):
+        return (f.left, f.right)
+    if isinstance(f, _Unary):
+        return (f.body,)
+    return ()
 
 
 def is_core(f: Formula) -> bool:
     """True when f uses only atoms, negation, implication and box."""
-    t = type(f)
-    if t is Atom:
-        return True
-    if t is Not or t is Box:
-        return is_core(f.body)
-    if t is Implies:
-        return is_core(f.left) and is_core(f.right)
-    return False
+    return type(f) in (Atom, Not, Implies, Box) and all(map(is_core, _children(f)))
 
 
 def desugar(f: Formula, sig: Signature) -> Formula:
@@ -288,60 +267,40 @@ def desugar(f: Formula, sig: Signature) -> Formula:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def atoms_of(f: Formula) -> frozenset[str]:
-    """Atom names occurring in f (sugar constants contribute none)."""
-    out: set[str] = set()
+def _leaf_names(f: Formula, kind: type) -> dict[str, None]:
+    """Names of f's leaves of the given kind, in order of first occurrence."""
+    out: dict[str, None] = {}
     stack = [f]
     while stack:
         g = stack.pop()
-        t = type(g)
-        if t is Atom:
-            out.add(g.name)
-        elif t in (Not, Box, Dia):
-            stack.append(g.body)
-        elif t in (Implies, Or, And):
-            stack.append(g.left)
+        if type(g) is kind:
+            out[g.name] = None
+        elif isinstance(g, _Binary):
             stack.append(g.right)
-    return frozenset(out)
+            stack.append(g.left)
+        elif isinstance(g, _Unary):
+            stack.append(g.body)
+    return out
+
+
+def atoms_of(f: Formula) -> frozenset[str]:
+    """Atom names occurring in f (sugar constants contribute none)."""
+    return frozenset(_leaf_names(f, Atom))
 
 
 def metavars_of(f: Formula) -> tuple[str, ...]:
     """Metavariable names in order of first occurrence."""
-    out: list[str] = []
-
-    def walk(g: Formula):
-        t = type(g)
-        if t is MetaVar:
-            if g.name not in out:
-                out.append(g.name)
-        elif t in (Not, Box, Dia):
-            walk(g.body)
-        elif t in (Implies, Or, And):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
-    return tuple(out)
+    return tuple(_leaf_names(f, MetaVar))
 
 
 def depth(f: Formula) -> int:
     """AST depth; atoms and other leaves sit at depth 0."""
-    t = type(f)
-    if t in (Atom, MetaVar, Top, Bot):
-        return 0
-    if t in (Not, Box, Dia):
-        return 1 + depth(f.body)
-    return 1 + max(depth(f.left), depth(f.right))
+    return 1 + max(map(depth, _children(f)), default=-1)
 
 
 def size(f: Formula) -> int:
     """Number of AST nodes."""
-    t = type(f)
-    if t in (Atom, MetaVar, Top, Bot):
-        return 1
-    if t in (Not, Box, Dia):
-        return 1 + size(f.body)
-    return 1 + size(f.left) + size(f.right)
+    return 1 + sum(map(size, _children(f)))
 
 
 @dataclass(frozen=True)
@@ -358,32 +317,27 @@ class Schema:
         return pretty(self.body)
 
 
+def map_leaves(f: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
+    """f with each leaf g replaced by leaf(g), leaves visited left to right."""
+    if isinstance(f, _Unary):
+        return type(f)(map_leaves(f.body, leaf))
+    if isinstance(f, _Binary):
+        return type(f)(map_leaves(f.left, leaf), map_leaves(f.right, leaf))
+    return leaf(f)
+
+
 def substitute_metavars(f: Formula, subst: Mapping[str, Formula]) -> Formula:
     """Replace every metavariable leaf using subst; missing names raise SchemaError."""
-    t = type(f)
-    if t is MetaVar:
+
+    def leaf(g: Formula) -> Formula:
+        if type(g) is not MetaVar:
+            return g
         try:
-            return subst[f.name]
+            return subst[g.name]
         except KeyError:
-            raise SchemaError(f"no binding for metavariable ?{f.name}") from None
-    if t is Atom or t is Top or t is Bot:
-        return f
-    if t is Not:
-        return Not(substitute_metavars(f.body, subst))
-    if t is Box:
-        return Box(substitute_metavars(f.body, subst))
-    if t is Dia:
-        return Dia(substitute_metavars(f.body, subst))
-    if t is Implies:
-        return Implies(substitute_metavars(f.left, subst),
-                       substitute_metavars(f.right, subst))
-    if t is Or:
-        return Or(substitute_metavars(f.left, subst),
-                  substitute_metavars(f.right, subst))
-    if t is And:
-        return And(substitute_metavars(f.left, subst),
-                   substitute_metavars(f.right, subst))
-    raise TypeError(f"not a formula node: {f!r}")
+            raise SchemaError(f"no binding for metavariable ?{g.name}") from None
+
+    return map_leaves(f, leaf)
 
 
 def instantiate(s: Schema, subst: Mapping[str, Formula]) -> Formula:
@@ -628,29 +582,12 @@ def pretty(f: Formula) -> str:
 
 
 def to_sexpr(f: Formula) -> str:
-    """Canonical s-expression rendering, used for golden tests."""
-    t = type(f)
-    if t is Atom:
-        return f"(atom {f.name})"
-    if t is MetaVar:
-        return f"(metavar {f.name})"
-    if t is Top:
-        return "(top)"
-    if t is Bot:
-        return "(bot)"
-    if t is Not:
-        return f"(not {to_sexpr(f.body)})"
-    if t is Box:
-        return f"(box {to_sexpr(f.body)})"
-    if t is Dia:
-        return f"(dia {to_sexpr(f.body)})"
-    if t is Implies:
-        return f"(implies {to_sexpr(f.left)} {to_sexpr(f.right)})"
-    if t is And:
-        return f"(and {to_sexpr(f.left)} {to_sexpr(f.right)})"
-    if t is Or:
-        return f"(or {to_sexpr(f.left)} {to_sexpr(f.right)})"
-    raise TypeError(f"not a formula node: {f!r}")
+    """Canonical s-expression rendering, used for golden tests: the node's
+    tag, a leaf's name, then its operands."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula node: {f!r}")
+    name = (f.name,) if isinstance(f, _Leaf) else ()
+    return "(" + " ".join((f.tag, *name, *map(to_sexpr, _children(f)))) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -24,26 +24,20 @@ from .errors import ResourceLimitExceeded
 from .kripke import KripkeModel
 from .reporting import CheckReport, Violation
 from .syntax import (
-    Atom, Box, Formula, Implies, Not, Signature, enumerate_formulas,
+    Atom, Box, Formula, Implies, Node, Not, Signature, enumerate_formulas,
     pretty,
 )
 
 
-class CoreForm:
-    """Base class for translated forms; immutable, hashable, with the free
-    world variables precomputed."""
+class CoreForm(Node):
+    """Base class for translated forms, with the free world variables
+    precomputed.  A form's repr lists the fields its class declares."""
 
-    __slots__ = ("_hash", "free_sorted")
+    __slots__ = ("free_sorted",)
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other) or self._hash != other._hash:
-            return False
-        return self._key() == other._key()
+    def __repr__(self):
+        args = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
     def __str__(self):
         return print_core(self)
@@ -62,9 +56,6 @@ class PredW(CoreForm):
     def _key(self):
         return self.var
 
-    def __repr__(self):
-        return f"PredW({self.var!r})"
-
 
 class PredR(CoreForm):
     """Accessibility between two world variables."""
@@ -79,9 +70,6 @@ class PredR(CoreForm):
 
     def _key(self):
         return (self.src, self.dst)
-
-    def __repr__(self):
-        return f"PredR({self.src!r}, {self.dst!r})"
 
 
 class PredV(CoreForm):
@@ -98,9 +86,6 @@ class PredV(CoreForm):
     def _key(self):
         return (self.atom, self.var)
 
-    def __repr__(self):
-        return f"PredV({self.atom!r}, {self.var!r})"
-
 
 class CNot(CoreForm):
     __slots__ = ("body",)
@@ -112,9 +97,6 @@ class CNot(CoreForm):
 
     def _key(self):
         return self.body
-
-    def __repr__(self):
-        return f"CNot({self.body!r})"
 
 
 class CImp(CoreForm):
@@ -132,9 +114,6 @@ class CImp(CoreForm):
     def _key(self):
         return (self.left, self.right)
 
-    def __repr__(self):
-        return f"CImp({self.left!r}, {self.right!r})"
-
 
 class ForallWorld(CoreForm):
     __slots__ = ("var", "body")
@@ -147,9 +126,6 @@ class ForallWorld(CoreForm):
 
     def _key(self):
         return (self.var, self.body)
-
-    def __repr__(self):
-        return f"ForallWorld({self.var!r}, {self.body!r})"
 
 
 FREE_WORLD_VAR = "w"
@@ -317,6 +293,7 @@ Translation = Callable[[Formula], CoreForm]
 
 MAX_GRID_FORMULAS = 10**6
 MAX_GRID_INSTANCES = 2 * 10**10
+MAX_GRID_STEPS = 10**6
 
 
 def _formula_count(n_atoms: int, max_depth: int) -> int:
@@ -401,8 +378,9 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
     functions can be injected, which is how the mutation tests drive the
     grid.
 
-    A grid over the slab budget, MAX_GRID_FORMULAS or MAX_GRID_INSTANCES
-    raises ResourceLimitExceeded before any formula or slab exists.
+    A grid over the slab budget, MAX_GRID_FORMULAS, MAX_GRID_INSTANCES or
+    MAX_GRID_STEPS raises ResourceLimitExceeded before any formula or slab
+    exists.
     """
     from .bitgrid import ModelSlab, _check_slab_budget
 
@@ -425,6 +403,13 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
             f"a grid of depth {max_depth} over {k} atoms and up to {max_worlds} "
             f"worlds checks {instances} validity instances, over the "
             f"{MAX_GRID_INSTANCES} work budget")
+    # a step checks one formula on one slab, one of those designated sets
+    steps = n_formulas * sum((1 << n) - 1 for n in range(1, max_worlds + 1))
+    if steps > MAX_GRID_STEPS:
+        raise ResourceLimitExceeded(
+            f"a grid of depth {max_depth} over {k} atoms and up to {max_worlds} "
+            f"worlds takes {steps} formula-slab steps, over the "
+            f"{MAX_GRID_STEPS} step budget")
 
     formulas = enumerate_formulas(sig, max_depth)
     # the enumeration is ordered by depth, so the formulas below max_depth

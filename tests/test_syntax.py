@@ -192,3 +192,32 @@ def test_formula_equality_and_hash_are_structural():
     b = parse("box p -> p", SIG_P)
     assert a == b and hash(a) == hash(b)
     assert a != parse("box p -> q", SIG_PQ)
+
+
+def test_one_node_of_each_connective_golden():
+    # (build, repr, s-expression, pretty); each tree is built twice
+    golden = [
+        (lambda: Atom("p"), "Atom('p')", "(atom p)", "p"),
+        (lambda: MetaVar("a"), "MetaVar('a')", "(metavar a)", "?a"),
+        (lambda: Top(), "Top()", "(top)", "true"),
+        (lambda: Bot(), "Bot()", "(bot)", "false"),
+        (lambda: Not(Atom("p")), "Not(Atom('p'))", "(not (atom p))", "~p"),
+        (lambda: Box(Atom("p")), "Box(Atom('p'))", "(box (atom p))", "box p"),
+        (lambda: Dia(Atom("q")), "Dia(Atom('q'))", "(dia (atom q))", "dia q"),
+        (lambda: Implies(Atom("p"), Atom("q")), "Implies(Atom('p'), Atom('q'))",
+         "(implies (atom p) (atom q))", "p -> q"),
+        (lambda: Or(Atom("p"), Not(Atom("q"))), "Or(Atom('p'), Not(Atom('q')))",
+         "(or (atom p) (not (atom q)))", "p | ~q"),
+        (lambda: And(Box(Atom("p")), MetaVar("a")), "And(Box(Atom('p')), MetaVar('a'))",
+         "(and (box (atom p)) (metavar a))", "box p & ?a"),
+    ]
+    for build, rep, sexpr, text in golden:
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert repr(a) == rep
+        assert to_sexpr(a) == sexpr
+        assert pretty(a) == str(a) == text
+    # connectives of one arity differ by their tag alone
+    assert Not(Atom("p")) != Box(Atom("p")) != Dia(Atom("p"))
+    assert Top() != Bot() and Atom("p") != MetaVar("p")
+    assert Implies(Atom("p"), Atom("q")) != Or(Atom("p"), Atom("q"))

@@ -402,6 +402,12 @@ def test_grid_is_refused_before_any_work(monkeypatch, capsys):
         (["--depth", "2", "--max-worlds", "3", "--atoms", "5"],
          "a grid of depth 2 over 5 atoms and up to 3 worlds checks 197970191680 "
          "validity instances, over the 20000000000 work budget"),
+        (["--depth", "4", "--max-worlds", "2"],
+         "a grid of depth 4 over 1 atoms and up to 2 worlds takes 1833316 "
+         "formula-slab steps, over the 1000000 step budget"),
+        (["--depth", "4", "--max-worlds", "3"],
+         "a grid of depth 4 over 1 atoms and up to 3 worlds takes 5041619 "
+         "formula-slab steps, over the 1000000 step budget"),
     ]:
         assert main(["faithful", *argv]) == 3
         out, err = capsys.readouterr()
@@ -414,3 +420,25 @@ def test_formula_count_is_the_enumeration_length():
         for depth in range(4):
             count = translate._formula_count(len(atoms.atoms), depth)
             assert count == len(enumerate_formulas(atoms, depth))
+
+
+def test_one_form_of_each_class_golden():
+    # (build, repr, print_core); each form is built twice
+    golden = [
+        (lambda: PredW("v0"), "PredW('v0')", "W(v0)"),
+        (lambda: PredR("w", "v0"), "PredR('w', 'v0')", "R(w,v0)"),
+        (lambda: PredV("p", "v0"), "PredV('p', 'v0')", "V(p,v0)"),
+        (lambda: CNot(PredV("p", "w")), "CNot(PredV('p', 'w'))", "~V(p,w)"),
+        (lambda: CImp(PredW("v0"), PredV("q", "v0")),
+         "CImp(PredW('v0'), PredV('q', 'v0'))", "W(v0) -> V(q,v0)"),
+        (lambda: ForallWorld("v0", CImp(PredR("w", "v0"), PredV("p", "v0"))),
+         "ForallWorld('v0', CImp(PredR('w', 'v0'), PredV('p', 'v0')))",
+         "∀v0. R(w,v0) -> V(p,v0)"),
+    ]
+    for build, rep, text in golden:
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert repr(a) == rep
+        assert print_core(a) == str(a) == text
+    assert PredR("w", "v0") != PredR("v0", "w")
+    assert PredV("p", "w") != PredV("q", "w")
