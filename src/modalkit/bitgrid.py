@@ -417,10 +417,9 @@ class ModelSlab:
         memo[key] = out
         return out
 
-    def validity_mask(self, f: Formula, memo: dict | None = None) -> int:
+    def validity_mask(self, f: Formula) -> int:
         """Models where f holds at every designated world."""
-        if memo is None:
-            memo = {}
+        memo: dict = {}
         out = self.full
         for w in self._dsorted:
             out = _meet(self.full, out, self._deep(f, w, memo, None))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .countermodel import find_countermodel
 from .decide import (Invalid, ResourceLimitExceeded, TableauResult, Valid,
-                     decide, frame_properties)
+                     decide)
 from .hilbert import ALL_LOGICS, Logic
 from .syntax import Formula, Signature, atoms_of, parse, pretty, sorted_signature
 
@@ -67,7 +67,7 @@ def _verdict(f: Formula, logic: Logic, sig: Signature) -> TableauResult | None:
         # normalize the evidence to the canonically first small model; over
         # the slab budget the tableau's certified countermodel stands
         try:
-            small = find_countermodel(f, set(frame_properties(logic)), 4, sig)
+            small = find_countermodel(f, set(logic.frame_properties), 4, sig)
         except ResourceLimitExceeded:
             small = None
         if small is not None:

@@ -12,15 +12,14 @@ import argparse
 import sys
 
 from .classify import classify, classify_corpus, render_table
-from .correspond import CounterFrame, correspondence_check, loeb_suite
+from .correspond import correspondence_check, loeb_suite
 from .countermodel import export_dot, find_countermodel
-from .decide import Invalid, ResourceLimitExceeded, Valid, decide
+from .decide import ResourceLimitExceeded, Valid, decide
 from .hilbert import (AxiomSchemaId, Logic, SCHEMAS, check_proof,
                       parse_proof_script)
 from .kripke import FrameProperty, eval_deep, load_model, dump_model
-from .syntax import (FormulaSyntaxError, Schema, Signature, UnknownAtomError,
-                     atoms_of, infer_signature, parse, parse_schema, pretty,
-                     to_sexpr)
+from .syntax import (FormulaSyntaxError, Signature, UnknownAtomError,
+                     infer_signature, parse, parse_schema, pretty, to_sexpr)
 from .translate import check_faithfulness
 
 _ATOM_POOL = ("p", "q", "r", "s", "t", "u", "v", "w")

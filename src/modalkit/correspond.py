@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .bitgrid import ModelSlab, frame_tiles
-from .hilbert import SCHEMAS, AxiomSchemaId
+from .hilbert import FRAME_CONDITIONS, SCHEMAS, AxiomSchemaId
 from .kripke import FrameProperty, KripkeModel, valid_in_model
 from .reporting import CheckReport, Violation
 from .syntax import (Atom, Formula, MetaVar, Schema, Signature, atoms_of,
@@ -118,17 +118,10 @@ def correspondence_check(s: Schema, p: FrameProperty,
     return Holds(checked)
 
 
-SAHLQVIST_PAIRS: tuple[tuple[AxiomSchemaId, FrameProperty], ...] = (
-    (AxiomSchemaId.T, FrameProperty.REFLEXIVE),
-    (AxiomSchemaId.B, FrameProperty.SYMMETRIC),
-    (AxiomSchemaId.FOUR, FrameProperty.TRANSITIVE),
-)
-
-
 def sahlqvist_suite(max_worlds: int) -> list[tuple[str, Holds | CounterFrame]]:
     """The three schema/property equivalences, checked exhaustively."""
     out = []
-    for schema_id, prop in SAHLQVIST_PAIRS:
+    for schema_id, prop in FRAME_CONDITIONS.items():
         result = correspondence_check(SCHEMAS[schema_id], prop, max_worlds)
         out.append((f"{schema_id.value}<->{prop.value}", result))
     return out

@@ -11,10 +11,11 @@ open saturated branch is read off into a concrete model: each blocked label
 gets an edge to every successor of its blocker, added through add_edge so
 the relation stays closed.  The model is re-checked with the reference
 evaluator before being trusted; the re-check is mandatory and a branch that
-fails it is simply abandoned.  When the tableau hits its label or rule
-budget without a definitive answer, a bounded exhaustive search takes over,
-and if that also comes up empty the caller gets an explicit resource error
-rather than a guess.
+fails it is simply abandoned.  A clash closes a branch even where a label
+or rule budget cut it short, so f is valid whenever no branch was
+abandoned.  Only when an open branch could not be certified does a bounded
+exhaustive search take over, and if that also comes up empty the caller
+gets an explicit resource error rather than a guess.
 """
 
 from __future__ import annotations
@@ -22,20 +23,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .correspond import SAHLQVIST_PAIRS
 from .countermodel import find_countermodel
 from .errors import ResourceLimitExceeded
-from .hilbert import AxiomSchemaId, Logic
+from .hilbert import Logic
 from .kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from .syntax import (Atom, Box, Formula, Implies, Not, Signature, atoms_of,
                      desugar, sorted_signature)
-
-# each axiom of the cube adds the frame property it corresponds to
-LOGIC_FRAME_PROPERTIES: dict[AxiomSchemaId, FrameProperty] = dict(SAHLQVIST_PAIRS)
-
-
-def frame_properties(logic: Logic) -> frozenset[FrameProperty]:
-    return frozenset(LOGIC_FRAME_PROPERTIES[s] for s in logic.schemata)
 
 
 @dataclass
@@ -89,8 +82,9 @@ class _Branch:
         # saturation because later arrivals can break the blocking subset,
         # and read off as loop edges if still blocked there
         self.pending: list[tuple[int, Formula]] = []
-        # set when a rule could not be applied (label or rule budget), so
-        # an open outcome is unreliable and a closed outcome unreachable
+        # set when a rule could not be applied (label or rule budget): run
+        # stops once the queue drains, or at once past the rule budget, and
+        # an open outcome is unreliable; a clash met first still closes it
         self.incomplete = False
 
     def copy(self) -> "_Branch":
@@ -113,7 +107,6 @@ class _Tableau:
         self.transitive = FrameProperty.TRANSITIVE in props
         self.max_labels = max_labels
         self.trace = trace
-        self.any_incomplete = False
 
     # -- frame construction --------------------------------------------------
 
@@ -121,7 +114,6 @@ class _Tableau:
         w = len(b.parent)
         if w >= self.max_labels:
             b.incomplete = True
-            self.any_incomplete = True
             return None
         b.signs.append({})
         b.succs.append([])
@@ -224,7 +216,6 @@ class _Tableau:
         while b.todo:
             if self.trace.rule_applications >= _MAX_RULES:
                 b.incomplete = True
-                self.any_incomplete = True
                 return b
             self.trace.rule_applications += 1
             w, sign, f = b.todo.popleft()
@@ -302,7 +293,7 @@ def decide(f: Formula, logic: Logic, *, sig: Signature | None = None,
     if sig is None:
         sig = sorted_signature(atoms_of(f))
     goal = desugar(f, sig)
-    props = frame_properties(logic)
+    props = logic.frame_properties
     trace = TableauTrace()
     tab = _Tableau(props, max_labels, trace)
 
@@ -323,12 +314,11 @@ def decide(f: Formula, logic: Logic, *, sig: Signature | None = None,
             return Invalid(model, world, trace)
         # extraction did not survive the mandatory re-check; keep searching
         trace.abandoned += 1
-        tab.any_incomplete = True
 
-    if not tab.any_incomplete:
+    if not trace.abandoned:
         return Valid(trace)
 
-    # the tableau was cut short somewhere: fall back to bounded search
+    # an open branch could not be certified: fall back to bounded search
     trace.fallback = True
     found = find_countermodel(f, set(props), _FALLBACK_WORLDS, sig)
     if found is not None:
@@ -352,9 +342,8 @@ def cross_check(f: Formula, logic: Logic, max_worlds: int) -> CrossCheckReport:
     """Run the tableau and the bounded finder on the same question and
     confirm they never both answer positively."""
     sig = sorted_signature(atoms_of(f))
-    props = frame_properties(logic)
     try:
-        found = find_countermodel(f, set(props), max_worlds, sig)
+        found = find_countermodel(f, set(logic.frame_properties), max_worlds, sig)
     except ResourceLimitExceeded as e:
         found, found_any, note = None, None, f"finder: {e}"
     else:

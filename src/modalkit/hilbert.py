@@ -18,6 +18,7 @@ from enum import Enum
 from importlib import resources
 from typing import Mapping
 
+from .kripke import FrameProperty
 from .syntax import (
     RESERVED_WORDS, Box, Dia, Formula, Implies, MetaVar, Not, Schema,
     Signature, atoms_of, desugar, instantiate, metavars_of, parse,
@@ -61,6 +62,14 @@ SCHEMAS: dict[AxiomSchemaId, Schema] = {
 _BASE_SCHEMAS = frozenset({AxiomSchemaId.H1, AxiomSchemaId.H2,
                            AxiomSchemaId.H3, AxiomSchemaId.KDIST})
 
+# the axioms a logic may add to K, each with the frame property it
+# corresponds to; a logic's frame class is read off this one table
+FRAME_CONDITIONS: dict[AxiomSchemaId, FrameProperty] = {
+    AxiomSchemaId.T: FrameProperty.REFLEXIVE,
+    AxiomSchemaId.B: FrameProperty.SYMMETRIC,
+    AxiomSchemaId.FOUR: FrameProperty.TRANSITIVE,
+}
+
 
 @dataclass(frozen=True)
 class Logic:
@@ -69,13 +78,17 @@ class Logic:
     schemata: frozenset[AxiomSchemaId]
 
     def __post_init__(self):
-        extra = self.schemata - {AxiomSchemaId.T, AxiomSchemaId.B, AxiomSchemaId.FOUR}
+        extra = self.schemata - FRAME_CONDITIONS.keys()
         if extra:
             raise ValueError(f"a logic may only add T, B and 4; got {sorted(x.value for x in extra)}")
 
     @property
     def name(self) -> str:
         return _LOGIC_NAMES[self.schemata]
+
+    @property
+    def frame_properties(self) -> frozenset[FrameProperty]:
+        return frozenset(FRAME_CONDITIONS[s] for s in self.schemata)
 
     def admits(self, schema: AxiomSchemaId) -> bool:
         return schema in _BASE_SCHEMAS or schema in self.schemata
@@ -127,9 +140,6 @@ class MpStep:
 @dataclass
 class NecStep:
     premise: int
-
-
-ProofStep = AxStep | MpStep | NecStep
 
 
 @dataclass

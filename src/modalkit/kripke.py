@@ -7,7 +7,7 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .syntax import (
-    Atom, Bot, Box, Dia, Formula, Implies, Not, Signature, desugar,
+    Atom, Box, Formula, Implies, Not, Signature, desugar,
 )
 
 

@@ -13,7 +13,6 @@ from modalkit import bitgrid
 from modalkit.bitgrid import MAX_PATTERN_BYTES, ModelSlab, admitted_frames, frame_tiles
 from modalkit.correspond import _core_body
 from modalkit.countermodel import enumerate_models, find_countermodel
-from modalkit.decide import frame_properties
 from modalkit.errors import ResourceLimitExceeded
 from modalkit.hilbert import ALL_LOGICS, SCHEMAS
 from modalkit.kripke import (
@@ -490,7 +489,7 @@ _FOUR_WORLD_FRAMES = {"K": 65_536, "KT": 4_096, "KB": 1_024, "K4": 3_994,
 
 @pytest.mark.parametrize("logic", ALL_LOGICS, ids=lambda l: l.name)
 def test_admitted_frame_counts_match_the_closed_forms(logic):
-    slab = ModelSlab(4, (), frames=admitted_frames(4, frame_properties(logic)))
+    slab = ModelSlab(4, (), frames=admitted_frames(4, logic.frame_properties))
     assert slab.count == _FOUR_WORLD_FRAMES[logic.name]
 
 

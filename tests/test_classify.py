@@ -20,7 +20,6 @@ from modalkit.classify import (
 from modalkit.decide import Invalid, Valid
 from modalkit.hilbert import ALL_LOGICS, Logic
 from modalkit.kripke import eval_deep, has_property
-from modalkit.decide import frame_properties
 from modalkit.syntax import Signature, parse, pretty
 
 _EXPECTED_MINIMAL = {
@@ -98,7 +97,7 @@ def test_invalid_evidence_is_a_real_countermodel(table):
             if isinstance(v, Invalid):
                 assert v.model.n_worlds <= 4, (name, logic.name)
                 assert eval_deep(v.model, v.world, res.formula) is False
-                for prop in frame_properties(logic):
+                for prop in logic.frame_properties:
                     assert has_property(v.model, prop)
 
 

@@ -6,6 +6,7 @@ Exit code conventions under test: 0 success/affirmative, 1 negative result
 
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -155,6 +156,19 @@ def test_prove_valid(capsys):
     code, out, _ = run(capsys, "prove", "dia box p -> box dia p", "--logic", "KB")
     assert code == 0
     assert out.strip() == "valid in KB"
+
+
+def test_prove_valid_when_every_branch_closes_past_the_label_budget(capsys):
+    # 66 true diamonds each want a label, over the default budget of 64,
+    # yet q & ~q closes the branch; the bounded search would need a slab of
+    # 7 atoms, far over its memory budget
+    atoms = "pqrstuv"
+    text = "q & ~q"
+    for signs in reversed(list(itertools.islice(itertools.product((0, 1), repeat=7), 66))):
+        literals = " & ".join(a if s else f"~{a}" for a, s in zip(atoms, signs))
+        text = f"dia ({literals}) & ({text})"
+    code, out, err = run(capsys, "prove", f"~({text})")
+    assert (code, out, err) == (0, "valid in K\n", "")
 
 
 def test_prove_invalid_prints_the_model(capsys):

@@ -10,7 +10,6 @@ import pytest
 from modalkit import bitgrid
 from modalkit.bitgrid import ModelSlab
 from modalkit.correspond import (
-    SAHLQVIST_PAIRS,
     CounterFrame,
     Holds,
     correspondence_check,

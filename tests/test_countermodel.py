@@ -9,7 +9,6 @@ from modalkit.countermodel import (
     find_countermodel,
     search_atoms,
 )
-from modalkit.decide import frame_properties
 from modalkit.hilbert import ALL_LOGICS
 from modalkit.kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from modalkit.syntax import Signature, parse
@@ -129,7 +128,7 @@ _ONE_ATOM_PROBES = ("box p -> p", "p -> box dia p", "box p -> box box p",
 
 _PROPERTY_SETS = (
     [pytest.param({p}, id=p.value) for p in FrameProperty]
-    + [pytest.param(set(frame_properties(logic)), id=logic.name) for logic in ALL_LOGICS]
+    + [pytest.param(set(logic.frame_properties), id=logic.name) for logic in ALL_LOGICS]
 )
 
 

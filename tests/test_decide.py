@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from modalkit.countermodel import find_countermodel
 from modalkit.decide import (
-    LOGIC_FRAME_PROPERTIES,
     CrossCheckReport,
     Invalid,
     ResourceLimitExceeded,
@@ -25,9 +24,8 @@ from modalkit.decide import (
     _Tableau,
     cross_check,
     decide,
-    frame_properties,
 )
-from modalkit.hilbert import ALL_LOGICS, AxiomSchemaId, Logic
+from modalkit.hilbert import ALL_LOGICS, FRAME_CONDITIONS, AxiomSchemaId, Logic
 from modalkit.kripke import FrameProperty, eval_deep, has_property
 from modalkit.syntax import Signature, parse
 
@@ -44,13 +42,13 @@ def _f(text, sig=SIG_P):
 
 
 def test_logic_to_frame_class():
-    assert frame_properties(K) == frozenset()
-    assert frame_properties(KT) == frozenset({FrameProperty.REFLEXIVE})
-    assert frame_properties(KB) == frozenset({FrameProperty.SYMMETRIC})
-    assert frame_properties(Logic.from_name("S5")) == frozenset(
+    assert K.frame_properties == frozenset()
+    assert KT.frame_properties == frozenset({FrameProperty.REFLEXIVE})
+    assert KB.frame_properties == frozenset({FrameProperty.SYMMETRIC})
+    assert Logic.from_name("S5").frame_properties == frozenset(
         {FrameProperty.REFLEXIVE, FrameProperty.SYMMETRIC, FrameProperty.TRANSITIVE}
     )
-    assert LOGIC_FRAME_PROPERTIES[AxiomSchemaId.FOUR] is FrameProperty.TRANSITIVE
+    assert FRAME_CONDITIONS[AxiomSchemaId.FOUR] is FrameProperty.TRANSITIVE
 
 
 def test_tautology_is_valid_in_k():
@@ -109,7 +107,7 @@ def test_invalid_models_respect_the_frame_class():
         logic = Logic.from_name(name)
         result = decide(f, logic)
         assert isinstance(result, Invalid)
-        for prop in frame_properties(logic):
+        for prop in logic.frame_properties:
             assert has_property(result.model, prop), (name, prop)
         assert eval_deep(result.model, result.world, f) is False
 
@@ -136,6 +134,16 @@ def test_starved_tableau_can_still_report_invalid():
     assert isinstance(result, Invalid)
     assert has_property(result.model, FrameProperty.REFLEXIVE)
     assert eval_deep(result.model, result.world, _f("box p -> box box p")) is False
+
+
+def test_a_tableau_whose_branches_all_close_is_valid_despite_a_refused_label():
+    # the true diamond needs a second label, which the budget refuses, but
+    # the clash on p closes the only branch all the same
+    f = parse("dia q -> p -> p", Signature(("p", "q")))
+    result = decide(f, K, max_labels=1)
+    assert isinstance(result, Valid)
+    assert result.trace.fallback is False
+    assert result.trace.rule_applications == 6
 
 
 @pytest.mark.parametrize("name", ["S4", "S5"])
@@ -173,7 +181,7 @@ def test_s4_blowup_is_refuted_from_a_blocked_branch():
     assert isinstance(result, Invalid)
     m = result.model
     assert naive_eval(m, result.world, f) is False
-    for prop in frame_properties(S4):
+    for prop in S4.frame_properties:
         assert has_property(m, prop), prop
     assert result.trace.rule_applications <= 200
 
@@ -283,13 +291,13 @@ def test_cross_check_falsum():
 @given(formulas(sig=SIG_P, max_leaves=5), st.sampled_from([l.name for l in ALL_LOGICS]))
 def test_verdicts_agree_with_bounded_search(f, logic_name):
     logic = Logic.from_name(logic_name)
-    if FrameProperty.TRANSITIVE in frame_properties(logic):
+    if FrameProperty.TRANSITIVE in logic.frame_properties:
         # loop-checked extraction answers these without the bounded search
         with mock.patch("modalkit.decide.find_countermodel", _no_fallback):
             result = decide(f, logic)
     else:
         result = decide(f, logic)
-    found = find_countermodel(f, frame_properties(logic), 3, SIG_P)
+    found = find_countermodel(f, logic.frame_properties, 3, SIG_P)
     if isinstance(result, Valid):
         assert found is None
     else:
