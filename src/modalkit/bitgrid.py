@@ -66,8 +66,11 @@ from .translate import CImp, CNot, CoreForm, ForallWorld, PredR, PredV, PredW
 
 
 # Cap on the bytes of a slab's pattern masks (one per relation pair and per
-# valuation cell).  It admits the atom-free 5-world slab (25 masks of 4 MiB)
-# and refuses 4 worlds with 3 atoms (0.88 GiB) or 5 worlds with 1 atom.
+# valuation cell).  Frame sweeps and countermodel searches run in tiles and
+# are held to it as one slab over all of their models would be, so for them
+# it bounds how many models they would scan, not the masks they hold at
+# once.  It admits the atom-free 5-world sweep (25 masks of 4 MiB) and
+# refuses 4 worlds with 3 atoms (0.88 GiB) or 5 worlds with 1 atom.
 MAX_PATTERN_BYTES = 128 << 20
 
 # log2 of the relation bitmasks in a tile of an atom-free sweep: 2**17
