@@ -38,6 +38,13 @@ each big-integer result reuses heap memory instead of faulting in fresh
 pages.  The periodic masks are the same in every tile of a size and are
 built once.
 
+A schema's mask on a tile is the AND over the valuations of its
+metavariables, and stops at the first valuation that leaves it 0.
+Neighbouring tiles share their high relation bits, so the valuation that
+emptied one tile mostly empties the next: a sweep tries that one first,
+then the others in ascending order.  The AND is the same in any order, so
+the order changes how many valuations run, never the mask.
+
 Evaluation folds constants.  A metavariable leaf, a fixed relation pair and
 whatever is derived from them only is the slab's own `full` object or 0;
 the connectives test for these by identity, which costs nothing, and return
@@ -55,6 +62,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitExceeded
@@ -186,6 +194,17 @@ def _frame_array(n_worlds: int, tiles: list[tuple[int, int]]) -> array:
     for base, mask in tiles:
         digits = bin(mask)[:1:-1]  # digit k is frame k
         out.fromlist([base + m.start() for m in re.finditer("1", digits)])
+    return out
+
+
+def _assignment(names: Sequence[str], ds: Sequence[int],
+                choice: int) -> dict[str, frozenset[int]]:
+    """The world set of each metavariable under valuation `choice`: bit k
+    of its len(ds)-bit field marks designated world ds[k]."""
+    out = {}
+    for i, name in enumerate(names):
+        bits = choice >> (i * len(ds))
+        out[name] = frozenset(w for k, w in enumerate(ds) if bits >> k & 1)
     return out
 
 
@@ -487,27 +506,39 @@ class ModelSlab:
 
     # -- schemas -----------------------------------------------------------
 
-    def schema_validity_mask(self, s: Schema) -> int:
+    def schema_validity_mask(self, s: Schema,
+                             hints: dict[int, int] | None = None) -> int:
         """Models where every instantiation of s's metavariables by subsets
         of the designated worlds is valid.
 
         Concrete atoms read the valuation, so on an atom-free slab a schema
         whose leaves are all metavariables gives schema validity on the frame.
+
+        The mask is the AND of one mask per valuation of the metavariables,
+        and the loop stops at the first valuation that leaves it 0.  The
+        order of the valuations only decides how many run before that: AND
+        is commutative and 0 absorbs it, so the mask is the same in any
+        order.  Without hints they run in ascending order.  hints, shared
+        by the tiles of one sweep of one schema, maps a world count to the
+        valuation that last emptied a tile of that size; that valuation runs
+        first, then the others in ascending order, and a valuation that
+        empties this slab is written back.
         """
         names = s.metavars
         body = s.body
         full = self.full
         out = full
         ds = self._dsorted
-        for choice in range(1 << (len(names) * len(ds))):
-            assignment = {}
-            for i, name in enumerate(names):
-                bits = choice >> (i * len(ds))
-                assignment[name] = frozenset(w for k, w in enumerate(ds) if bits >> k & 1)
+        first = hints.get(self.n, 0) if hints else 0
+        rest = 1 << (len(names) * len(ds))
+        for choice in chain((first,), range(first), range(first + 1, rest)):
+            assignment = _assignment(names, ds, choice)
             memo: dict = {}
             for w in ds:
                 out = _meet(full, out, self._deep(body, w, memo, assignment))
             if not out:
+                if hints is not None:
+                    hints[self.n] = choice
                 break
         return out
 
@@ -530,16 +561,22 @@ class ModelSlab:
                 for v in ds[i + 1:]:
                     out = _meet(full, out, _neg(full, rel[w][v] ^ rel[v][w]))
         elif p is FrameProperty.TRANSITIVE:
-            # w R v and v R u give w R u; it holds outright when w = v or v = u
+            # w R v and v R u give w R u.  Collect the models with an edge
+            # w R v and a u with v R u but not w R u, and negate once; each
+            # not-w-R-u is made once, and w = v or u = v needs no check
+            missing = {(w, u): _neg(full, rel[w][u]) for w in ds for u in ds}
+            bad = 0
             for w in ds:
                 for v in ds:
                     step = rel[w][v]
                     if v == w or not step:
                         continue
+                    gap = 0
                     for u in ds:
                         if u != v:
-                            out = _meet(full, out, _join(
-                                full, _neg(full, _meet(full, step, rel[v][u])), rel[w][u]))
+                            gap = _join(full, gap, _meet(full, rel[v][u], missing[w, u]))
+                    bad = _join(full, bad, _meet(full, step, gap))
+            out = _neg(full, bad)
         elif p is FrameProperty.SERIAL:
             for w in ds:
                 some = 0
@@ -560,19 +597,23 @@ class ModelSlab:
             for w in ds:
                 out = _meet(full, out, _neg(full, rel[w][w]))
         elif p is FrameProperty.CONVERSE_WELL_FOUNDED:
-            # cycle-free inside the designated set: no world reaches itself
-            # in the transitive closure (Warshall) of the restricted relation
-            path = [[rel[w][v] for v in ds] for w in ds]
-            for k, row_k in enumerate(path):
-                for row in path:
-                    via = row[k]
-                    if not via:
-                        continue
-                    for j, kj in enumerate(row_k):
-                        row[j] = _join(full, row[j], _meet(full, via, kj))
+            # cycle-free inside the designated set.  A world stays live while
+            # it has a live successor; after len(ds) rounds a live world has
+            # a path of len(ds) steps, which repeats a world, so the live
+            # worlds are exactly those that reach a cycle
+            live = dict.fromkeys(ds, full)
+            for _ in ds:
+                nxt = {}
+                for w in ds:
+                    some = 0
+                    row = rel[w]
+                    for v in ds:
+                        some = _join(full, some, _meet(full, row[v], live[v]))
+                    nxt[w] = some
+                live = nxt
             cyc = 0
-            for i, row in enumerate(path):
-                cyc = _join(full, cyc, row[i])
+            for some in live.values():
+                cyc = _join(full, cyc, some)
             out = _neg(full, cyc)
         else:
             raise TypeError(f"unknown frame property {p!r}")

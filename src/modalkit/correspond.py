@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .bitgrid import ModelSlab, frame_tiles
+from .bitgrid import TILE_BITS, ModelSlab, frame_tiles
+from .errors import ResourceLimitExceeded
 from .hilbert import FRAME_CONDITIONS, SCHEMAS, AxiomSchemaId
 from .kripke import FrameProperty, KripkeModel, valid_in_model
 from .reporting import CheckReport, Violation
@@ -60,13 +61,31 @@ def schema_valid_on_frame(worlds: set, rel: set, s: Schema) -> bool:
     return True
 
 
-def _sweep(max_worlds: int):
+# Cap on the work of a sweep, in tile-valuation steps: a schema with m
+# letters (metavariables and atoms) tries at most 2**(m*n) valuations on
+# each n-world tile.  The count takes tiles of the size bitgrid ships with, read once
+# here, so whether a question is answered does not depend on the tile
+# size.  At five worlds it admits the Loeb suite (one letter, 8,222 steps)
+# and two letters (262,484), and refuses three (8,393,288).
+MAX_SWEEP_STEPS = 10**6
+_STEP_TILE_BITS = TILE_BITS
+
+
+def _sweep(max_worlds: int, s: Schema):
     """(n, tile) for every atom-free tile with 1 to max_worlds worlds, in
-    canonical order.  Every size is held to the slab budget before the
-    first tile is built."""
+    canonical order, to check s on.  Every size is held to the slab budget,
+    and the sweep to MAX_SWEEP_STEPS, before the first tile is built."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     sizes = [frame_tiles(n) for n in range(1, max_worlds + 1)]
+    m = len(s.metavars)
+    steps = sum(max(1, 1 << n * n >> _STEP_TILE_BITS) << m * n
+                for n in range(1, max_worlds + 1))
+    if steps > MAX_SWEEP_STEPS:
+        raise ResourceLimitExceeded(
+            f"a schema with {m} metavariables and atoms takes {steps} "
+            f"tile-valuation steps on the frames of up to {max_worlds} worlds, "
+            f"over the {MAX_SWEEP_STEPS} step budget")
     return ((n, tile) for n, tiles in enumerate(sizes, 1) for tile in tiles)
 
 
@@ -100,12 +119,13 @@ def correspondence_check(s: Schema, p: FrameProperty,
     """Check has_property(frame) <=> schema_valid_on_frame over all frames
     up to max_worlds; the first frame (canonical order) violating either
     direction is returned."""
-    tiles = _sweep(max_worlds)
     schema = Schema(_core_body(s))
+    tiles = _sweep(max_worlds, schema)
+    hints: dict[int, int] = {}
     checked = 0
     for n, slab in tiles:
         prop = slab.property_mask(p)
-        valid = slab.schema_validity_mask(schema)
+        valid = slab.schema_validity_mask(schema, hints)
         disagree = prop ^ valid
         checked += slab.count
         if disagree:
@@ -139,15 +159,16 @@ def loeb_suite(max_worlds: int) -> list[CheckReport]:
     well-foundedness implies Loeb validity, and Loeb validity implies each
     of converse well-foundedness, irreflexivity and transitivity.
     """
-    tiles = _sweep(max_worlds)
     loeb = Schema(_core_body(SCHEMAS[AxiomSchemaId.LOEB]))
+    tiles = _sweep(max_worlds, loeb)
+    hints: dict[int, int] = {}
     claims = ("transitive+cwf-implies-loeb", "loeb-implies-cwf",
               "loeb-implies-irreflexive", "loeb-implies-transitive")
     reports = {name: CheckReport(name=name, instances=0, violation_count=0,
                                  examples=[])
                for name in claims}
     for n, slab in tiles:
-        valid = slab.schema_validity_mask(loeb)
+        valid = slab.schema_validity_mask(loeb, hints)
         trans = slab.property_mask(FrameProperty.TRANSITIVE)
         cwf = slab.property_mask(FrameProperty.CONVERSE_WELL_FOUNDED)
         masks = {

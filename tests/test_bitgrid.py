@@ -172,14 +172,35 @@ def test_property_masks_on_three_worlds_match_scalar_check(designated):
 
 
 def test_cycle_detection_on_three_worlds():
-    # the Warshall closure for converse well-foundedness, against the
-    # scalar depth-first search, over all 512 three-world frames
+    # the peeling rounds for converse well-foundedness, against the scalar
+    # depth-first search, over all 512 three-world frames
     slab = ModelSlab(3, ())
     mask = slab.property_mask(FrameProperty.CONVERSE_WELL_FOUNDED)
     for index in range(slab.count):
         _, rel = slab.frame_at(index)
         m = KripkeModel(3, [0, 1, 2], rel, {"p": []}, SIG_P)
         assert bool(mask >> index & 1) == has_property(m, FrameProperty.CONVERSE_WELL_FOUNDED)
+
+
+def test_transitive_and_cwf_masks_on_a_proper_four_world_subset():
+    # a 3-step path inside {0, 1, 3} needs every peeling round, and world 2
+    # must not carry an edge or a cycle into the restricted relation
+    designated = (0, 1, 3)
+    slab = ModelSlab(4, (), designated)
+    # has_property reads only the edges inside the designated set (bit
+    # 4i + j for edge (i, j)), so the reference is computed once per
+    # restricted relation
+    inside = sum(1 << 4 * i + j for i in designated for j in designated)
+    for p in (FrameProperty.TRANSITIVE, FrameProperty.CONVERSE_WELL_FOUNDED):
+        mask = slab.property_mask(p)
+        expected = {}
+        for index in range(slab.count):
+            key = index & inside
+            if key not in expected:
+                _, rel = slab.frame_at(key)
+                m = KripkeModel(4, designated, rel, {"p": []}, SIG_P)
+                expected[key] = has_property(m, p)
+            assert bool(mask >> index & 1) == expected[key], (p, index)
 
 
 def test_properties_mask_is_the_intersection():

@@ -10,6 +10,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -261,6 +262,28 @@ def test_frame_sweeps_over_the_slab_budget_exit_3(argv):
     assert proc.stderr == ("error: resource limit exceeded: a slab of 6 worlds, 0 atoms "
                            "and 68719476736 frames needs 294912 MiB of masks, over the "
                            "128 MiB budget\n")
+
+
+def test_a_sweep_over_the_step_budget_exits_3_at_once(capsys, monkeypatch):
+    # three letters take 8,393,288 tile-valuation steps at five worlds;
+    # unbounded, the sweep ran for minutes
+    built = []
+    monkeypatch.setattr(bitgrid.ModelSlab, "__init__", lambda self, *a, **k: built.append(a))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "correspond", "(box p -> p) & (box q -> q) & (box r -> r)",
+                         "reflexive", "--max-worlds", "5")
+    assert time.perf_counter() - start < 1
+    assert (code, out, built) == (3, "", [])
+    assert err == ("error: resource limit exceeded: a schema with 3 metavariables and "
+                   "atoms takes 8393288 tile-valuation steps on the frames of up to 5 "
+                   "worlds, over the 1000000 step budget\n")
+
+
+def test_two_letters_at_four_worlds_are_within_the_step_budget(capsys):
+    code, out, _ = run(capsys, "correspond", "(box p -> p) & (box q -> q)", "reflexive",
+                       "--max-worlds", "4")
+    assert code == 0
+    assert out.strip() == "holds on all 66066 frames with up to 4 worlds"
 
 
 def test_countermodel_bad_property(capsys):

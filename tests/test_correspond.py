@@ -12,14 +12,17 @@ from modalkit.bitgrid import ModelSlab
 from modalkit.correspond import (
     CounterFrame,
     Holds,
+    _core_body,
     correspondence_check,
     loeb_suite,
     sahlqvist_suite,
     schema_valid_on_frame,
 )
 from modalkit.hilbert import SCHEMAS, AxiomSchemaId
-from modalkit.kripke import FrameProperty
+from modalkit.kripke import FrameProperty, KripkeModel, has_property
 from modalkit.syntax import Schema, parse_schema
+
+from conftest import SIG_P
 
 T_SCHEMA = SCHEMAS[AxiomSchemaId.T]
 FOUR_SCHEMA = SCHEMAS[AxiomSchemaId.FOUR]
@@ -183,6 +186,112 @@ def test_both_suites_in_tiles_of_sixteen_frames_equal_the_default_ones(monkeypat
 
     default, tiled = _untiled_and_tiled(monkeypatch, 4, run)
     assert tiled == default
+
+
+# --- the order of valuations in a sweep -------------------------------------------
+
+# (schema, property, bound) for the order tests: every bundled schema
+# against every property, and two letters, whose 256 valuations per
+# four-world tile would take seconds in tiles of 16 frames, at three worlds
+_ORDER_CASES = [(schema, p, 4) for schema in SCHEMAS.values() for p in FrameProperty] + [
+    (parse_schema("(box p -> p) & (box q -> q)"), FrameProperty.REFLEXIVE, 3)]
+
+
+def _scalar_correspondence(s, p, max_worlds):
+    """correspondence_check frame by frame in canonical order, on the scalar
+    checkers: world count first, then relation bitmask."""
+    checked = 0
+    for n in range(1, max_worlds + 1):
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        for bits in range(1 << n * n):
+            rel = frozenset(pair for k, pair in enumerate(pairs) if bits >> k & 1)
+            has = has_property(KripkeModel(n, range(n), rel, {"p": []}, SIG_P), p)
+            if has != schema_valid_on_frame(set(range(n)), set(rel), s):
+                return CounterFrame(frozenset(range(n)), rel,
+                                    CounterFrame.PROPERTY_WITHOUT_SCHEMA if has
+                                    else CounterFrame.SCHEMA_WITHOUT_PROPERTY)
+        checked += 1 << n * n
+    return Holds(checked)
+
+
+@pytest.fixture
+def sweep_log(monkeypatch):
+    """Records each schema_validity_mask call as [world count, number of
+    valuations, valuations tried in order, resulting mask]."""
+    log = []
+    assignment, mask = bitgrid._assignment, ModelSlab.schema_validity_mask
+
+    def recording_assignment(names, ds, choice):
+        log[-1][2].append(choice)
+        return assignment(names, ds, choice)
+
+    def recording_mask(self, s, *args):
+        log.append([self.n, 1 << len(s.metavars) * len(self.designated), [], None])
+        log[-1][3] = mask(self, s, *args)
+        return log[-1][3]
+
+    monkeypatch.setattr(bitgrid, "_assignment", recording_assignment)
+    monkeypatch.setattr(ModelSlab, "schema_validity_mask", recording_mask)
+    return log
+
+
+def test_hinted_sweeps_in_tiles_of_sixteen_frames_equal_the_default_ones(
+        monkeypatch, sweep_log):
+    default = [correspondence_check(*case) for case in _ORDER_CASES]
+    monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
+    sweep_log.clear()
+    tiled = [correspondence_check(*case) for case in _ORDER_CASES]
+    assert tiled == default
+    # the hint moves: four-world tiles are emptied by several valuations
+    emptied_by = {tried[-1] for n, _, tried, out in sweep_log if n == 4 and not out}
+    assert len(emptied_by) > 1
+
+
+def test_hinted_sweeps_equal_the_scalar_reference(monkeypatch):
+    # three worlds in tiles of 16 frames: 32 tiles, against the scalar checkers
+    monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
+    for s, p, _ in _ORDER_CASES:
+        assert correspondence_check(s, p, 3) == _scalar_correspondence(s, p, 3), \
+            (str(s.body), p)
+
+
+def test_each_tile_tries_the_last_emptying_valuation_first(monkeypatch, sweep_log):
+    monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
+    loeb_suite(3)
+    correspondence_check(T_SCHEMA, FrameProperty.REFLEXIVE, 4)
+    correspondence_check(*_ORDER_CASES[-1])
+    sweeps = 0
+    for n, every, tried, out in sweep_log:
+        if n == 1:  # a sweep starts afresh: no size has a hint yet
+            sweeps, hints = sweeps + 1, {}
+        first = hints.get(n, 0)  # nothing carries over from another size
+        order = [first] + [c for c in range(every) if c != first]
+        # the hint, then the others ascending, none skipped, until one empties
+        assert tried == order[:len(tried)], (n, tried)
+        if out:
+            assert len(tried) == every
+        else:
+            hints[n] = tried[-1]
+    assert sweeps == 3
+
+
+def test_sweeps_try_fewer_valuations_than_in_ascending_order(sweep_log):
+    # ascending order tries 2,518 valuations in loeb_suite(5) and 3,948 in
+    # T against reflexivity, over sizes one to five
+    loeb_suite(5)
+    assert sum(len(tried) for _, _, tried, _ in sweep_log) < 2518
+    sweep_log.clear()
+    correspondence_check(T_SCHEMA, FrameProperty.REFLEXIVE, 5)
+    assert sum(len(tried) for _, _, tried, _ in sweep_log) < 3948
+
+
+def test_a_single_slab_tries_the_valuations_in_ascending_order(sweep_log):
+    slab = ModelSlab(3, ())
+    loeb = Schema(_core_body(SCHEMAS[AxiomSchemaId.LOEB]))
+    slab.schema_validity_mask(loeb)
+    [(_, _, tried, out)] = sweep_log
+    assert tried == list(range(8))
+    assert out
 
 
 def test_sweeps_over_the_budget_are_refused_before_sweeping(monkeypatch):
