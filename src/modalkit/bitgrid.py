@@ -26,17 +26,20 @@ test suite pins the two routes against each other.  A slab whose pattern
 masks would exceed MAX_PATTERN_BYTES is refused before anything is
 allocated.
 
-Sweeps over every frame of a size run tile by tile.  A tile is a slab whose
-frame list is an aligned block of 2**TILE_BITS relation bitmasks, given as
-a range: the pairs whose bit lies below TILE_BITS take the periodic pattern
-of the block, and the others are fixed across it, so their masks are the
-constants full or 0.  frame_tiles yields the tiles of one size in ascending
-order, which keeps the first set bit of the first tile that has one the
-canonically first frame.  At five worlds a tile's masks are 16 KiB instead
-of the whole slab's 4 MiB.  That is below the allocator's mmap threshold, so
-each big-integer result reuses heap memory instead of faulting in fresh
-pages.  The periodic masks are the same in every tile of a size and are
-built once.
+slabs is the one walk over the frames of a size: frame sweeps, admitted
+frame lists and countermodel searches all take their slabs from it.  It
+yields slabs of at most 2**TILE_BITS models, or of one frame where a frame's
+valuations are more, in ascending order, which keeps the first set bit of
+the first slab that has one the canonically first model.  Over every frame a
+slab is a tile, whose frame list is an aligned block of relation bitmasks,
+given as a range: the pairs whose bit lies below the block's size take the
+periodic pattern of the block, and the others are fixed across it, so their
+masks are the constants full or 0.  Over admitted frames it is a slice of
+their memoised list.  At five worlds a tile's masks are 16 KiB instead of the
+whole slab's 4 MiB.  That is below the allocator's mmap threshold, so each
+big-integer result reuses heap memory instead of faulting in fresh
+pages.  The periodic masks are the same in every tile of a size and are built
+once.
 
 A schema's mask on a tile is the AND over the valuations of its
 metavariables, and stops at the first valuation that leaves it 0.
@@ -81,9 +84,9 @@ from .translate import CImp, CNot, CoreForm, ForallWorld, PredR, PredV, PredW
 # refuses 4 worlds with 3 atoms (0.88 GiB) or 5 worlds with 1 atom.
 MAX_PATTERN_BYTES = 128 << 20
 
-# log2 of the relation bitmasks in a tile of an atom-free sweep: 2**17
-# frames make 16 KiB masks, well under glibc's 128 KiB mmap and trim
-# thresholds.  Sizes up to four worlds fit in one tile.
+# log2 of the models in a slab of the walk over frames: 2**17 make 16 KiB
+# masks, well under glibc's 128 KiB mmap and trim thresholds.  The atom-free
+# sizes up to four worlds fit in one tile.
 TILE_BITS = 17
 
 
@@ -131,18 +134,25 @@ def _block_patterns(val_bits: int, k: int) -> tuple[int, ...]:
     return tuple(_bit_pattern(val_bits + k, val_bits + bit) for bit in range(k))
 
 
-def frame_tiles(n_worlds: int) -> Iterator[ModelSlab]:
-    """The atom-free slabs over every n-world frame, one tile per aligned
-    block of 2**TILE_BITS relation bitmasks, in ascending order.
+def slabs(n_worlds: int, atoms: Sequence[str] = (),
+          props: Iterable[FrameProperty] = ()) -> Iterator[ModelSlab]:
+    """The slabs over the n-world frames with every property in props, in
+    ascending order: each holds at most 2**TILE_BITS models, or one frame
+    where a frame's valuations are more.  Without props a slab is a tile,
+    an aligned range of relation bitmasks; with them, a slice of the
+    memoised admitted frames.
 
-    The whole sweep is held to the slab budget when this is called, as one
-    slab over every frame would be; the tiles are built one at a time as
+    The walk is held to the slab budget when this is called, as one slab
+    over all of its frames would be; the slabs are built one at a time as
     they are taken.
     """
-    total = 1 << n_worlds * n_worlds
-    _check_slab_budget(n_worlds, 0, total)
-    step = min(total, 1 << TILE_BITS)
-    return (ModelSlab(n_worlds, (), frames=range(base, base + step))
+    frames = _admitted(n_worlds, props, len(atoms))
+    total = 1 << n_worlds * n_worlds if frames is None else len(frames)
+    _check_slab_budget(n_worlds, len(atoms), total)
+    step = 1 << max(0, TILE_BITS - len(atoms) * n_worlds)
+    return (ModelSlab(n_worlds, atoms,
+                      frames=(range(base, min(base + step, total)) if frames is None
+                              else frames[base:base + step]))
             for base in range(0, total, step))
 
 
@@ -183,7 +193,7 @@ def _listed_frames(n_worlds: int, props: frozenset[FrameProperty],
     # count the frames tile by tile, and list them only once the budget
     # has admitted that many
     tiles = [(tile._relation_bits(0), tile.properties_mask(props))
-             for tile in frame_tiles(n_worlds)]  # a tile's frames are consecutive
+             for tile in slabs(n_worlds)]  # a tile's frames are consecutive
     _check_slab_budget(n_worlds, n_atoms, sum(mask.bit_count() for _, mask in tiles))
     return _frame_array(n_worlds, tiles)
 
@@ -272,7 +282,6 @@ class ModelSlab:
                 for w in range(n_worlds)]
             for ai, a in enumerate(self.atoms)
         }
-        self._props: dict[FrameProperty, int] = {}
 
     def _block_relation_masks(self, block: range) -> list[list[int]]:
         """Mask of each pair (i, j) over an aligned block of 2**k relation
@@ -325,11 +334,8 @@ class ModelSlab:
 
     def model_at(self, index: int) -> KripkeModel:
         """The concrete model behind a bit position."""
-        rel_bits = self._relation_bits(index)
+        n, rel = self.frame_at(index)
         val_bits = index & ((1 << self._val_bits) - 1)
-        n = self.n
-        rel = [(i, j) for i in range(n) for j in range(n)
-               if rel_bits >> (i * n + j) & 1]
         val = {a: [w for w in range(n) if val_bits >> (ai * n + w) & 1]
                for ai, a in enumerate(self.atoms)}
         return KripkeModel(n, self.designated, rel, val, Signature(self.atoms))
@@ -546,9 +552,6 @@ class ModelSlab:
 
     def property_mask(self, p: FrameProperty) -> int:
         """Models whose relation, restricted to the designated set, has p."""
-        cached = self._props.get(p)
-        if cached is not None:
-            return cached
         ds = self._dsorted
         full = self.full
         rel = self._rel
@@ -617,7 +620,6 @@ class ModelSlab:
             out = _neg(full, cyc)
         else:
             raise TypeError(f"unknown frame property {p!r}")
-        self._props[p] = out
         return out
 
     def properties_mask(self, props: Iterable[FrameProperty]) -> int:

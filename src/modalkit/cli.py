@@ -29,9 +29,11 @@ class _InputError(Exception):
     """Bad user-supplied input below the argparse level."""
 
 
-def _parse_formula(text: str):
+def _parse_formula(text: str, sig: Signature | None = None):
+    """The formula and its signature: sig, or the atoms it names."""
     try:
-        sig = infer_signature(text)
+        if sig is None:
+            sig = infer_signature(text)
         return parse(text, sig), sig
     except (FormulaSyntaxError, UnknownAtomError) as e:
         raise _InputError(f"cannot parse formula {text!r}: {e}") from None
@@ -87,10 +89,7 @@ def _cmd_eval(args) -> int:
         raise _InputError(f"cannot read model file: {e}") from None
     except ValueError as e:
         raise _InputError(f"bad model file: {e}") from None
-    try:
-        f = parse(args.formula, model.sig)
-    except (FormulaSyntaxError, UnknownAtomError) as e:
-        raise _InputError(f"cannot parse formula {args.formula!r}: {e}") from None
+    f, _ = _parse_formula(args.formula, model.sig)
     if args.world not in model.worlds:
         raise _InputError(f"world {args.world} is not designated in the model")
     value = eval_deep(model, args.world, f)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .bitgrid import TILE_BITS, ModelSlab, frame_tiles
+from .bitgrid import TILE_BITS, slabs
 from .errors import ResourceLimitExceeded
 from .hilbert import FRAME_CONDITIONS, SCHEMAS, AxiomSchemaId
 from .kripke import FrameProperty, KripkeModel, valid_in_model
@@ -72,12 +72,14 @@ _STEP_TILE_BITS = TILE_BITS
 
 
 def _sweep(max_worlds: int, s: Schema):
-    """(n, tile) for every atom-free tile with 1 to max_worlds worlds, in
-    canonical order, to check s on.  Every size is held to the slab budget,
-    and the sweep to MAX_SWEEP_STEPS, before the first tile is built."""
+    """(n, tile, mask) for every atom-free tile with 1 to max_worlds worlds,
+    in canonical order, mask being s's schema validity on the tile.  Every
+    size is held to the slab budget, and the sweep to MAX_SWEEP_STEPS,
+    before the first tile is built.  The tiles share one hint, so each
+    tries first the valuation that emptied the last one of its size."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    sizes = [frame_tiles(n) for n in range(1, max_worlds + 1)]
+    sizes = [slabs(n) for n in range(1, max_worlds + 1)]
     m = len(s.metavars)
     steps = sum(max(1, 1 << n * n >> _STEP_TILE_BITS) << m * n
                 for n in range(1, max_worlds + 1))
@@ -86,7 +88,9 @@ def _sweep(max_worlds: int, s: Schema):
             f"a schema with {m} metavariables and atoms takes {steps} "
             f"tile-valuation steps on the frames of up to {max_worlds} worlds, "
             f"over the {MAX_SWEEP_STEPS} step budget")
-    return ((n, tile) for n, tiles in enumerate(sizes, 1) for tile in tiles)
+    hints: dict[int, int] = {}
+    return ((n, tile, tile.schema_validity_mask(s, hints))
+            for n, tiles in enumerate(sizes, 1) for tile in tiles)
 
 
 @dataclass(frozen=True)
@@ -119,17 +123,13 @@ def correspondence_check(s: Schema, p: FrameProperty,
     """Check has_property(frame) <=> schema_valid_on_frame over all frames
     up to max_worlds; the first frame (canonical order) violating either
     direction is returned."""
-    schema = Schema(_core_body(s))
-    tiles = _sweep(max_worlds, schema)
-    hints: dict[int, int] = {}
     checked = 0
-    for n, slab in tiles:
+    for n, slab, valid in _sweep(max_worlds, Schema(_core_body(s))):
         prop = slab.property_mask(p)
-        valid = slab.schema_validity_mask(schema, hints)
         disagree = prop ^ valid
         checked += slab.count
         if disagree:
-            index = ModelSlab.first_index(disagree)
+            index = slab.first_index(disagree)
             _, rel = slab.frame_at(index)
             direction = (CounterFrame.PROPERTY_WITHOUT_SCHEMA
                          if (prop >> index) & 1
@@ -161,14 +161,12 @@ def loeb_suite(max_worlds: int) -> list[CheckReport]:
     """
     loeb = Schema(_core_body(SCHEMAS[AxiomSchemaId.LOEB]))
     tiles = _sweep(max_worlds, loeb)
-    hints: dict[int, int] = {}
     claims = ("transitive+cwf-implies-loeb", "loeb-implies-cwf",
               "loeb-implies-irreflexive", "loeb-implies-transitive")
     reports = {name: CheckReport(name=name, instances=0, violation_count=0,
                                  examples=[])
                for name in claims}
-    for n, slab in tiles:
-        valid = slab.schema_validity_mask(loeb, hints)
+    for n, slab, valid in tiles:
         trans = slab.property_mask(FrameProperty.TRANSITIVE)
         cwf = slab.property_mask(FrameProperty.CONVERSE_WELL_FOUNDED)
         masks = {
@@ -182,7 +180,7 @@ def loeb_suite(max_worlds: int) -> list[CheckReport]:
             rep = reports[name]
             rep.instances += slab.count
             while bad:
-                index = ModelSlab.first_index(bad)
+                index = slab.first_index(bad)
                 bad &= bad - 1
                 rep.violation_count += 1
                 if len(rep.examples) < 5:

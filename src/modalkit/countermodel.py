@@ -7,24 +7,13 @@ formula at some world wins, which makes results reproducible and minimal in
 world count.  Valuations range only over the atoms that occur in the
 formula; the designated set is always the full domain during search.
 
-The search never builds a model whose frame lacks a requested property: for
-each world count it takes the admitted relation bitmasks in ascending order
-(every bitmask when no property is requested) and walks them in ascending
-chunks of at most 2**bitgrid.TILE_BITS models, and at least one frame.  A
-chunk is a slab indexed `rank << val_bits | valuation`, rank being the
-frame's position in the chunk; without properties it is an aligned range of
-bitmasks, a tile of bitgrid.  The first falsifying index of the first chunk
-that has one is the canonically first countermodel, so the search stops
-there.  At the default tile size a chunk's masks take at most 16 KiB
-whenever one frame's valuations fit in a tile.  That is below the
-allocator's mmap threshold, so their results reuse heap memory.
-
-Before any chunk is built, each world count is held to the budget of
-bitgrid.MAX_PATTERN_BYTES as one slab over all of its admitted frames would
-be: the budget bounds how many models a search would scan, not the masks it
-holds.  Over it, ResourceLimitExceeded is raised.  The admitted frames are
-counted tile by tile before they are listed, so a search over too many is
-refused before any is listed.
+The search never builds a model whose frame lacks a requested property:
+for each world count it takes its slabs from bitgrid.slabs, the walk over
+the admitted frames in ascending chunks of models, which holds the size to
+the budget of bitgrid.MAX_PATTERN_BYTES before any chunk is built and
+raises ResourceLimitExceeded over it.  The first falsifying index of the
+first chunk that has one is the canonically first countermodel, so the
+search stops there.
 
 Admitted frame lists are memoised per process, as compact arrays keyed by
 world count and property set (and by atom count where the budget can
@@ -38,8 +27,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from . import bitgrid
-from .bitgrid import ModelSlab, _admitted, _check_slab_budget
+from .bitgrid import slabs
 from .kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from .syntax import Formula, Signature, atoms_of, desugar
 
@@ -83,19 +71,12 @@ def find_countermodel(f: Formula, props: set[FrameProperty], max_worlds: int,
     atoms = search_atoms(f, sig)
     goal = desugar(f, sig)
     for n in range(1, max_worlds + 1):
-        frames = _admitted(n, props, len(atoms))
-        total = 1 << n * n if frames is None else len(frames)
-        _check_slab_budget(n, len(atoms), total)
-        step = 1 << max(0, bitgrid.TILE_BITS - len(atoms) * n)
-        for start in range(0, total, step):
-            stop = min(start + step, total)
-            chunk = range(start, stop) if frames is None else frames[start:stop]
-            slab = ModelSlab(n, atoms, frames=chunk)
+        for slab in slabs(n, atoms, props):
             # falsified somewhere: the complement of "true at every world"
             failing = slab.full ^ slab.validity_mask(goal)
             if not failing:
                 continue
-            model = slab.model_at(ModelSlab.first_index(failing))
+            model = slab.model_at(slab.first_index(failing))
             world = next(w for w in range(n)
                          if not eval_deep(model, w, goal))
             assert all(has_property(model, p) for p in props), \

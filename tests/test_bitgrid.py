@@ -10,7 +10,7 @@ import random
 import pytest
 
 from modalkit import bitgrid
-from modalkit.bitgrid import MAX_PATTERN_BYTES, ModelSlab, admitted_frames, frame_tiles
+from modalkit.bitgrid import MAX_PATTERN_BYTES, ModelSlab, admitted_frames, slabs
 from modalkit.correspond import _core_body
 from modalkit.countermodel import enumerate_models, find_countermodel
 from modalkit.errors import ResourceLimitExceeded
@@ -429,17 +429,35 @@ def test_a_tile_with_atoms_round_trips_and_restricts_the_full_slab():
                     == whole.deep_truth(f, w, memo_whole) >> (320 << 3) & window), f
 
 
-def test_frame_tiles_cover_the_frames_in_ascending_blocks(monkeypatch):
-    assert [t._frames for t in frame_tiles(2)] == [None]
+def test_slabs_walk_the_frames_in_ascending_chunks(monkeypatch):
+    assert [t._frames for t in slabs(2)] == [None]
     monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
-    tiles = list(frame_tiles(3))
+    # every frame: aligned ranges of relation bitmasks
+    tiles = list(slabs(3))
     assert [t._frames for t in tiles] == [range(b, b + 16) for b in range(0, 512, 16)]
     assert sum(t.count for t in tiles) == 512
+    # admitted frames: slices of their list, at most 2**TILE_BITS models
+    # and at least one frame each
+    ranked = list(slabs(3, ("p",), {R, T}))
+    assert [f for t in ranked for f in t._frames] == admitted_frames(3, {R, T})
+    assert all(8 <= t.count <= 16 for t in ranked)
+    # 6 valuation bits, more than TILE_BITS: one frame a slab
+    single = list(slabs(3, ("p", "q")))
+    assert [t._frames for t in single] == [range(b, b + 1) for b in range(512)]
+    assert {t.count for t in single} == {64}
+
+
+def test_slabs_over_the_budget_are_refused_at_the_call():
+    # at the default tile size: a smaller one lists the serial 5-world
+    # frames in many more tiles before refusing them
+    for args in [(5, ("p",)), (5, ("p",), {FrameProperty.SERIAL}), (6,)]:
+        with pytest.raises(ResourceLimitExceeded):
+            slabs(*args)  # raised before the iterator is advanced
 
 
 def test_the_tiles_of_a_size_share_their_periodic_masks():
     # the masks of the pairs below TILE_BITS are built once per size
-    tiles = frame_tiles(5)
+    tiles = slabs(5)
     first, second = next(tiles), next(tiles)
     assert first._frames == range(1 << bitgrid.TILE_BITS)
     for bit in range(bitgrid.TILE_BITS):
@@ -481,22 +499,22 @@ def test_admitted_frames_are_the_enumerated_frames_with_the_properties(props):
 
 def test_a_repeated_search_lists_no_frames_again(monkeypatch):
     bitgrid._listed_frames.cache_clear()
-    tiles = bitgrid.frame_tiles
+    walk = bitgrid.slabs
     built = []
 
-    def counted(n):
+    def counted(n, atoms=(), props=()):
         built.append(n)
-        return tiles(n)
+        return walk(n, atoms, props)
 
-    monkeypatch.setattr(bitgrid, "frame_tiles", counted)
+    monkeypatch.setattr(bitgrid, "slabs", counted)
     f = parse("box p -> box box p", SIG_P)
     first = find_countermodel(f, {R, S}, 3, SIG_P)
     assert built == [1, 2, 3]
 
-    def refused(n):
+    def refused(n, atoms=(), props=()):
         raise AssertionError("built an atom-free tile for a memoised frame list")
 
-    monkeypatch.setattr(bitgrid, "frame_tiles", refused)
+    monkeypatch.setattr(bitgrid, "slabs", refused)
     assert find_countermodel(f, {S, R}, 3, SIG_P) == first
 
 
