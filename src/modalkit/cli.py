@@ -39,6 +39,18 @@ def _parse_formula(text: str, sig: Signature | None = None):
         raise _InputError(f"cannot parse formula {text!r}: {e}") from None
 
 
+def _load(path: str, what: str, load):
+    """load applied to the text of the file at path; an unreadable or
+    malformed file is an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return load(fh.read())
+    except OSError as e:
+        raise _InputError(f"cannot read {what}: {e}") from None
+    except ValueError as e:
+        raise _InputError(f"bad {what}: {e}") from None
+
+
 def _int_at_least(low: int):
     """argparse type for an integer bound of at least low."""
     def convert(text: str) -> int:
@@ -82,13 +94,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        with open(args.model, encoding="utf-8") as fh:
-            model = load_model(fh.read())
-    except OSError as e:
-        raise _InputError(f"cannot read model file: {e}") from None
-    except ValueError as e:
-        raise _InputError(f"bad model file: {e}") from None
+    model = _load(args.model, "model file", load_model)
     f, _ = _parse_formula(args.formula, model.sig)
     if args.world not in model.worlds:
         raise _InputError(f"world {args.world} is not designated in the model")
@@ -98,13 +104,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
-    try:
-        with open(args.script, encoding="utf-8") as fh:
-            proof = parse_proof_script(fh.read())
-    except OSError as e:
-        raise _InputError(f"cannot read proof script: {e}") from None
-    except ValueError as e:
-        raise _InputError(f"bad proof script: {e}") from None
+    proof = _load(args.script, "proof script", parse_proof_script)
     logic = _parse_logic(args.logic)
     result = check_proof(proof, logic)
     if result.ok:

@@ -7,7 +7,8 @@ correspondence suite; no logic here admits it as an axiom.
 
 Proofs are lists of axiom-instantiation, modus-ponens and necessitation
 steps.  Formulas are compared after desugaring, so scripts are free to write
-diamonds and conjunctions.
+diamonds and conjunctions.  The bundled proofs under proofs/ are data: scripts
+that check_proof accepts, not generated here.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Mapping
 
 from .kripke import FrameProperty
 from .syntax import (
-    RESERVED_WORDS, Box, Dia, Formula, Implies, MetaVar, Not, Schema,
-    Signature, atoms_of, desugar, instantiate, metavars_of, parse,
-    parse_schema, pretty, sorted_signature, substitute_metavars,
+    RESERVED_WORDS, Box, Formula, Implies, Schema, Signature, atoms_of,
+    desugar, instantiate, metavars_of, parse, parse_schema, pretty,
+    sorted_signature,
 )
 
 
@@ -183,11 +183,15 @@ def check_proof(proof: Proof, logic: Logic) -> CheckResult:
             if not logic.admits(step.schema):
                 return CheckResult(False, failed_step=num,
                                    reason=f"schema {step.schema.value} is not admitted in {logic.name}")
-            body = SCHEMAS[step.schema].body
-            missing = [v for v in metavars_of(body) if v not in step.subst]
+            wanted = metavars_of(SCHEMAS[step.schema].body)
+            missing = [v for v in wanted if v not in step.subst]
             if missing:
                 return CheckResult(False, failed_step=num,
                                    reason=f"missing binding for ?{missing[0]}")
+            extra = [v for v in step.subst if v not in wanted]
+            if extra:
+                return CheckResult(False, failed_step=num,
+                                   reason=f"schema {step.schema.value} has no ?{extra[0]}")
             formula = desugar(instantiate(SCHEMAS[step.schema], step.subst), sig)
         elif isinstance(step, MpStep):
             i, j = step.premise, step.implication
@@ -218,234 +222,6 @@ def check_proof(proof: Proof, logic: Logic) -> CheckResult:
         return CheckResult(False, failed_step=0,
                            reason="last step does not match the stated conclusion")
     return CheckResult(True, formula=proof.conclusion)
-
-
-# ---------------------------------------------------------------------------
-# Proof construction
-# ---------------------------------------------------------------------------
-#
-# The builder emits concrete steps while tracking each step's (desugared)
-# formula.  Hypothetical reasoning is compiled away combinator-style: a typed
-# lambda term over proved steps is bracket-abstracted into applications of H1
-# and H2, which is the deduction theorem in executable form.  Terms are plain
-# data (_Var / _App / _Lam / _Step) so that inner lambdas may mention outer
-# variables; abstraction happens innermost-first during compile.
-
-class _Var:
-    __slots__ = ("name", "type")
-
-    def __init__(self, name: str, type_: Formula):
-        self.name = name
-        self.type = type_
-
-
-class _App:
-    __slots__ = ("fun", "arg")
-
-    def __init__(self, fun, arg):
-        self.fun = fun
-        self.arg = arg
-
-
-class _Lam:
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: _Var, body):
-        self.var = var
-        self.body = body
-
-
-class _Step:
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
-
-
-class _Builder:
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.steps: list = []
-        self.formulas: list[Formula] = []
-
-    def _push(self, step, formula: Formula) -> int:
-        self.steps.append(step)
-        self.formulas.append(desugar(formula, self.sig))
-        return len(self.steps)
-
-    def ax(self, schema: AxiomSchemaId, **subst: Formula) -> int:
-        formula = instantiate(SCHEMAS[schema], subst)
-        return self._push(AxStep(schema, dict(subst)), formula)
-
-    def mp(self, premise: int, implication: int) -> int:
-        imp = self.formulas[implication - 1]
-        assert isinstance(imp, Implies) and imp.left == self.formulas[premise - 1], \
-            "builder produced a malformed modus ponens"
-        return self._push(MpStep(premise, implication), imp.right)
-
-    def nec(self, premise: int) -> int:
-        return self._push(NecStep(premise), Box(self.formulas[premise - 1]))
-
-    # -- small derived lemmas ------------------------------------------------
-
-    def identity(self, a: Formula) -> int:
-        """The classic five-step derivation of a -> a from H1, H2."""
-        aa = Implies(a, a)
-        s1 = self.ax(AxiomSchemaId.H1, phi=a, psi=aa)
-        s2 = self.ax(AxiomSchemaId.H2, phi=a, psi=aa, gamma=a)
-        s3 = self.mp(s1, s2)
-        s4 = self.ax(AxiomSchemaId.H1, phi=a, psi=a)
-        return self.mp(s4, s3)
-
-    def chain(self, ab: int, bc: int) -> int:
-        """From steps a -> b and b -> c, derive a -> c."""
-        fab = self.formulas[ab - 1]
-        fbc = self.formulas[bc - 1]
-        a, b = fab.left, fab.right
-        c = fbc.right
-        s1 = self.ax(AxiomSchemaId.H1, phi=Implies(b, c), psi=a)
-        s2 = self.mp(bc, s1)
-        s3 = self.ax(AxiomSchemaId.H2, phi=a, psi=b, gamma=c)
-        s4 = self.mp(s2, s3)
-        return self.mp(ab, s4)
-
-    def double_negation_elim(self, a: Formula) -> int:
-        """~~a -> a."""
-        na, nna = Not(a), Not(Not(a))
-        n3a, n4a = Not(Not(Not(a))), Not(Not(Not(Not(a))))
-        s1 = self.ax(AxiomSchemaId.H1, phi=nna, psi=n4a)
-        s2 = self.ax(AxiomSchemaId.H3, phi=n3a, psi=na)
-        s3 = self.chain(s1, s2)
-        s4 = self.ax(AxiomSchemaId.H3, phi=a, psi=nna)
-        s5 = self.chain(s3, s4)
-        s6 = self.ax(AxiomSchemaId.H2, phi=nna, psi=nna, gamma=a)
-        s7 = self.mp(s5, s6)
-        s8 = self.identity(nna)
-        return self.mp(s8, s7)
-
-    def double_negation_intro(self, a: Formula) -> int:
-        """a -> ~~a."""
-        dn = self.double_negation_elim(Not(a))
-        h = self.ax(AxiomSchemaId.H3, phi=Not(Not(a)), psi=a)
-        return self.mp(dn, h)
-
-    def contra_from_negated(self, x: Formula, y: Formula) -> int:
-        """(x -> ~y) -> (y -> ~x)."""
-        dne = self.double_negation_elim(x)
-        u = _Var("u", Implies(x, Not(y)))
-        v = _Var("v", Not(Not(x)))
-        lifted = self.compile(_Lam(u, _Lam(v, _App(u, _App(_Step(dne), v)))))
-        h3 = self.ax(AxiomSchemaId.H3, phi=Not(x), psi=y)
-        return self.chain(lifted, h3)
-
-    def contrapose(self, x: Formula, y: Formula) -> int:
-        """(x -> y) -> (~y -> ~x)."""
-        dni = self.double_negation_intro(y)
-        flip = self.contra_from_negated(x, Not(y))
-        u = _Var("u", Implies(x, y))
-        a = _Var("a", x)
-        return self.compile(
-            _Lam(u, _App(_Step(flip), _Lam(a, _App(_Step(dni), _App(u, a))))))
-
-    # -- lambda compilation ---------------------------------------------------
-
-    def compile(self, term) -> int:
-        """Emit proof steps for a closed term and return the final step index."""
-        if isinstance(term, _Step):
-            return term.index
-        if isinstance(term, _App):
-            fun = self.compile(term.fun)
-            arg = self.compile(term.arg)
-            return self.mp(arg, fun)
-        if isinstance(term, _Lam):
-            return self.compile(self._abstract(term.var, term.body))
-        raise TypeError("open term: a variable escaped its lambda")
-
-    def _type_of(self, term) -> Formula:
-        if isinstance(term, _Var):
-            return term.type
-        if isinstance(term, _Step):
-            return self.formulas[term.index - 1]
-        if isinstance(term, _Lam):
-            return Implies(term.var.type, self._type_of(term.body))
-        fun_t = self._type_of(term.fun)
-        assert isinstance(fun_t, Implies), "application of a non-implication"
-        return fun_t.right
-
-    def _occurs(self, name: str, term) -> bool:
-        if isinstance(term, _Var):
-            return term.name == name
-        if isinstance(term, _App):
-            return self._occurs(name, term.fun) or self._occurs(name, term.arg)
-        if isinstance(term, _Lam):
-            return term.var.name != name and self._occurs(name, term.body)
-        return False
-
-    def _abstract(self, var: _Var, term):
-        """Rewrite term into one not mentioning var, with type var.type -> t."""
-        if isinstance(term, _Var) and term.name == var.name:
-            return _Step(self.identity(var.type))
-        if not self._occurs(var.name, term):
-            # constant under the abstraction: lift with H1
-            t = self._type_of(term)
-            lift = _Step(self.ax(AxiomSchemaId.H1, phi=t, psi=var.type))
-            return _App(lift, term)
-        if isinstance(term, _Lam):
-            return self._abstract(var, self._abstract(term.var, term.body))
-        # an application with var somewhere inside: distribute with H2
-        fun_t = self._type_of(term.fun)
-        arg_t = self._type_of(term.arg)
-        s = _Step(self.ax(AxiomSchemaId.H2, phi=var.type, psi=arg_t,
-                          gamma=fun_t.right))
-        return _App(_App(s, self._abstract(var, term.fun)),
-                    self._abstract(var, term.arg))
-
-    # -- modal lemmas ---------------------------------------------------------
-
-    def dia_distribution(self, phi: Formula, psi: Formula) -> int:
-        """box(phi -> psi) -> (dia phi -> dia psi), derived in plain K."""
-        ab = Implies(phi, psi)
-        contra = self.contrapose(phi, psi)
-        boxed = self.nec(contra)
-        k1 = self.ax(AxiomSchemaId.KDIST, phi=ab, psi=Implies(Not(psi), Not(phi)))
-        dist = self.mp(boxed, k1)
-        k2 = self.ax(AxiomSchemaId.KDIST, phi=Not(psi), psi=Not(phi))
-        boxes = self.chain(dist, k2)
-        flip = self.contrapose(Box(Not(psi)), Box(Not(phi)))
-        return self.chain(boxes, flip)
-
-    def proof(self, conclusion: Formula) -> Proof:
-        return Proof(list(self.steps), conclusion)
-
-
-_TEMPLATE_SIG = Signature(("p",))
-
-
-def derive_k_dia() -> Proof:
-    """A proof template of box(?phi -> ?psi) -> (dia ?phi -> dia ?psi).
-
-    The steps carry metavariables; instantiate_proof produces a concrete,
-    checkable proof for any choice of the two formulas.
-    """
-    phi, psi = MetaVar("phi"), MetaVar("psi")
-    b = _Builder(_TEMPLATE_SIG)
-    b.dia_distribution(phi, psi)
-    return b.proof(Implies(Box(Implies(phi, psi)), Implies(Dia(phi), Dia(psi))))
-
-
-def instantiate_proof(proof: Proof, subst: Mapping[str, Formula]) -> Proof:
-    """Substitute metavariables throughout a proof template."""
-    steps = []
-    for step in proof.steps:
-        if isinstance(step, AxStep):
-            steps.append(AxStep(step.schema,
-                                {k: substitute_metavars(f, subst)
-                                 for k, f in step.subst.items()}))
-        elif isinstance(step, MpStep):
-            steps.append(MpStep(step.premise, step.implication))
-        else:
-            steps.append(NecStep(step.premise))
-    return Proof(steps, substitute_metavars(proof.conclusion, subst))
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +289,8 @@ def parse_proof_script(text: str) -> Proof:
                     b = _BINDING_RE.match(part)
                     if not b:
                         raise ProofScriptError(f"bad binding {part.strip()!r}", lineno)
+                    if b.group(1) in subst:
+                        raise ProofScriptError(f"duplicate binding for ?{b.group(1)}", lineno)
                     try:
                         subst[b.group(1)] = parse(b.group(2), sig)
                     except ValueError as e:
@@ -570,50 +348,3 @@ def corpus_proof_text(name: str) -> str:
 
 def corpus_proof(name: str) -> Proof:
     return parse_proof_script(corpus_proof_text(name))
-
-
-def build_identity_proof() -> Proof:
-    sig = Signature(("p",))
-    p = parse("p", sig)
-    b = _Builder(sig)
-    b.identity(p)
-    return b.proof(Implies(p, p))
-
-
-def build_dia_distribution_proof() -> Proof:
-    sig = Signature(("p", "q"))
-    p, q = parse("p", sig), parse("q", sig)
-    return instantiate_proof(derive_k_dia(), {"phi": p, "psi": q})
-
-
-def build_box_dia_conjunction_proof() -> Proof:
-    """box p -> (dia q -> dia (p & q)), via distribution over a derived
-    conjunction introduction."""
-    sig = Signature(("p", "q"))
-    p, q = parse("p", sig), parse("q", sig)
-    conj = desugar(parse("p & q", sig), sig)     # ~(p -> ~q)
-    b = _Builder(sig)
-    # p -> (q -> (p & q)) from the flipped form of contra_from_negated
-    flip = b.contra_from_negated(Implies(p, Not(q)), q)
-    x = _Var("x", p)
-    z = _Var("z", Implies(p, Not(q)))
-    y = _Var("y", q)
-    intro = b.compile(
-        _Lam(x, _Lam(y, _App(_App(_Step(flip), _Lam(z, _App(z, x))), y))))
-    boxed = b.nec(intro)
-    k = b.ax(AxiomSchemaId.KDIST, phi=p, psi=Implies(q, conj))
-    dist = b.mp(boxed, k)
-    kd = b.dia_distribution(q, conj)
-    b.chain(dist, kd)
-    return b.proof(parse("box p -> (dia q -> dia (p & q))", sig))
-
-
-_BUILDERS = {
-    "identity": build_identity_proof,
-    "dia_distribution": build_dia_distribution_proof,
-    "box_dia_conjunction": build_box_dia_conjunction_proof,
-}
-
-
-def build_corpus_proof(name: str) -> Proof:
-    return _BUILDERS[name]()

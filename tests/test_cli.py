@@ -142,6 +142,41 @@ def test_check_proof_malformed_script_is_an_input_error(tmp_path, capsys):
     assert "bad proof script" in err
 
 
+def test_check_proof_repeated_binding_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "dup.proof"
+    path.write_text('1: AX H1 [phi := "q", psi := "q", phi := "p"]\nQED "p -> q -> p"\n')
+    code, out, err = run(capsys, "check-proof", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad proof script: line 1: duplicate binding for ?phi\n")
+
+
+def test_check_proof_rejects_a_binding_the_schema_lacks(tmp_path, capsys):
+    path = tmp_path / "extra.proof"
+    path.write_text('1: AX H1 [phi := "p", psi := "q", gamma := "r"]\nQED "p -> q -> p"\n')
+    code, out, err = run(capsys, "check-proof", str(path))
+    assert code == 1
+    assert out == "proof rejected at step 1: schema H1 has no ?gamma\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["eval", "p", "--world", "0", "--model"], "model file"),
+    (["check-proof"], "proof script"),
+])
+def test_unreadable_input_files_exit_2(tmp_path, capsys, argv, what):
+    binary = tmp_path / "latin1"
+    binary.write_bytes(b"\xff\xfe")
+    cases = [(tmp_path / "nope", "cannot read"), (tmp_path, "cannot read"),
+             (binary, "bad")]
+    for path, verb in cases:
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {verb} {what}: ")
+        assert "Traceback" not in err
+
+
 def test_check_proof_unknown_logic(tmp_path, capsys):
     path = tmp_path / "identity.proof"
     path.write_text(corpus_proof_text("identity"))

@@ -7,6 +7,9 @@ names the damaged step.
 """
 
 import copy
+import fnmatch
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -22,16 +25,14 @@ from modalkit.hilbert import (
     NecStep,
     Proof,
     ProofScriptError,
-    build_corpus_proof,
     check_proof,
     corpus_proof,
     corpus_proof_text,
-    derive_k_dia,
-    instantiate_proof,
     parse_proof_script,
     serialize_proof,
 )
-from modalkit.syntax import Signature, atoms_of, desugar, parse, pretty
+from modalkit.syntax import (Atom, MetaVar, Signature, atoms_of, desugar, map_leaves,
+                             parse, pretty, substitute_metavars)
 
 K = Logic.from_name("K")
 KT = Logic.from_name("KT")
@@ -97,14 +98,24 @@ def test_corpus_proof_checks_in_base_logic(name):
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
-def test_corpus_files_match_their_builders(name):
-    assert corpus_proof_text(name) == serialize_proof(build_corpus_proof(name))
-
-
-@pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_corpus_scripts_round_trip(name):
     proof = corpus_proof(name)
     assert parse_proof_script(serialize_proof(proof)) == proof
+
+
+def test_bundled_proof_files_are_the_corpus_in_canonical_form():
+    # the files are the source of truth, so guard their names, their
+    # packaging and their text: each is the serializer's own output
+    package = Path(__file__).parents[1] / "src" / "modalkit"
+    with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["modalkit"]
+    files = sorted((package / "proofs").glob("*.proof"))
+    assert sorted(f.stem for f in files) == sorted(CORPUS_NAMES)
+    for f in files:
+        rel = f.relative_to(package).as_posix()
+        assert any(fnmatch.fnmatch(rel, g) for g in globs), rel
+        text = f.read_text()
+        assert serialize_proof(parse_proof_script(text)) == text
 
 
 def test_unknown_corpus_name():
@@ -165,6 +176,14 @@ def test_mutation_binding_dropped(identity_proof):
     del bad.steps[0].subst[next(iter(bad.steps[0].subst))]
     result = _assert_rejected(bad, step=1)
     assert "missing binding" in result.reason
+
+
+def test_mutation_binding_for_a_metavariable_the_schema_lacks(identity_proof):
+    bad = copy.deepcopy(identity_proof)
+    assert bad.steps[0].schema is AxiomSchemaId.H1
+    bad.steps[0].subst["gamma"] = parse("r", Signature(("p", "r")))
+    result = _assert_rejected(bad, step=1)
+    assert result.reason == "schema H1 has no ?gamma"
 
 
 def test_mutation_mp_references_swapped(identity_proof):
@@ -287,20 +306,38 @@ def test_conclusion_comparison_is_modulo_sugar():
 # --- the distribution template -------------------------------------------------
 
 
+def _map_formulas(proof: Proof, fn) -> Proof:
+    """proof with fn applied to every axiom binding and to the conclusion."""
+    steps = [AxStep(s.schema, {k: fn(f) for k, f in s.subst.items()})
+             if isinstance(s, AxStep) else s for s in proof.steps]
+    return Proof(steps, fn(proof.conclusion))
+
+
+def _schematic_dia_distribution() -> Proof:
+    """The bundled dia_distribution proof with p and q read as ?phi and ?psi."""
+    names = {"p": MetaVar("phi"), "q": MetaVar("psi")}
+
+    def leaf(g):
+        return names[g.name] if type(g) is Atom else g
+
+    return _map_formulas(corpus_proof("dia_distribution"), lambda f: map_leaves(f, leaf))
+
+
 def test_template_instantiates_to_arbitrary_formulas():
-    template = derive_k_dia()
     sig = Signature(("p", "q", "r"))
     subst = {"phi": parse("p & q", sig), "psi": parse("dia r", sig)}
-    proof = instantiate_proof(template, subst)
+    proof = _map_formulas(_schematic_dia_distribution(),
+                          lambda f: substitute_metavars(f, subst))
     result = check_proof(proof, K)
     assert result.ok, result.reason
     assert pretty(proof.conclusion) == "box (p & q -> dia r) -> dia (p & q) -> dia dia r"
 
 
 def test_template_checks_schematically():
-    # metavariables flow through checking untouched, so the raw template is
-    # itself a valid proof of the schematic conclusion
-    template = derive_k_dia()
+    # metavariables flow through checking untouched, so the proof with its
+    # atoms read as metavariables is itself a proof of the schematic conclusion
+    template = _schematic_dia_distribution()
+    assert not atoms_of(template.conclusion)
     assert check_proof(template, K).ok
 
 
@@ -329,6 +366,8 @@ def test_script_comments_and_blanks_are_ignored():
         ('hello\nQED "p"', 1, "expected"),
         ('1: AX H1 [phi := "p", psi := "p"]\nQED "p -> (p -> p)"\n2: NEC 1', 3, "after the QED"),
         ('1: AX H1 [phi := "p", psi := "p"]\nQED "p ->"', 2, "bad conclusion"),
+        ('1: AX H1 [phi := "q", psi := "q", phi := "p"]\nQED "p -> q -> p"', 1,
+         "duplicate binding for ?phi"),
     ],
 )
 def test_script_errors_carry_line_numbers(text, line, fragment):
