@@ -16,9 +16,9 @@ from .hilbert import (ALL_LOGICS, SCHEMAS, AxiomSchemaId, Logic, Proof,
 from .kripke import (FrameProperty, KripkeModel, dump_model, eval_deep,
                      has_property, load_model, valid_in_model)
 from .syntax import (Formula, Schema, Signature, desugar, parse, parse_schema,
-                     pretty)
-from .translate import (check_faithfulness, eval_core, print_core,
-                        translate_max, translate_min)
+                     pretty, print_core)
+from .translate import (check_faithfulness, eval_core, translate_max,
+                        translate_min)
 
 __version__ = "0.1.0"
 

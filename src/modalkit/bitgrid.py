@@ -27,19 +27,19 @@ masks would exceed MAX_PATTERN_BYTES is refused before anything is
 allocated.
 
 slabs is the one walk over the frames of a size: frame sweeps, admitted
-frame lists and countermodel searches all take their slabs from it.  It
-yields slabs of at most 2**TILE_BITS models, or of one frame where a frame's
-valuations are more, in ascending order, which keeps the first set bit of
-the first slab that has one the canonically first model.  Over every frame a
-slab is a tile, whose frame list is an aligned block of relation bitmasks,
-given as a range: the pairs whose bit lies below the block's size take the
-periodic pattern of the block, and the others are fixed across it, so their
-masks are the constants full or 0.  Over admitted frames it is a slice of
-their memoised list.  At five worlds a tile's masks are 16 KiB instead of the
+frame lists, countermodel searches and the faithfulness grid, one walk per
+designated set, all take their slabs from it.  It yields slabs of at most
+2**TILE_BITS models, or of one frame where a frame's valuations are more,
+in ascending order, which keeps the first set bit of the first slab that
+has one the canonically first model.  Over every frame a slab is a tile,
+whose frame list is an aligned block of relation bitmasks, given as a
+range: the pairs whose bit lies below the block's size take the periodic
+pattern of the block, and the others are fixed across it, so their masks
+are the constants full or 0.  Over admitted frames it is a slice of their
+memoised list.  At five worlds a tile's masks are 16 KiB instead of the
 whole slab's 4 MiB.  That is below the allocator's mmap threshold, so each
-big-integer result reuses heap memory instead of faulting in fresh
-pages.  The periodic masks are the same in every tile of a size and are built
-once.
+big-integer result reuses heap memory instead of faulting in fresh pages.
+The periodic masks are the same in every tile of a size and are built once.
 
 A schema's mask on a tile is the AND over the valuations of its
 metavariables, and stops at the first valuation that leaves it 0.
@@ -71,16 +71,15 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import ResourceLimitExceeded
 from .kripke import FrameProperty, KripkeModel
 from .syntax import (
-    Atom, Box, Formula, Implies, MetaVar, Not, Schema, Signature,
+    Atom, Box, CImp, CNot, CoreForm, ForallWorld, Formula, Implies, MetaVar,
+    Not, PredR, PredV, PredW, Schema, Signature,
 )
-from .translate import CImp, CNot, CoreForm, ForallWorld, PredR, PredV, PredW
 
 
 # Cap on the bytes of a slab's pattern masks (one per relation pair and per
-# valuation cell).  Frame sweeps and countermodel searches run in tiles and
-# are held to it as one slab over all of their models would be, so for them
-# it bounds how many models they would scan, not the masks they hold at
-# once.  It admits the atom-free 5-world sweep (25 masks of 4 MiB) and
+# valuation cell).  The walks of slabs run in tiles and are held to it as
+# one slab over all of their models would be, so for them it bounds how
+# many models they would scan, not the masks they hold at once.  It admits the atom-free 5-world sweep (25 masks of 4 MiB) and
 # refuses 4 worlds with 3 atoms (0.88 GiB) or 5 worlds with 1 atom.
 MAX_PATTERN_BYTES = 128 << 20
 
@@ -135,12 +134,14 @@ def _block_patterns(val_bits: int, k: int) -> tuple[int, ...]:
 
 
 def slabs(n_worlds: int, atoms: Sequence[str] = (),
-          props: Iterable[FrameProperty] = ()) -> Iterator[ModelSlab]:
+          props: Iterable[FrameProperty] = (), *,
+          designated: Iterable[int] | None = None) -> Iterator[ModelSlab]:
     """The slabs over the n-world frames with every property in props, in
-    ascending order: each holds at most 2**TILE_BITS models, or one frame
+    ascending order, each with the designated set given (by default the
+    whole domain): each holds at most 2**TILE_BITS models, or one frame
     where a frame's valuations are more.  Without props a slab is a tile,
     an aligned range of relation bitmasks; with them, a slice of the
-    memoised admitted frames.
+    memoised admitted frames, which are listed over the whole domain.
 
     The walk is held to the slab budget when this is called, as one slab
     over all of its frames would be; the slabs are built one at a time as
@@ -150,7 +151,7 @@ def slabs(n_worlds: int, atoms: Sequence[str] = (),
     total = 1 << n_worlds * n_worlds if frames is None else len(frames)
     _check_slab_budget(n_worlds, len(atoms), total)
     step = 1 << max(0, TILE_BITS - len(atoms) * n_worlds)
-    return (ModelSlab(n_worlds, atoms,
+    return (ModelSlab(n_worlds, atoms, designated,
                       frames=(range(base, min(base + step, total)) if frames is None
                               else frames[base:base + step]))
             for base in range(0, total, step))

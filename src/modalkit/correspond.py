@@ -179,11 +179,9 @@ def loeb_suite(max_worlds: int) -> list[CheckReport]:
         for name, bad in masks.items():
             rep = reports[name]
             rep.instances += slab.count
-            while bad:
-                index = slab.first_index(bad)
+            rep.violation_count += bad.bit_count()
+            while bad and len(rep.examples) < 5:
+                _, rel = slab.frame_at(slab.first_index(bad))
                 bad &= bad - 1
-                rep.violation_count += 1
-                if len(rep.examples) < 5:
-                    _, rel = slab.frame_at(index)
-                    rep.examples.append(_frame_violation(name, n, rel))
+                rep.examples.append(_frame_violation(name, n, rel))
     return [reports[name] for name in claims]

@@ -2,7 +2,8 @@
 
 The core connectives are atoms, negation, implication and box.  Disjunction,
 conjunction, diamond and the constants are sugar and can be eliminated with
-:func:`desugar`.  Formula objects are immutable, hashable and shareable.
+:func:`desugar`.  Formula objects are immutable, hashable and shareable, and
+so are the first-order forms (CoreForm) that translate produces.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def sorted_signature(names: Iterable[str]) -> Signature:
 
 
 class Node:
-    """Base class for immutable syntax nodes: the formulas here and the
-    translated forms of translate.  Equality and hashing are structural,
-    with the hash precomputed at construction; each class gives its _key."""
+    """Base class for immutable syntax nodes: the formulas and the
+    first-order forms.  Equality and hashing are structural, with the hash
+    precomputed at construction; each class gives its _key."""
 
     __slots__ = ("_hash",)
 
@@ -215,6 +216,130 @@ class Or(_Binary):
 class And(_Binary):
     __slots__ = ()
     tag = "and"
+
+
+class CoreForm(Node):
+    """Base class for the first-order forms, with the free world variables
+    precomputed.  A form's repr lists the fields its class declares."""
+
+    __slots__ = ("free_sorted",)
+
+    def __repr__(self):
+        args = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+    def __str__(self):
+        return print_core(self)
+
+
+class PredW(CoreForm):
+    """Membership of a world variable in the designated set."""
+
+    __slots__ = ("var",)
+
+    def __init__(self, var: str):
+        self.var = var
+        self.free_sorted = (var,)
+        self._hash = hash(("W", var))
+
+    def _key(self):
+        return self.var
+
+
+class PredR(CoreForm):
+    """Accessibility between two world variables."""
+
+    __slots__ = ("src", "dst")
+
+    def __init__(self, src: str, dst: str):
+        self.src = src
+        self.dst = dst
+        self.free_sorted = (src,) if src == dst else tuple(sorted((src, dst)))
+        self._hash = hash(("R", src, dst))
+
+    def _key(self):
+        return (self.src, self.dst)
+
+
+class PredV(CoreForm):
+    """Truth of an atom at a world variable."""
+
+    __slots__ = ("atom", "var")
+
+    def __init__(self, atom: str, var: str):
+        self.atom = atom
+        self.var = var
+        self.free_sorted = (var,)
+        self._hash = hash(("V", atom, var))
+
+    def _key(self):
+        return (self.atom, self.var)
+
+
+class CNot(CoreForm):
+    __slots__ = ("body",)
+
+    def __init__(self, body: CoreForm):
+        self.body = body
+        self.free_sorted = body.free_sorted
+        self._hash = hash(("cnot", body._hash))
+
+    def _key(self):
+        return self.body
+
+
+class CImp(CoreForm):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: CoreForm, right: CoreForm):
+        self.left = left
+        self.right = right
+        free = left.free_sorted
+        if free != right.free_sorted:
+            free = tuple(sorted({*free, *right.free_sorted}))
+        self.free_sorted = free
+        self._hash = hash(("cimp", left._hash, right._hash))
+
+    def _key(self):
+        return (self.left, self.right)
+
+
+class ForallWorld(CoreForm):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: CoreForm):
+        self.var = var
+        self.body = body
+        self.free_sorted = tuple(v for v in body.free_sorted if v != var)
+        self._hash = hash(("forall", var, body._hash))
+
+    def _key(self):
+        return (self.var, self.body)
+
+
+def print_core(c: CoreForm) -> str:
+    """Render a translated form; predicates print bare, compound operands of
+    an implication or negation are parenthesised."""
+    t = type(c)
+    if t is PredW:
+        return f"W({c.var})"
+    if t is PredR:
+        return f"R({c.src},{c.dst})"
+    if t is PredV:
+        return f"V({c.atom},{c.var})"
+    if t is CNot:
+        return "~" + _operand(c.body)
+    if t is CImp:
+        return _operand(c.left) + " -> " + _operand(c.right)
+    if t is ForallWorld:
+        return f"∀{c.var}. " + print_core(c.body)
+    raise TypeError(f"not a translated form: {c!r}")
+
+
+def _operand(c: CoreForm) -> str:
+    if type(c) in (CImp, ForallWorld):
+        return "(" + print_core(c) + ")"
+    return print_core(c)
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:

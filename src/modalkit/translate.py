@@ -6,11 +6,12 @@ Both leave a single free world variable named w.  A box at box depth d
 binds the variable v{d}: the outermost box binds v0 and sibling boxes share
 a name.  An inner binder's name differs from every enclosing one, so no
 variable is captured, and a subformula at a given box depth always
-translates to the same form; the guards of a depth are built once.
-check_faithfulness grinds the two translations against the structural
-evaluator over an exhaustive formula/model grid and reports any
-disagreement.  A slab's formulas share its memos; a top-depth formula's own
-entries are dropped once it is checked (see _check_slab).
+translates to the same form; the guards of a depth are built once.  The
+forms are syntax.CoreForm nodes.  check_faithfulness grinds the two
+translations against the structural evaluator over an exhaustive
+formula/model grid, one walk of bitgrid.slabs per designated set, and
+reports any disagreement.  A slab's formulas share its memos; a top-depth
+formula's own entries are dropped once it is checked (see _check_slab).
 """
 
 from __future__ import annotations
@@ -20,112 +21,14 @@ from functools import cache, partial, reduce
 from operator import and_
 from typing import Callable, Mapping
 
+from .bitgrid import slabs
 from .errors import ResourceLimitExceeded
 from .kripke import KripkeModel
 from .reporting import CheckReport, Violation
 from .syntax import (
-    Atom, Box, Formula, Implies, Node, Not, Signature, enumerate_formulas,
-    pretty,
+    Atom, Box, CImp, CNot, CoreForm, ForallWorld, Formula, Implies, Not,
+    PredR, PredV, PredW, Signature, enumerate_formulas, pretty,
 )
-
-
-class CoreForm(Node):
-    """Base class for translated forms, with the free world variables
-    precomputed.  A form's repr lists the fields its class declares."""
-
-    __slots__ = ("free_sorted",)
-
-    def __repr__(self):
-        args = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
-        return f"{type(self).__name__}({args})"
-
-    def __str__(self):
-        return print_core(self)
-
-
-class PredW(CoreForm):
-    """Membership of a world variable in the designated set."""
-
-    __slots__ = ("var",)
-
-    def __init__(self, var: str):
-        self.var = var
-        self.free_sorted = (var,)
-        self._hash = hash(("W", var))
-
-    def _key(self):
-        return self.var
-
-
-class PredR(CoreForm):
-    """Accessibility between two world variables."""
-
-    __slots__ = ("src", "dst")
-
-    def __init__(self, src: str, dst: str):
-        self.src = src
-        self.dst = dst
-        self.free_sorted = (src,) if src == dst else tuple(sorted((src, dst)))
-        self._hash = hash(("R", src, dst))
-
-    def _key(self):
-        return (self.src, self.dst)
-
-
-class PredV(CoreForm):
-    """Truth of an atom at a world variable."""
-
-    __slots__ = ("atom", "var")
-
-    def __init__(self, atom: str, var: str):
-        self.atom = atom
-        self.var = var
-        self.free_sorted = (var,)
-        self._hash = hash(("V", atom, var))
-
-    def _key(self):
-        return (self.atom, self.var)
-
-
-class CNot(CoreForm):
-    __slots__ = ("body",)
-
-    def __init__(self, body: CoreForm):
-        self.body = body
-        self.free_sorted = body.free_sorted
-        self._hash = hash(("cnot", body._hash))
-
-    def _key(self):
-        return self.body
-
-
-class CImp(CoreForm):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: CoreForm, right: CoreForm):
-        self.left = left
-        self.right = right
-        free = left.free_sorted
-        if free != right.free_sorted:
-            free = tuple(sorted({*free, *right.free_sorted}))
-        self.free_sorted = free
-        self._hash = hash(("cimp", left._hash, right._hash))
-
-    def _key(self):
-        return (self.left, self.right)
-
-
-class ForallWorld(CoreForm):
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: CoreForm):
-        self.var = var
-        self.body = body
-        self.free_sorted = tuple(v for v in body.free_sorted if v != var)
-        self._hash = hash(("forall", var, body._hash))
-
-    def _key(self):
-        return (self.var, self.body)
 
 
 FREE_WORLD_VAR = "w"
@@ -226,35 +129,6 @@ def _eval_core(c: CoreForm, m: KripkeModel, binding: dict[str, int]) -> bool:
         return True
     raise TypeError(f"not a translated form: {c!r}")
 
-
-def print_core(c: CoreForm) -> str:
-    """Render a translated form; predicates print bare, compound operands of
-    an implication or negation are parenthesised."""
-    t = type(c)
-    if t is PredW:
-        return f"W({c.var})"
-    if t is PredR:
-        return f"R({c.src},{c.dst})"
-    if t is PredV:
-        return f"V({c.atom},{c.var})"
-    if t is CNot:
-        return "~" + _operand(c.body)
-    if t is CImp:
-        return _operand(c.left) + " -> " + _operand(c.right)
-    if t is ForallWorld:
-        return f"∀{c.var}. " + print_core(c.body)
-    raise TypeError(f"not a translated form: {c!r}")
-
-
-def _operand(c: CoreForm) -> str:
-    if type(c) in (CImp, ForallWorld):
-        return "(" + print_core(c) + ")"
-    return print_core(c)
-
-
-# ---------------------------------------------------------------------------
-# Faithfulness grid
-# ---------------------------------------------------------------------------
 
 CHECK_TRUTH_DEEP_MAX = "truth-deep-max"
 CHECK_VALIDITY_DEEP_MAX = "validity-deep-max"
@@ -378,17 +252,20 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
     functions can be injected, which is how the mutation tests drive the
     grid.
 
-    A grid over the slab budget, MAX_GRID_FORMULAS, MAX_GRID_INSTANCES or
+    Each designated set is walked in the slabs of bitgrid.slabs.  A grid
+    over the slab budget, MAX_GRID_FORMULAS, MAX_GRID_INSTANCES or
     MAX_GRID_STEPS raises ResourceLimitExceeded before any formula or slab
-    exists.
+    exists; a negative depth or fewer than one world raises ValueError.
     """
-    from .bitgrid import ModelSlab, _check_slab_budget
-
+    if max_depth < 0:
+        raise ValueError("max_depth must be at least 0")
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be at least 1")
     k = len(sig.atoms)
-    # slabs grow with the world count, so the first one refused here is the
-    # first one the run would have reached
-    for n in range(1, max_worlds + 1):
-        _check_slab_budget(n, k, 1 << n * n)
+    # a walk is held to the slab budget when it is made; walks grow with the
+    # world count, so the first refused here is the first the run would reach
+    walks = [slabs(n, sig.atoms, designated=[w for w in range(n) if bits >> w & 1])
+             for n in range(1, max_worlds + 1) for bits in range(1, 1 << n)]
     n_formulas = _formula_count(k, max_depth)
     if n_formulas > MAX_GRID_FORMULAS:
         raise ResourceLimitExceeded(
@@ -403,7 +280,7 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
             f"a grid of depth {max_depth} over {k} atoms and up to {max_worlds} "
             f"worlds checks {instances} validity instances, over the "
             f"{MAX_GRID_INSTANCES} work budget")
-    # a step checks one formula on one slab, one of those designated sets
+    # a step checks one formula on one of those designated sets
     steps = n_formulas * sum((1 << n) - 1 for n in range(1, max_worlds + 1))
     if steps > MAX_GRID_STEPS:
         raise ResourceLimitExceeded(
@@ -421,9 +298,8 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
     translate_max_fn = translate_max_fn or partial(translate_max, memo=memos[0])
     translate_min_fn = translate_min_fn or partial(translate_min, memo=memos[1])
     report = FaithfulnessReport([CheckReport(name, 0, 0) for name in CHECK_NAMES])
-    for n in range(1, max_worlds + 1):
-        for bits in range(1, 1 << n):
-            slab = ModelSlab(n, sig.atoms, [w for w in range(n) if bits >> w & 1])
+    for walk in walks:
+        for slab in walk:
             _check_slab(slab, formulas, n_lower, translate_max_fn, translate_min_fn,
                         memos, report)
     return report

@@ -20,6 +20,7 @@ from modalkit.correspond import (
 )
 from modalkit.hilbert import SCHEMAS, AxiomSchemaId
 from modalkit.kripke import FrameProperty, KripkeModel, has_property
+from modalkit.reporting import Violation
 from modalkit.syntax import Schema, parse_schema
 
 from conftest import SIG_P
@@ -197,20 +198,26 @@ _ORDER_CASES = [(schema, p, 4) for schema in SCHEMAS.values() for p in FrameProp
     (parse_schema("(box p -> p) & (box q -> q)"), FrameProperty.REFLEXIVE, 3)]
 
 
-def _scalar_correspondence(s, p, max_worlds):
-    """correspondence_check frame by frame in canonical order, on the scalar
-    checkers: world count first, then relation bitmask."""
-    checked = 0
+def _canonical_frames(max_worlds):
+    """(n, relation) for every frame up to max_worlds in canonical order:
+    world count first, then relation bitmask."""
     for n in range(1, max_worlds + 1):
         pairs = [(i, j) for i in range(n) for j in range(n)]
         for bits in range(1 << n * n):
-            rel = frozenset(pair for k, pair in enumerate(pairs) if bits >> k & 1)
-            has = has_property(KripkeModel(n, range(n), rel, {"p": []}, SIG_P), p)
-            if has != schema_valid_on_frame(set(range(n)), set(rel), s):
-                return CounterFrame(frozenset(range(n)), rel,
-                                    CounterFrame.PROPERTY_WITHOUT_SCHEMA if has
-                                    else CounterFrame.SCHEMA_WITHOUT_PROPERTY)
-        checked += 1 << n * n
+            yield n, frozenset(pair for k, pair in enumerate(pairs) if bits >> k & 1)
+
+
+def _scalar_correspondence(s, p, max_worlds):
+    """correspondence_check frame by frame in canonical order, on the scalar
+    checkers."""
+    checked = 0
+    for n, rel in _canonical_frames(max_worlds):
+        has = has_property(KripkeModel(n, range(n), rel, {"p": []}, SIG_P), p)
+        if has != schema_valid_on_frame(set(range(n)), set(rel), s):
+            return CounterFrame(frozenset(range(n)), rel,
+                                CounterFrame.PROPERTY_WITHOUT_SCHEMA if has
+                                else CounterFrame.SCHEMA_WITHOUT_PROPERTY)
+        checked += 1
     return Holds(checked)
 
 
@@ -346,6 +353,29 @@ def test_loeb_suite_is_clean_to_bound_five():
 def test_loeb_suite_validates_bound():
     with pytest.raises(ValueError):
         loeb_suite(0)
+
+
+def test_dense_violations_are_counted_and_sampled_in_canonical_order(monkeypatch):
+    # with every frame forced Loeb-valid, each loeb-implies claim fails on
+    # every frame that lacks its property, and the first claim on none
+    monkeypatch.setattr(ModelSlab, "schema_validity_mask",
+                        lambda self, s, hints=None: self.full)
+    lacking = {"transitive+cwf-implies-loeb": None,
+               "loeb-implies-cwf": FrameProperty.CONVERSE_WELL_FOUNDED,
+               "loeb-implies-irreflexive": FrameProperty.IRREFLEXIVE,
+               "loeb-implies-transitive": FrameProperty.TRANSITIVE}
+    frames = list(_canonical_frames(3))
+    assert len(frames) == 530
+    reports = loeb_suite(3)
+    assert [r.name for r in reports] == list(lacking)
+    for report, p in zip(reports, lacking.values()):
+        offending = [Violation(report.name, None, f"worlds={n} rel={sorted(rel)}", None)
+                     for n, rel in frames if p is not None and not has_property(
+                         KripkeModel(n, range(n), rel, {"p": []}, SIG_P), p)]
+        assert report.instances == 530
+        assert report.violation_count == len(offending), report.name
+        assert report.examples == offending[:5], report.name
+    assert min(r.violation_count for r in reports[1:]) > 5
 
 
 def test_loeb_does_not_imply_reflexivity():

@@ -1,33 +1,41 @@
 """Translations into the explicit first-order core and the faithfulness grid."""
 
+from collections import Counter
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from modalkit import translate
+from modalkit import bitgrid, translate
 from modalkit.bitgrid import ModelSlab
 from modalkit.cli import main
 from modalkit.countermodel import enumerate_models
 from modalkit.kripke import KripkeModel, eval_deep
 from modalkit.reporting import CheckReport, Violation
-from modalkit.syntax import Signature, desugar, enumerate_formulas, parse, pretty
+from modalkit.syntax import (
+    CImp,
+    CNot,
+    ForallWorld,
+    PredR,
+    PredV,
+    PredW,
+    Signature,
+    desugar,
+    enumerate_formulas,
+    parse,
+    pretty,
+    print_core,
+)
 from modalkit.translate import (
     CHECK_NAMES,
     CHECK_TRUTH_DEEP_MAX,
     CHECK_TRUTH_DEEP_MIN,
     CHECK_TRUTH_MAX_MIN,
     CHECK_VALIDITY_DEEP_MAX,
-    CImp,
-    CNot,
     CoreEnv,
-    ForallWorld,
-    PredR,
-    PredV,
-    PredW,
     check_faithfulness,
     eval_core,
-    print_core,
     translate_max,
     translate_min,
 )
@@ -413,6 +421,39 @@ def test_grid_is_refused_before_any_work(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: resource limit exceeded: {message}\n"
+
+
+def test_a_grid_that_checks_nothing_is_refused():
+    # argparse bounds --depth and --max-worlds; the library checks them itself
+    with pytest.raises(ValueError, match="max_depth must be at least 0"):
+        check_faithfulness(SIG_P, -1, 2)
+    with pytest.raises(ValueError, match="max_worlds must be at least 1"):
+        check_faithfulness(SIG_P, 2, 0)
+
+
+def test_grids_in_tiles_of_sixteen_models_equal_the_default_ones(monkeypatch):
+    # one atom on up to three worlds fits one slab per designated set at
+    # the default tile size; in tiles of 16 models two worlds take 4 slabs
+    # and three worlds 256
+    def run():
+        return [check_faithfulness(SIG_P, 1, 3),
+                check_faithfulness(SIG_P, 2, 3, translate_min_fn=unguarded_min)]
+
+    default = run()
+    taken = Counter()
+    check_slab = translate._check_slab
+
+    def counted(slab, *args):
+        taken[slab.n, slab.designated] += 1
+        check_slab(slab, *args)
+
+    monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
+    monkeypatch.setattr(translate, "_check_slab", counted)
+    assert run() == default
+    assert not default[1].ok
+    assert taken == {(n, frozenset(designated)): 2 * {1: 1, 2: 4, 3: 256}[n]
+                     for n in range(1, 4) for k in range(1, n + 1)
+                     for designated in combinations(range(n), k)}
 
 
 def test_formula_count_is_the_enumeration_length():
