@@ -20,9 +20,8 @@ from importlib import resources
 
 from .kripke import FrameProperty
 from .syntax import (
-    RESERVED_WORDS, Box, Formula, Implies, Schema, Signature, atoms_of,
-    desugar, instantiate, metavars_of, parse, parse_schema, pretty,
-    sorted_signature,
+    RESERVED_WORDS, Box, Formula, Implies, MetaVar, Not, Schema, Signature,
+    atoms_of, desugar, parse, parse_schema, pretty, sorted_signature,
 )
 
 
@@ -38,14 +37,15 @@ class AxiomSchemaId(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "AxiomSchemaId":
-        key = name.strip().upper()
-        aliases = {"KDIST": cls.KDIST, "K": cls.KDIST, "4": cls.FOUR,
-                   "FOUR": cls.FOUR, "M": cls.T, "L": cls.LOEB, "GL": cls.LOEB}
-        if key in cls.__members__:
-            return cls[key]
-        if key in aliases:
-            return aliases[key]
-        raise ValueError(f"unknown axiom schema {name!r}")
+        try:
+            return _SCHEMA_NAMES[name.strip().upper()]
+        except KeyError:
+            raise ValueError(f"unknown axiom schema {name!r}") from None
+
+
+_SCHEMA_NAMES: dict[str, AxiomSchemaId] = {
+    **AxiomSchemaId.__members__, "K": AxiomSchemaId.KDIST, "4": AxiomSchemaId.FOUR,
+    "M": AxiomSchemaId.T, "L": AxiomSchemaId.LOEB, "GL": AxiomSchemaId.LOEB}
 
 
 SCHEMAS: dict[AxiomSchemaId, Schema] = {
@@ -58,6 +58,8 @@ SCHEMAS: dict[AxiomSchemaId, Schema] = {
     AxiomSchemaId.FOUR: parse_schema("box ?phi -> box box ?phi"),
     AxiomSchemaId.LOEB: parse_schema("box (box ?phi -> ?phi) -> box ?phi"),
 }
+
+_METAVARS = {schema: s.metavars for schema, s in SCHEMAS.items()}
 
 _BASE_SCHEMAS = frozenset({AxiomSchemaId.H1, AxiomSchemaId.H2,
                            AxiomSchemaId.H3, AxiomSchemaId.KDIST})
@@ -160,12 +162,27 @@ class CheckResult:
 
 
 def _proof_signature(proof: Proof) -> Signature:
-    names: set[str] = set(atoms_of(proof.conclusion))
-    for step in proof.steps:
-        if isinstance(step, AxStep):
-            for f in step.subst.values():
-                names.update(atoms_of(f))
-    return sorted_signature(names)
+    bindings = {f for step in proof.steps if isinstance(step, AxStep)
+                for f in step.subst.values()}
+    return sorted_signature(atoms_of(proof.conclusion).union(*map(atoms_of, bindings)))
+
+
+def _hash_cons(f: Formula, leaf, table: dict) -> Formula:
+    """Core formula f with each leaf g replaced by leaf(g) and equal subterms
+    made one object: table keys a node by the ids of operands it also holds."""
+    t = type(f)
+    if t is Implies:
+        left, right = _hash_cons(f.left, leaf, table), _hash_cons(f.right, leaf, table)
+        key = (t, id(left), id(right))
+    elif t is Not or t is Box:
+        body = _hash_cons(f.body, leaf, table)
+        key = (t, id(body))
+    else:
+        return leaf(f)
+    g = table.get(key)
+    if g is None:
+        g = table[key] = Implies(left, right) if t is Implies else t(body)
+    return g
 
 
 def check_proof(proof: Proof, logic: Logic) -> CheckResult:
@@ -174,16 +191,26 @@ def check_proof(proof: Proof, logic: Logic) -> CheckResult:
     Axiom steps must instantiate a schema the logic admits; a modus ponens
     step MP i j requires step j to be (step i) -> x and yields x;
     necessitation boxes an earlier step.  Comparison is structural after
-    desugaring.
+    desugaring, of each distinct binding and schema body once; derived
+    formulas share equal subterms, so most comparisons end at identity.
     """
     sig = _proof_signature(proof)
+    table: dict[tuple, Formula] = {}
+    cores: dict[Formula, Formula] = {}
+
+    def core(f: Formula) -> Formula:
+        if f not in cores:
+            cores[f] = _hash_cons(desugar(f, sig),
+                                  lambda g: table.setdefault((type(g), g.name), g), table)
+        return cores[f]
+
     derived: list[Formula] = []
     for num, step in enumerate(proof.steps, start=1):
         if isinstance(step, AxStep):
             if not logic.admits(step.schema):
                 return CheckResult(False, failed_step=num,
                                    reason=f"schema {step.schema.value} is not admitted in {logic.name}")
-            wanted = metavars_of(SCHEMAS[step.schema].body)
+            wanted = _METAVARS[step.schema]
             missing = [v for v in wanted if v not in step.subst]
             if missing:
                 return CheckResult(False, failed_step=num,
@@ -192,7 +219,9 @@ def check_proof(proof: Proof, logic: Logic) -> CheckResult:
             if extra:
                 return CheckResult(False, failed_step=num,
                                    reason=f"schema {step.schema.value} has no ?{extra[0]}")
-            formula = desugar(instantiate(SCHEMAS[step.schema], step.subst), sig)
+            bound = {v: core(f) for v, f in step.subst.items()}
+            formula = _hash_cons(core(SCHEMAS[step.schema].body),
+                                 lambda g: bound[g.name] if type(g) is MetaVar else g, table)
         elif isinstance(step, MpStep):
             i, j = step.premise, step.implication
             for ref in (i, j):
@@ -211,14 +240,14 @@ def check_proof(proof: Proof, logic: Logic) -> CheckResult:
             if not 1 <= step.premise < num:
                 return CheckResult(False, failed_step=num,
                                    reason=f"step reference {step.premise} must point at an earlier step")
-            formula = Box(derived[step.premise - 1])
+            box = derived[step.premise - 1]
+            formula = table.setdefault((Box, id(box)), Box(box))
         else:
             return CheckResult(False, failed_step=num, reason=f"unknown step kind {step!r}")
         derived.append(formula)
     if not derived:
         return CheckResult(False, failed_step=0, reason="empty proof")
-    want = desugar(proof.conclusion, sig)
-    if derived[-1] != want:
+    if derived[-1] != core(proof.conclusion):
         return CheckResult(False, failed_step=0,
                            reason="last step does not match the stated conclusion")
     return CheckResult(True, formula=proof.conclusion)
@@ -255,16 +284,20 @@ def parse_proof_script(text: str) -> Proof:
     steps: list = []
     conclusion: Formula | None = None
     expected = 1
+    parsed: dict[str, Formula] = {}  # each distinct text is parsed once
+
+    def read(quoted: str) -> Formula:
+        return parsed.get(quoted) or parsed.setdefault(quoted, parse(quoted, sig))
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if conclusion is not None:
             raise ProofScriptError("content after the QED line", lineno)
-        qed = _QED_RE.match(line)
-        if qed:
+        if qed := _QED_RE.match(line):
             try:
-                conclusion = parse(qed.group(1), sig)
+                conclusion = read(qed.group(1))
             except ValueError as e:
                 raise ProofScriptError(f"bad conclusion: {e}", lineno) from None
             continue
@@ -276,8 +309,7 @@ def parse_proof_script(text: str) -> Proof:
             raise ProofScriptError(f"expected step {expected}, found {num}", lineno)
         expected += 1
         body = m.group(2).strip()
-        ax = _AX_RE.match(body)
-        if ax:
+        if ax := _AX_RE.match(body):
             try:
                 schema = AxiomSchemaId.from_name(ax.group(1))
             except ValueError as e:
@@ -292,17 +324,15 @@ def parse_proof_script(text: str) -> Proof:
                     if b.group(1) in subst:
                         raise ProofScriptError(f"duplicate binding for ?{b.group(1)}", lineno)
                     try:
-                        subst[b.group(1)] = parse(b.group(2), sig)
+                        subst[b.group(1)] = read(b.group(2))
                     except ValueError as e:
                         raise ProofScriptError(f"bad formula in binding: {e}", lineno) from None
             steps.append(AxStep(schema, subst))
             continue
-        mp = _MP_RE.match(body)
-        if mp:
+        if mp := _MP_RE.match(body):
             steps.append(MpStep(int(mp.group(1)), int(mp.group(2))))
             continue
-        nec = _NEC_RE.match(body)
-        if nec:
+        if nec := _NEC_RE.match(body):
             steps.append(NecStep(int(nec.group(1))))
             continue
         raise ProofScriptError(f"unrecognised step {body!r}", lineno)
@@ -312,11 +342,8 @@ def parse_proof_script(text: str) -> Proof:
 
 
 def _script_signature(text: str) -> Signature:
-    return sorted_signature({
-        tok
-        for quoted in re.findall(r'"([^"]*)"', text)
-        for tok in re.findall(r"[A-Za-z][A-Za-z0-9_]*", quoted)
-        if tok not in RESERVED_WORDS})
+    quoted = " ".join(set(re.findall(r'"([^"]*)"', text)))
+    return sorted_signature(set(re.findall(r"[A-Za-z][A-Za-z0-9_]*", quoted)) - RESERVED_WORDS)
 
 
 def serialize_proof(proof: Proof) -> str:

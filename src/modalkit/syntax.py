@@ -486,22 +486,21 @@ _TOKEN_RE = re.compile(
       | (?P<name>[A-Za-z][A-Za-z0-9_]*)
       | (?P<metavar>\?[A-Za-z][A-Za-z0-9_]*)
       | (?P<punct>[~&|()])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    # every character starts a match, so one scan covers the text
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise LexError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise LexError(f"unexpected character {m[0]!r}", m.start())
         if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
+            tokens.append((kind, m[0], m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 

@@ -1,4 +1,5 @@
-"""Shared strategies and an independent reference evaluator.
+"""Shared strategies, an independent reference evaluator and a reference
+lexer.
 
 The naive evaluator here is deliberately written from scratch against the
 connective semantics (including sugar) rather than reusing the package's
@@ -6,11 +7,13 @@ desugaring pipeline, so differential tests compare two genuinely separate
 routes to the same truth value.
 """
 
+import re
+
 import hypothesis.strategies as st
 
 from modalkit.kripke import KripkeModel
-from modalkit.syntax import (And, Atom, Bot, Box, Dia, Implies, Not, Or,
-                             Signature, Top)
+from modalkit.syntax import (And, Atom, Bot, Box, Dia, Implies, LexError, Not,
+                             Or, Signature, Top)
 from modalkit.translate import CImp, CNot, ForallWorld, PredV
 
 SIG_P = Signature(("p",))
@@ -73,6 +76,27 @@ def naive_eval(m: KripkeModel, w: int, f) -> bool:
     if isinstance(f, Dia):
         return any(naive_eval(m, v, f.body) for v in succ)
     raise TypeError(f"unknown node {f!r}")
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<ws>\s+)|(?P<arrow>->)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<metavar>\?[A-Za-z][A-Za-z0-9_]*)|(?P<punct>[~&|()])")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The lexer as a match loop: one anchored match per token, and a
+    LexError at the first position where no token starts."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            raise LexError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
 
 
 def unguarded_min(f):

@@ -494,6 +494,14 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip() == "valid in K"
 
 
+def test_package_entry_point_prints_what_main_prints(capsys):
+    assert main(["parse", "p"]) == 0
+    want = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", "modalkit", "parse", "p"],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+
 def test_k4_refutes_seventy_nested_boxes_quickly():
     # the tableau gives up on a 64-label transitive chain; re-checking that
     # model must not walk every path of it once per nested box

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from modalkit import hilbert
 from modalkit.bitgrid import ModelSlab
 from modalkit.hilbert import (
     ALL_LOGICS,
@@ -375,6 +376,64 @@ def test_script_errors_carry_line_numbers(text, line, fragment):
         parse_proof_script(text)
     assert exc.value.line == line
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("name, distinct", [("box_dia_conjunction", 110),
+                                            ("dia_distribution", 89)])
+def test_each_distinct_script_text_is_parsed_once(monkeypatch, name, distinct):
+    texts = []
+    real = hilbert.parse
+
+    def counting(text, sig):
+        texts.append(text)
+        return real(text, sig)
+
+    monkeypatch.setattr(hilbert, "parse", counting)
+    corpus_proof(name)
+    assert len(texts) == len(set(texts)) == distinct
+
+
+def test_a_bad_text_is_reported_at_its_first_line():
+    good = '[phi := "p", psi := "p"]'
+    bad = '[phi := "p ->", psi := "p"]'
+    text = "".join(f"{n}: AX H1 {bad if n in (3, 7) else good}\n" for n in range(1, 8))
+    with pytest.raises(ProofScriptError) as exc:
+        parse_proof_script(text + 'QED "p -> p -> p"\n')
+    assert exc.value.line == 3
+    assert str(exc.value) == ("line 3: bad formula in binding: "
+                              "expected a formula, found end of input (at position 4)")
+
+
+def _identity_script(a: str, b: str) -> str:
+    """A proof of a -> a whose first MP cites step 1, where the antecedent
+    is spelt a, against step 2, where it is spelt b."""
+    return (f'1: AX H1 [phi := "{a}", psi := "{a} -> {a}"]\n'
+            f'2: AX H2 [phi := "{b}", psi := "{a} -> {a}", gamma := "{a}"]\n'
+            "3: MP 1 2\n"
+            f'4: AX H1 [phi := "{a}", psi := "{a}"]\n'
+            "5: MP 4 3\n"
+            f'QED "{a} -> {a}"\n')
+
+
+def test_one_antecedent_in_two_spellings_is_accepted():
+    result = check_proof(parse_proof_script(_identity_script("p & q", "~(p -> ~q)")), K)
+    assert result.ok, result.reason
+
+
+def test_an_antecedent_one_atom_off_deep_in_a_shared_subterm_is_rejected():
+    # step 2's antecedent shares (a -> a) -> a with step 1 and differs only
+    # in the last atom of its first operand
+    a, b = "box box (p & dia (q -> p))", "box box (p & dia (q -> r))"
+    assert check_proof(parse_proof_script(_identity_script(a, a)), K).ok
+    result = _assert_rejected(parse_proof_script(_identity_script(a, b)), step=3)
+    assert result.reason == "step 2 is not an implication with step 1 as antecedent"
+
+
+def test_a_negation_and_a_box_of_one_operand_stay_apart():
+    # shared subterms are told apart by connective as well as by operand
+    text = '1: AX H1 [phi := "box p", psi := "q"]\nQED "~p -> q -> ~p"\n'
+    result = _assert_rejected(parse_proof_script(text), step=0)
+    assert result.reason == "last step does not match the stated conclusion"
 
 
 def test_script_missing_qed():

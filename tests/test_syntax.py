@@ -2,11 +2,12 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import SIG_P, SIG_PQ, formulas
+from conftest import SIG_P, SIG_PQ, formulas, reference_tokenize
 from modalkit.syntax import (
-    MAX_FORMULA_DEPTH, And, Atom, Bot, Box, Dia, Formula, Implies, MetaVar, Not,
-    Or, ParseError,
+    MAX_FORMULA_DEPTH, And, Atom, Bot, Box, Dia, Formula, Implies, LexError,
+    MetaVar, Not, Or, ParseError, _tokenize,
     Schema, SchemaError, Signature, Top, UnknownAtomError, atoms_of, depth,
     desugar, enumerate_formulas, infer_signature, instantiate, is_core,
     metavars_of, parse, parse_schema, pretty, size, to_sexpr,
@@ -38,6 +39,44 @@ def test_syntax_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse("p -> (q", SIG_PQ)
     assert exc.value.position >= 6
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("p $", "unexpected character '$' (at position 2)", 2),
+    ("?", "unexpected character '?' (at position 0)", 0),
+    ("?1", "unexpected character '?' (at position 0)", 0),
+    ("\u25a1 p", "unexpected character '\u25a1' (at position 0)", 0),
+    ("p\t->\n\t$", "unexpected character '$' (at position 6)", 6),
+])
+def test_lex_error_names_the_character_and_its_position(text, message, position):
+    for read in (lambda t: parse(t, SIG_PQ), parse_schema):
+        with pytest.raises(LexError) as exc:
+            read(text)
+        assert (str(exc.value), exc.value.position) == (message, position)
+
+
+def test_tabs_and_newlines_are_whitespace():
+    assert _tokenize("p\t->\n\tq\n") == [
+        ("name", "p", 0), ("arrow", "->", 2), ("name", "q", 6), ("eof", "", 8)]
+    assert parse("p\t->\n\tq\n", SIG_PQ) == Implies(Atom("p"), Atom("q"))
+
+
+# mostly the lexer's own alphabet, so that texts mix tokens with the odd
+# unknown character; unicode whitespace and a non-ASCII letter included
+_LEXER_TEXT = st.text(st.sampled_from(list("pqz_09?~&|()->< \t\n\r\x0b\x0c\x85\u2028$\u25a1\u00e9")),
+                      max_size=30) | st.text(max_size=12)
+
+
+@given(_LEXER_TEXT)
+def test_scanner_agrees_with_the_reference_match_loop(text):
+    try:
+        want = reference_tokenize(text)
+    except LexError as e:
+        with pytest.raises(LexError) as exc:
+            _tokenize(text)
+        assert (str(exc.value), exc.value.position) == (str(e), e.position)
+    else:
+        assert _tokenize(text) == want
 
 
 @pytest.mark.parametrize("text", ["", "->", "p q", "box", "(p", "p)"])
