@@ -41,6 +41,17 @@ whole slab's 4 MiB.  That is below the allocator's mmap threshold, so each
 big-integer result reuses heap memory instead of faulting in fresh pages.
 The periodic masks are the same in every tile of a size and are built once.
 
+A walk may be isomorph-free: up to ISOMORPH_FREE_WORLDS worlds it then
+takes only the canonical frames, each the least relation bitmask among its
+relabellings, one frame per isomorphism class (2, 10, 104 and 3,044 of 2,
+16, 512 and 65,536 frames for 1 to 4 worlds).  They are found on the
+atom-free tiles, one "a relabelling is smaller" mask per permutation of the
+worlds, listed once per process and world count, and filtered by property
+set through ranked atom-free slabs; the walk's slabs are slices of the
+filtered list.  The countermodel search walks them, and the budget counts
+only them.  Sweeps, the faithfulness grid and admitted_frames report
+labelled counts and walk every admitted frame.
+
 A schema's mask on a tile is the AND over the valuations of its
 metavariables, and stops at the first valuation that leaves it 0.
 Neighbouring tiles share their high relation bits, so the valuation that
@@ -65,7 +76,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitExceeded
@@ -79,14 +90,23 @@ from .syntax import (
 # Cap on the bytes of a slab's pattern masks (one per relation pair and per
 # valuation cell).  The walks of slabs run in tiles and are held to it as
 # one slab over all of their models would be, so for them it bounds how
-# many models they would scan, not the masks they hold at once.  It admits the atom-free 5-world sweep (25 masks of 4 MiB) and
-# refuses 4 worlds with 3 atoms (0.88 GiB) or 5 worlds with 1 atom.
+# many models they would scan, not the masks they hold at once.  It admits
+# the atom-free 5-world sweep (25 masks of 4 MiB) and a search with 3 atoms
+# over the 3,044 canonical 4-world frames (42 MiB).  It refuses 3 atoms over
+# every 4-world frame (0.88 GiB), 4 atoms over the canonical ones (761 MiB)
+# and 5 worlds with 1 atom.
 MAX_PATTERN_BYTES = 128 << 20
 
 # log2 of the models in a slab of the walk over frames: 2**17 make 16 KiB
 # masks, well under glibc's 128 KiB mmap and trim thresholds.  The atom-free
 # sizes up to four worlds fit in one tile.
 TILE_BITS = 17
+
+# The largest world count whose isomorph-free walks take the canonical
+# frames.  Listing them takes one mask per permutation on every tile of the
+# size: about 3 ms at four worlds, but 2.9 s at five, 119 permutations over
+# 256 tiles (2 vCPU, Python 3.11.7).
+ISOMORPH_FREE_WORLDS = 4
 
 
 # _BITS[k] maps a byte to 1 when its bit k is set and to 0 otherwise, and
@@ -135,7 +155,8 @@ def _block_patterns(val_bits: int, k: int) -> tuple[int, ...]:
 
 def slabs(n_worlds: int, atoms: Sequence[str] = (),
           props: Iterable[FrameProperty] = (), *,
-          designated: Iterable[int] | None = None) -> Iterator[ModelSlab]:
+          designated: Iterable[int] | None = None,
+          isomorph_free: bool = False) -> Iterator[ModelSlab]:
     """The slabs over the n-world frames with every property in props, in
     ascending order, each with the designated set given (by default the
     whole domain): each holds at most 2**TILE_BITS models, or one frame
@@ -143,11 +164,27 @@ def slabs(n_worlds: int, atoms: Sequence[str] = (),
     an aligned range of relation bitmasks; with them, a slice of the
     memoised admitted frames, which are listed over the whole domain.
 
+    isomorph_free walks, up to ISOMORPH_FREE_WORLDS worlds, only the
+    canonical frames with the properties (see _isomorph_free), in slices of
+    their memoised list; they need the whole domain designated.
+
     The walk is held to the slab budget when this is called, as one slab
-    over all of its frames would be; the slabs are built one at a time as
-    they are taken.
+    over all of the frames it walks would be; the slabs are built one at a
+    time as they are taken.
     """
-    frames = _admitted(n_worlds, props, len(atoms))
+    if isomorph_free and n_worlds <= ISOMORPH_FREE_WORLDS:
+        if designated is not None:
+            raise ValueError("an isomorph-free walk designates the whole domain")
+        frames = _isomorph_free(n_worlds, frozenset(props))
+    else:
+        frames = _admitted(n_worlds, props, len(atoms))
+    return _walk(n_worlds, atoms, frames, designated)
+
+
+def _walk(n_worlds: int, atoms: Sequence[str], frames: Sequence[int] | None,
+          designated: Iterable[int] | None) -> Iterator[ModelSlab]:
+    """The slabs of slabs over an ascending frame list, or over every frame
+    when frames is None."""
     total = 1 << n_worlds * n_worlds if frames is None else len(frames)
     _check_slab_budget(n_worlds, len(atoms), total)
     step = 1 << max(0, TILE_BITS - len(atoms) * n_worlds)
@@ -185,26 +222,89 @@ def _admitted(n_worlds: int, props: Iterable[FrameProperty],
     return _listed_frames(n_worlds, props, n_atoms)
 
 
-# A refute round asks for a few dozen keys; a 4-world list takes at most
-# 128 KiB.  The atom count is part of the key only where the budget can
-# refuse the list: where the slab over every frame of the size is over it.
+# The labelled lists of admitted_frames and of the walks over every
+# admitted frame, which searches take from five worlds on; a 5-world list
+# that the budget admits for one atom takes about 4.3 MiB.  The atom count
+# is part of the key only where the budget can refuse the list: where the
+# slab over every frame of the size is over it.
 @lru_cache(maxsize=128)
 def _listed_frames(n_worlds: int, props: frozenset[FrameProperty],
                    n_atoms: int) -> array:
     # count the frames tile by tile, and list them only once the budget
     # has admitted that many
-    tiles = [(tile._relation_bits(0), tile.properties_mask(props))
-             for tile in slabs(n_worlds)]  # a tile's frames are consecutive
+    tiles = [(tile.frames, tile.properties_mask(props)) for tile in slabs(n_worlds)]
     _check_slab_budget(n_worlds, n_atoms, sum(mask.bit_count() for _, mask in tiles))
     return _frame_array(n_worlds, tiles)
 
 
-def _frame_array(n_worlds: int, tiles: list[tuple[int, int]]) -> array:
-    """The frames of (first frame, admitted mask) tiles, in ascending order."""
+@lru_cache(maxsize=128)
+def _isomorph_free(n_worlds: int, props: frozenset[FrameProperty]) -> array:
+    """Ascending relation bitmasks of the canonical n-world frames with
+    every property in props, as the memo's own array: without props read
+    off the atom-free tiles, with them filtered from that memoised list
+    through ranked atom-free slabs.  A 4-world list takes at most 6 KiB.
+
+    A frame is canonical when no relabelling of its worlds gives a smaller
+    relation bitmask; each isomorphism class has exactly one.  A search over
+    the canonical frames, every valuation of each, in ascending (frame,
+    valuation) order, finds the model that the search over every frame
+    finds first, given that the designated set is the whole domain:
+    relabelling a model by a permutation of its worlds gives a model that
+    satisfies the same formulas at the corresponding worlds, whose frame has
+    the same properties, since all seven are invariant under isomorphism,
+    and whose designated set is again the whole domain.  So if the first
+    falsifying model's frame had a smaller relabelling, that relabelling,
+    with the valuation carried along, would falsify the formula and come
+    earlier.  The first falsifying model's frame is therefore canonical,
+    and the canonical frames before it are labelled frames before it, so
+    none of them has a falsifying valuation.  Equally, a formula falsified
+    on some frame is falsified on that frame's canonical relabelling, so
+    "no countermodel" stays the same answer.
+    """
+    if not props:
+        return _frame_array(n_worlds, [(tile.frames, tile.full ^ _relabelled_smaller(tile))
+                                       for tile in slabs(n_worlds)])
+    frames = _isomorph_free(n_worlds, frozenset())
+    return _frame_array(n_worlds, [(slab.frames, slab.properties_mask(props))
+                                   for slab in _walk(n_worlds, (), frames, None)])
+
+
+def _relabelled_smaller(tile: ModelSlab) -> int:
+    """Frames of an atom-free tile that some relabelling of the worlds turns
+    into a smaller relation bitmask.
+
+    For a permutation p, the relabelled frame has pair bit i*n + j where
+    the frame has bit p(i)*n + p(j).  It is smaller where, at the highest
+    bit where the two differ, the frame has the bit.  The comparison runs
+    from the highest pair bit down over all the tile's frames at once: eq
+    keeps the frames still equal above the current bit, and stops the
+    permutation once it is empty.
+    """
+    n = tile.n
+    full = tile.full
+    pairs = [mask for row in tile._rel for mask in row]
+    smaller = 0
+    for p in permutations(range(n)):
+        eq = full
+        for bit in reversed(range(n * n)):
+            i, j = divmod(bit, n)
+            differs = pairs[bit] ^ pairs[p[i] * n + p[j]]
+            if not differs:
+                continue
+            smaller |= eq & differs & pairs[bit]
+            eq &= full ^ differs
+            if not eq:
+                break
+    return smaller
+
+
+def _frame_array(n_worlds: int, slices: Iterable[tuple[Sequence[int], int]]) -> array:
+    """The frames of ascending (frames, mask) slices where bit k of the
+    mask marks frames[k], in ascending order."""
     out = array(_frame_typecode(n_worlds))
-    for base, mask in tiles:
-        digits = bin(mask)[:1:-1]  # digit k is frame k
-        out.fromlist([base + m.start() for m in re.finditer("1", digits)])
+    for frames, mask in slices:
+        digits = bin(mask)[:1:-1]  # digit k is bit k
+        out.fromlist([frames[m.start()] for m in re.finditer("1", digits)])
     return out
 
 
@@ -325,13 +425,17 @@ class ModelSlab:
 
         return [[mask(i * n + j) for j in range(n)] for i in range(n)]
 
+    @property
+    def frames(self) -> Sequence[int]:
+        """The slab's relation bitmasks, ascending: rank k is frames[k]."""
+        return range(1 << self._rel_bits) if self._frames is None else self._frames
+
     # -- decoding ----------------------------------------------------------
 
     def _relation_bits(self, index: int) -> int:
         if not 0 <= index < self.count:
             raise IndexError(f"model index {index} out of range")
-        rank = index >> self._val_bits
-        return rank if self._frames is None else self._frames[rank]
+        return self.frames[index >> self._val_bits]
 
     def model_at(self, index: int) -> KripkeModel:
         """The concrete model behind a bit position."""

@@ -13,14 +13,26 @@ the admitted frames in ascending chunks of models, which holds the size to
 the budget of bitgrid.MAX_PATTERN_BYTES before any chunk is built and
 raises ResourceLimitExceeded over it.  The first falsifying index of the
 first chunk that has one is the canonically first countermodel, so the
-search stops there.
+search stops there.  The scalar evaluator and property checks re-check
+that model, and a disagreement raises AssertionError, under python -O too.
 
-Admitted frame lists are memoised per process, as compact arrays keyed by
-world count and property set (and by atom count where the budget can
-refuse the list), so repeated searches list each set once.  The memo keeps
-the 128 most recently used keys.  A 4-world list takes at most 128 KiB and
-a 5-world list that the budget admits for one atom about 4.3 MiB, so the
-memoised list, not a chunk, is the largest structure a search keeps.
+Up to bitgrid.ISOMORPH_FREE_WORLDS worlds the walk is isomorph-free: it
+takes one frame per isomorphism class, the one with the least relation
+bitmask (3,044 of the 65,536 frames at 4 worlds), with every valuation.
+The first countermodel in canonical order has such a frame, so the answer
+is the one a walk over every frame gives (bitgrid._isomorph_free has the
+argument), and the budget counts only the frames walked: 4 worlds with 3
+atoms fit, 4 atoms do not.  From 5 worlds on the walk takes every
+admitted frame.
+
+Frame lists are memoised per process, as compact arrays keyed by world
+count and property set (and, for a walk over every admitted frame, by atom
+count where the budget can refuse the list), so repeated searches list
+each set once; the canonical frames of a size are listed once and shared
+by all property sets.  The memos keep the 128 most recently used keys.  A
+4-world canonical list takes at most 6 KiB and a 5-world list that the
+budget admits for one atom about 4.3 MiB, so the memoised list, not a
+chunk, is the largest structure a search keeps.
 """
 
 from __future__ import annotations
@@ -71,16 +83,20 @@ def find_countermodel(f: Formula, props: set[FrameProperty], max_worlds: int,
     atoms = search_atoms(f, sig)
     goal = desugar(f, sig)
     for n in range(1, max_worlds + 1):
-        for slab in slabs(n, atoms, props):
+        for slab in slabs(n, atoms, props, isomorph_free=True):
             # falsified somewhere: the complement of "true at every world"
             failing = slab.full ^ slab.validity_mask(goal)
             if not failing:
                 continue
             model = slab.model_at(slab.first_index(failing))
-            world = next(w for w in range(n)
-                         if not eval_deep(model, w, goal))
-            assert all(has_property(model, p) for p in props), \
-                "search returned a model violating a requested frame property"
+            # re-check the model with the scalar evaluator and properties
+            world = next((w for w in range(n) if not eval_deep(model, w, goal)), None)
+            if world is None:
+                raise AssertionError(
+                    f"search returned a model where {f} holds at every world")
+            if not all(has_property(model, p) for p in props):
+                raise AssertionError(
+                    "search returned a model violating a requested frame property")
             return model, world
     return None
 

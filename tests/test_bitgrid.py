@@ -6,6 +6,7 @@ anchor that lets the fast path be trusted everywhere else.
 """
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -498,24 +499,34 @@ def test_admitted_frames_are_the_enumerated_frames_with_the_properties(props):
 
 
 def test_a_repeated_search_lists_no_frames_again(monkeypatch):
-    bitgrid._listed_frames.cache_clear()
+    bitgrid._isomorph_free.cache_clear()
     walk = bitgrid.slabs
-    built = []
+    tiled = []
 
-    def counted(n, atoms=(), props=()):
-        built.append(n)
-        return walk(n, atoms, props)
+    def counted(n, atoms=(), props=(), **kwargs):
+        tiled.append(n)
+        return walk(n, atoms, props, **kwargs)
 
     monkeypatch.setattr(bitgrid, "slabs", counted)
     f = parse("box p -> box box p", SIG_P)
     first = find_countermodel(f, {R, S}, 3, SIG_P)
-    assert built == [1, 2, 3]
+    assert tiled == [1, 2, 3]  # the canonical frames, from the atom-free tiles
 
-    def refused(n, atoms=(), props=()):
-        raise AssertionError("built an atom-free tile for a memoised frame list")
+    atom_free = []
+    init = ModelSlab.__init__
 
-    monkeypatch.setattr(bitgrid, "slabs", refused)
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if not self.atoms:
+            atom_free.append(self.n)
+
+    monkeypatch.setattr(ModelSlab, "__init__", recording)
     assert find_countermodel(f, {S, R}, 3, SIG_P) == first
+    assert atom_free == []
+    # another property set filters the memoised canonical frames through
+    # ranked slabs and walks no tile
+    assert find_countermodel(f, {R}, 3, SIG_P) is not None
+    assert tiled == [1, 2, 3] and atom_free == [1, 2, 3]
 
 
 # frames per cube logic at 4 worlds: all relations, reflexive (2^12),
@@ -530,6 +541,73 @@ _FOUR_WORLD_FRAMES = {"K": 65_536, "KT": 4_096, "KB": 1_024, "K4": 3_994,
 def test_admitted_frame_counts_match_the_closed_forms(logic):
     slab = ModelSlab(4, (), frames=admitted_frames(4, logic.frame_properties))
     assert slab.count == _FOUR_WORLD_FRAMES[logic.name]
+
+
+# isomorphism classes of 4-world frames per cube logic: relations (OEIS
+# A000595), loopless digraphs (A000273), graphs with loops (A000666),
+# transitive relations (A091073), simple graphs, topologies (A001930),
+# partial equivalences (partitions of subsets) and partitions of 4
+_FOUR_WORLD_CLASSES = {"K": 3_044, "KT": 218, "KB": 90, "K4": 242,
+                       "KTB": 11, "S4": 33, "KB4": 12, "S5": 5}
+
+
+def _isomorph_free_frames(n, props=()):
+    return [f for slab in slabs(n, (), props, isomorph_free=True) for f in slab.frames]
+
+
+def test_isomorph_free_walks_take_one_frame_per_class():
+    assert [len(_isomorph_free_frames(n)) for n in (1, 2, 3, 4)] == [2, 10, 104, 3_044]
+
+
+@pytest.mark.parametrize("logic", ALL_LOGICS, ids=lambda l: l.name)
+def test_isomorph_free_frame_counts_per_logic(logic):
+    props = logic.frame_properties
+    frames = _isomorph_free_frames(4, props)
+    assert len(frames) == _FOUR_WORLD_CLASSES[logic.name]
+    # the canonical frames that have the properties
+    admitted = set(admitted_frames(4, props) or range(1 << 16))
+    assert frames == [f for f in _isomorph_free_frames(4) if f in admitted]
+
+
+def _least_of_their_relabellings(n):
+    """The n-world frames no relabelling makes smaller, by a scalar sweep:
+    every relabelling of a frame not yet marked is marked, so a frame is
+    reached unmarked exactly when no smaller frame is one of its
+    relabellings."""
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    perms = list(permutations(range(n)))
+    marked = bytearray(1 << n * n)
+    least = []
+    for frame in range(1 << n * n):
+        if marked[frame]:
+            continue
+        least.append(frame)
+        edges = [(i, j) for i, j in pairs if frame >> (i * n + j) & 1]
+        for p in perms:
+            marked[sum(1 << p[i] * n + p[j] for i, j in edges)] = 1
+    return least
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_isomorph_free_frames_are_the_least_of_their_relabellings(n):
+    assert _isomorph_free_frames(n) == _least_of_their_relabellings(n)
+
+
+def test_isomorph_free_frames_listed_in_small_tiles_equal_the_default(monkeypatch):
+    default = [_isomorph_free_frames(n, props) for n in (1, 2, 3, 4)
+               for props in [(), (R,), (S, T), (FrameProperty.SERIAL,)]]
+    bitgrid._isomorph_free.cache_clear()
+    monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
+    try:
+        assert [_isomorph_free_frames(n, props) for n in (1, 2, 3, 4)
+                for props in [(), (R,), (S, T), (FrameProperty.SERIAL,)]] == default
+    finally:
+        bitgrid._isomorph_free.cache_clear()
+
+
+def test_isomorph_free_walks_designate_the_whole_domain():
+    with pytest.raises(ValueError):
+        slabs(3, ("p",), isomorph_free=True, designated=[0, 1])
 
 
 # --- slab budget ------------------------------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from modalkit import bitgrid
-from modalkit.bitgrid import ModelSlab
+from modalkit.bitgrid import ModelSlab, slabs
 from modalkit.cli import main
+from modalkit.errors import ResourceLimitExceeded
 from modalkit.countermodel import (
     enumerate_models,
     export_dot,
@@ -17,7 +18,7 @@ from modalkit.countermodel import (
 )
 from modalkit.hilbert import ALL_LOGICS
 from modalkit.kripke import FrameProperty, KripkeModel, eval_deep, has_property
-from modalkit.syntax import Signature, parse
+from modalkit.syntax import Signature, desugar, parse
 
 from conftest import SIG_P, SIG_PQ, formulas, naive_eval
 
@@ -306,6 +307,120 @@ def test_over_budget_searches_are_refused_before_any_chunk(capsys, monkeypatch, 
                             + ", over the 128 MiB budget\n")
     # counting serial frames sweeps atom-free tiles; no slab over the atom
     assert not [b for b in built if b[0] == 5 and b[1]]
+
+
+# --- isomorph-free search -----------------------------------------------------
+
+C = FrameProperty.CONVERSE_WELL_FOUNDED
+
+
+def _labelled_first_countermodel(f, props, max_worlds, sig):
+    """The search over every admitted frame: the first set bit of the first
+    labelled slab that has one."""
+    atoms = search_atoms(f, sig)
+    goal = desugar(f, sig)
+    for n in range(1, max_worlds + 1):
+        for slab in slabs(n, atoms, props):
+            failing = slab.full ^ slab.validity_mask(goal)
+            if failing:
+                m = slab.model_at(slab.first_index(failing))
+                return m, next(w for w in range(n) if not eval_deep(m, w, goal))
+    return None
+
+
+_ISOMORPH_FREE_PROPERTY_SETS = (
+    [pytest.param(set(logic.frame_properties), id=logic.name) for logic in ALL_LOGICS]
+    + [pytest.param({FrameProperty.SERIAL}, id="serial"),
+       pytest.param({FrameProperty.EUCLIDEAN}, id="euclidean"),
+       pytest.param({FrameProperty.IRREFLEXIVE}, id="irreflexive"),
+       pytest.param({T, C}, id="transitive,cwf")]
+)
+
+# one- and two-atom probes up to 4 worlds.  The last two need 4 worlds in
+# most classes, box box box false on strict orders; box p -> box box p has
+# no countermodel in the transitive classes, nor the fourth in the
+# symmetric or Euclidean ones, so those are scanned to the end
+_ISOMORPH_FREE_PROBES = (
+    ("box p -> box box p", SIG_P),
+    ("dia p -> box dia p", SIG_P),
+    ("box box box false", SIG_P),
+    ("~(~p & dia (p & box p) & dia (~p & box ~p) & dia (p & dia ~p))", SIG_P),
+    ("~(p & q & dia (p & ~q) & dia (~p & q) & dia (~p & ~q))", SIG_PQ),
+)
+
+
+@pytest.mark.parametrize("props", _ISOMORPH_FREE_PROPERTY_SETS)
+def test_isomorph_free_search_finds_the_labelled_first_countermodel(props):
+    for text, sig in _ISOMORPH_FREE_PROBES:
+        f = parse(text, sig)
+        assert (find_countermodel(f, props, 4, sig)
+                == _labelled_first_countermodel(f, props, 4, sig)), text
+
+
+def test_isomorph_free_probes_reach_four_worlds():
+    sizes = {(text, i): found[0].n_worlds
+             for text, sig in _ISOMORPH_FREE_PROBES
+             for i, props in enumerate(_ISOMORPH_FREE_PROPERTY_SETS)
+             if (found := find_countermodel(parse(text, sig), props.values[0], 4, sig))}
+    assert sum(n == 4 for n in sizes.values()) >= 20
+
+
+def test_a_three_atom_search_at_four_worlds_finds_the_labelled_first_countermodel():
+    # the labelled walk over every 4-world frame is over the budget with
+    # three atoms (896 MiB); the 3,044 canonical frames are not (42 MiB)
+    sig = Signature(("p", "q", "r"))
+    f = parse("~(p & q & r & dia (p & ~q & ~r) & dia (~p & q & ~r) & dia (~p & ~q & r))",
+              sig)
+    with pytest.raises(ResourceLimitExceeded):
+        slabs(4, sig.atoms)
+    assert find_countermodel(f, set(), 3, sig) is None
+    # the first labelled tile with a falsifying model, 32 frames a tile
+    goal = desugar(f, sig)
+    for base in range(0, 1 << 16, 32):
+        tile = ModelSlab(4, sig.atoms, frames=range(base, base + 32))
+        failing = tile.full ^ tile.validity_mask(goal)
+        if failing:
+            break
+    first = tile.model_at(tile.first_index(failing))
+    assert find_countermodel(f, set(), 4, sig) == (first, 0)
+    assert sorted(first.rel) == [(0, 1), (0, 2), (0, 3)]
+    assert {a: sorted(ws) for a, ws in first.val.items()} == {
+        "p": [0, 3], "q": [0, 2], "r": [0, 1]}
+
+
+# Runs find_countermodel under python -O with the search's frame list or
+# validity masks patched to disagree with the scalar re-check.
+_PATCHED_SEARCH = """\
+import sys
+from array import array
+from modalkit import bitgrid
+from modalkit.countermodel import find_countermodel
+from modalkit.kripke import FrameProperty
+from modalkit.syntax import Signature, desugar, parse
+if not sys.flags.optimize:
+    sys.exit("not run under -O")
+if sys.argv[1] == "frames":
+    # the listing admits the empty 1-world frame, which is not reflexive
+    bitgrid._isomorph_free = lambda n, props: array("B", [0])
+else:
+    # the masks mark every model as falsifying
+    bitgrid.ModelSlab.validity_mask = lambda self, f: 0
+sig = Signature(("p",))
+print(find_countermodel(parse(sys.argv[2], sig), {FrameProperty.REFLEXIVE}, 2, sig))
+"""
+
+
+@pytest.mark.parametrize("patch, text, message", [
+    ("frames", "box p -> p",
+     "search returned a model violating a requested frame property"),
+    ("masks", "p -> p", "search returned a model where p -> p holds at every world"),
+])
+def test_the_search_re_checks_its_model_under_python_O(patch, text, message):
+    proc = subprocess.run([sys.executable, "-O", "-c", _PATCHED_SEARCH, patch, text],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.rstrip("\n").endswith("AssertionError: " + message)
 
 
 # --- dot export -----------------------------------------------------------------
