@@ -74,7 +74,6 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain, permutations
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -454,25 +453,6 @@ class ModelSlab:
                         if rel_bits >> (i * n + j) & 1)
         return n, rel
 
-    def index_of(self, m: KripkeModel) -> int:
-        """Inverse of model_at for models with this slab's shape."""
-        if m.n_worlds != self.n or tuple(m.sig.atoms) != self.atoms:
-            raise ValueError("model does not match this slab")
-        n = self.n
-        rel_bits = 0
-        for i, j in m.rel:
-            rel_bits |= 1 << (i * n + j)
-        rank = rel_bits
-        if self._frames is not None:
-            rank = bisect_left(self._frames, rel_bits)
-            if rank == len(self._frames) or self._frames[rank] != rel_bits:
-                raise ValueError("the model's frame is not admitted by this slab")
-        val_bits = 0
-        for ai, a in enumerate(self.atoms):
-            for w in m.val[a]:
-                val_bits |= 1 << (ai * n + w)
-        return (rank << self._val_bits) | val_bits
-
     @staticmethod
     def first_index(mask: int) -> int:
         """Position of the lowest set bit, i.e. the canonically first model."""
@@ -492,13 +472,16 @@ class ModelSlab:
             memo = {}
         return self._deep(f, w, memo, None)
 
-    def _deep(self, f, w, memo, assignment):
+    def _deep(self, f, w, memo, assignment, top=False):
         # metavariable leaves read their truth from the assigned world sets,
-        # which is how schema_validity_mask evaluates instances
-        key = (f, w)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        # which is how schema_validity_mask evaluates instances.  A top call
+        # neither reads nor writes f's own entry; its children are read
+        # from memo as usual
+        if not top:
+            key = (f, w)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
         t = type(f)
         full = self.full
         if t is Atom:
@@ -547,7 +530,8 @@ class ModelSlab:
             out = _neg(full, bad)
         else:
             raise TypeError(f"cannot evaluate {f!r} (desugar first)")
-        memo[key] = out
+        if not top:
+            memo[key] = out
         return out
 
     def validity_mask(self, f: Formula) -> int:
@@ -576,7 +560,10 @@ class ModelSlab:
             memo = {}
         return self._core(c, dict(binding), memo)
 
-    def _core(self, c, binding, memo):
+    def _core(self, c, binding, memo, scratch=None, top=False):
+        # with a scratch dict, entries missing from memo are read from and
+        # written to scratch, so memo does not grow; a top call neither
+        # reads nor writes c's own entry
         t = type(c)
         if t is PredW:
             return self.full if binding[c.var] in self.designated else 0
@@ -587,16 +574,21 @@ class ModelSlab:
             if masks is None:
                 raise ValueError(f"atom {c.atom!r} is not in this slab")
             return masks[binding[c.var]]
-        free = c.free_sorted
-        key = (c, binding[free[0]]) if len(free) == 1 else None
-        if key is not None:
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        key = None
+        if not top:
+            free = c.free_sorted
+            if len(free) == 1:
+                key = (c, binding[free[0]])
+                hit = memo.get(key)
+                if hit is None and scratch is not None:
+                    hit = scratch.get(key)
+                if hit is not None:
+                    return hit
         if t is CNot:
-            out = self.full ^ self._core(c.body, binding, memo)
+            out = self.full ^ self._core(c.body, binding, memo, scratch)
         elif t is CImp:
-            out = (self.full ^ self._core(c.left, binding, memo)) | self._core(c.right, binding, memo)
+            out = ((self.full ^ self._core(c.left, binding, memo, scratch))
+                   | self._core(c.right, binding, memo, scratch))
         elif t is ForallWorld:
             body = c.body
             # a leading designated-set guard lets us skip the worlds it rules out
@@ -608,11 +600,11 @@ class ModelSlab:
             inner = dict(binding)
             for d in domain:
                 inner[c.var] = d
-                out &= self._core(body, inner, memo)
+                out &= self._core(body, inner, memo, scratch)
         else:
             raise TypeError(f"not a translated form: {c!r}")
         if key is not None:
-            memo[key] = out
+            (memo if scratch is None else scratch)[key] = out
         return out
 
     # -- schemas -----------------------------------------------------------

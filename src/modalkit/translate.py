@@ -10,14 +10,15 @@ translates to the same form; the guards of a depth are built once.  The
 forms are syntax.CoreForm nodes.  check_faithfulness grinds the two
 translations against the structural evaluator over an exhaustive
 formula/model grid, one walk of bitgrid.slabs per designated set, and
-reports any disagreement.  A slab's formulas share its memos; a top-depth
-formula's own entries are dropped once it is checked (see _check_slab).
+reports any disagreement.  A slab's formulas below the top depth fill its
+memos, and each top-depth formula is checked one node deep from its
+children's entries: the top pass writes no shared memo (see _check_slab).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from operator import and_
 from typing import Callable, Mapping
 
@@ -47,22 +48,29 @@ def _binder(depth: int) -> tuple[str, PredR, PredW]:
     return v, PredR(_world_var(depth), v), PredW(v)
 
 
-def _translate(g: Formula, depth: int, guarded: bool, memo: dict) -> CoreForm:
-    key = (g, depth)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+def _translate(g: Formula, depth: int, guarded: bool, memo: dict,
+               scratch: dict | None = None, top: bool = False) -> CoreForm:
+    # with a scratch dict, entries missing from memo are read from and
+    # written to scratch, so memo does not grow; a top call neither reads
+    # nor writes g's own entry
+    if not top:
+        key = (g, depth)
+        hit = memo.get(key)
+        if hit is None and scratch is not None:
+            hit = scratch.get(key)
+        if hit is not None:
+            return hit
     t = type(g)
     if t is Atom:
         out = PredV(g.name, _world_var(depth))
     elif t is Not:
-        out = CNot(_translate(g.body, depth, guarded, memo))
+        out = CNot(_translate(g.body, depth, guarded, memo, scratch))
     elif t is Implies:
-        out = CImp(_translate(g.left, depth, guarded, memo),
-                   _translate(g.right, depth, guarded, memo))
+        out = CImp(_translate(g.left, depth, guarded, memo, scratch),
+                   _translate(g.right, depth, guarded, memo, scratch))
     elif t is Box:
         v, reach, designated = _binder(depth)
-        out = CImp(reach, _translate(g.body, depth + 1, guarded, memo))
+        out = CImp(reach, _translate(g.body, depth + 1, guarded, memo, scratch))
         if guarded:
             out = CImp(designated, out)
         out = ForallWorld(v, out)
@@ -70,7 +78,8 @@ def _translate(g: Formula, depth: int, guarded: bool, memo: dict) -> CoreForm:
         # sugar is caught where it is met: a memo hit stands for a
         # subtree that was checked when it was stored
         raise ValueError("translation expects a desugared formula")
-    memo[key] = out
+    if not top:
+        (memo if scratch is None else scratch)[key] = out
     return out
 
 
@@ -193,16 +202,21 @@ def _record(check: CheckReport, slab, f: Formula, rows) -> None:
                     check=check.name, formula=pretty(f), model=model.describe(), world=w))
 
 
-def _check_slab(slab, formulas: list[Formula], n_lower: int, translate_max_fn: Translation,
-                translate_min_fn: Translation, translation_memos: list[dict],
-                report: FaithfulnessReport) -> None:
+def _check_slab(slab, formulas: list[Formula], n_lower: int,
+                translate_max_fn: Translation | None, translate_min_fn: Translation | None,
+                translation_memos: list[dict], report: FaithfulnessReport) -> None:
     """Add one slab's instances, violations and examples to the report.
 
-    The slab's formulas share its deep memo, a core memo per route and the
-    grid's translation memos.  From the first top-depth formula, the
-    n_lower-th, every memo is cut back after each formula to its size at
-    that point: a memo only grows and a dict pops its newest entry first,
-    so the cut drops exactly that formula's entries.
+    A route whose translation function is None takes the module's own,
+    which keeps its translations in the route's memo of translation_memos.
+    The n_lower formulas below the top depth fill the slab's deep memo, a
+    core memo per route and those translation memos.  Each top-depth
+    formula is then checked one node deep: its children are lower formulas,
+    so its translation and masks are built from their entries, and its own
+    are neither read nor stored.  What only it brings, a box's body at box
+    depth 1 or an injected translation's foreign forms, goes to a scratch
+    dict per route that is dropped with it, so the top pass writes no
+    shared memo.
     """
     truth_max, validity_max, truth_min, max_min = report.checks
     ds = sorted(slab.designated)
@@ -214,29 +228,39 @@ def _check_slab(slab, formulas: list[Formula], n_lower: int, translate_max_fn: T
         truth_min.instances += per_world * slab.n
         max_min.instances += per_world * slab.n
 
+    max_memo, min_memo = translation_memos
     deep_memo, max_core, min_core = {}, {}, {}
-    memos = [deep_memo, max_core, min_core, *translation_memos]
-    sizes: list[int] = []
+    bindings = [{FREE_WORLD_VAR: w} for w in ds]
     for i, f in enumerate(formulas):
-        if i == n_lower:
-            sizes = [len(memo) for memo in memos]
-        deep = [slab.deep_truth(f, w, deep_memo) for w in ds]
-        c = translate_max_fn(f)
-        tmax = [slab.core_truth(c, {FREE_WORLD_VAR: w}, max_core) for w in ds]
+        if i < n_lower:
+            deep = [slab.deep_truth(f, w, deep_memo) for w in ds]
+            c = translate_max_fn(f) if translate_max_fn else translate_max(f, memo=max_memo)
+            tmax = [slab.core_truth(c, b, max_core) for b in bindings]
+            if is_total:
+                c = translate_min_fn(f) if translate_min_fn else translate_min(f, memo=min_memo)
+                tmin = [slab.core_truth(c, b, min_core) for b in bindings]
+        else:
+            # a scratch dict takes translations keyed by formulas and masks
+            # keyed by forms, which never compare equal
+            scratch = {}
+            deep = [slab._deep(f, w, deep_memo, None, True) for w in ds]
+            c = (translate_max_fn(f) if translate_max_fn
+                 else _translate(f, 0, True, max_memo, scratch, True))
+            tmax = [slab._core(c, b, max_core, scratch, True) for b in bindings]
+            if is_total:
+                scratch = {}
+                c = (translate_min_fn(f) if translate_min_fn
+                     else _translate(f, 0, False, min_memo, scratch, True))
+                tmin = [slab._core(c, b, min_core, scratch, True) for b in bindings]
         if deep != tmax:
             _record(truth_max, slab, f, zip(ds, deep, tmax))
             _record(validity_max, slab, f,
                     [(None, reduce(and_, deep), reduce(and_, tmax))])
         if is_total:
-            c = translate_min_fn(f)
-            tmin = [slab.core_truth(c, {FREE_WORLD_VAR: w}, min_core) for w in ds]
             if deep != tmin:
                 _record(truth_min, slab, f, zip(ds, deep, tmin))
             if tmax != tmin:
                 _record(max_min, slab, f, zip(ds, tmax, tmin))
-        for memo, size in zip(memos, sizes):
-            while len(memo) > size:
-                memo.popitem()
 
 
 def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
@@ -252,8 +276,10 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
     functions can be injected, which is how the mutation tests drive the
     grid.
 
-    Each designated set is walked in the slabs of bitgrid.slabs.  A grid
-    over the slab budget, MAX_GRID_FORMULAS, MAX_GRID_INSTANCES or
+    Each designated set is walked in the slabs of bitgrid.slabs.  Every
+    formula is translated and evaluated on every slab; the top-depth ones
+    are checked one node deep and write no shared memo.  A grid over the
+    slab budget, MAX_GRID_FORMULAS, MAX_GRID_INSTANCES or
     MAX_GRID_STEPS raises ResourceLimitExceeded before any formula or slab
     exists; a negative depth or fewer than one world raises ValueError.
     """
@@ -292,11 +318,9 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
     # the enumeration is ordered by depth, so the formulas below max_depth
     # are a prefix of it
     n_lower = _formula_count(k, max_depth - 1) if max_depth else 0
-    # the module's translations are looked up at call time, so a wrapped
-    # module attribute is honoured; an injected one keeps no memo
+    # the module's own translations share a memo per route across slabs; an
+    # injected one keeps none
     memos: list[dict] = [{}, {}]
-    translate_max_fn = translate_max_fn or partial(translate_max, memo=memos[0])
-    translate_min_fn = translate_min_fn or partial(translate_min, memo=memos[1])
     report = FaithfulnessReport([CheckReport(name, 0, 0) for name in CHECK_NAMES])
     for walk in walks:
         for slab in walk:

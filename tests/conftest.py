@@ -8,6 +8,7 @@ routes to the same truth value.
 """
 
 import re
+from bisect import bisect_left
 
 import hypothesis.strategies as st
 
@@ -52,6 +53,19 @@ def models(draw, sig=SIG_PQ, max_worlds=3, full_designated=False):
     rel = draw(st.sets(st.tuples(dom, dom)))
     val = {a: draw(st.sets(dom)) for a in sig.atoms}
     return KripkeModel(n, worlds, rel, val, sig)
+
+
+def index_of(slab, m: KripkeModel) -> int:
+    """Inverse of slab.model_at for models with the slab's shape."""
+    if m.n_worlds != slab.n or tuple(m.sig.atoms) != slab.atoms:
+        raise ValueError("model does not match this slab")
+    n = slab.n
+    rel_bits = sum(1 << (i * n + j) for i, j in m.rel)
+    rank = bisect_left(slab.frames, rel_bits)
+    if rank == len(slab.frames) or slab.frames[rank] != rel_bits:
+        raise ValueError("the model's frame is not admitted by this slab")
+    val_bits = sum(1 << (ai * n + w) for ai, a in enumerate(slab.atoms) for w in m.val[a])
+    return (rank << len(slab.atoms) * n) | val_bits
 
 
 def naive_eval(m: KripkeModel, w: int, f) -> bool:

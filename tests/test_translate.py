@@ -17,6 +17,7 @@ from modalkit.syntax import (
     CImp,
     CNot,
     ForallWorld,
+    Not,
     PredR,
     PredV,
     PredW,
@@ -258,7 +259,7 @@ def _scalar_truths(route, sig, n, designated, f):
     return {w: [eval_core(c, CoreEnv(m, {"w": w})) for m in models] for w in designated}
 
 
-def _scalar_report(sig, route_max, route_min, max_depth=2, max_worlds=2):
+def _scalar_report(sig, route_max, route_min, max_depth, max_worlds):
     """check_faithfulness recomputed one model at a time from
     enumerate_models, eval_deep and eval_core, sharing no code with
     ModelSlab.  Examples are the first violating model of each (formula,
@@ -293,17 +294,40 @@ def _scalar_report(sig, route_max, route_min, max_depth=2, max_worlds=2):
     return [checks[name] for name in CHECK_NAMES]
 
 
-@pytest.mark.parametrize("sig", [SIG_P, SIG_PQ], ids=["p", "pq"])
+@pytest.mark.parametrize("sig, max_depth, max_worlds", [
+    (SIG_P, 2, 2), (SIG_PQ, 2, 2),
+    # every formula is top-depth
+    (SIG_P, 0, 2), (SIG_PQ, 0, 2),
+    # top-depth boxes step into designated sets of two of three worlds
+    (SIG_P, 1, 3),
+], ids=["p", "pq", "p-depth-0-2-worlds", "pq-depth-0-2-worlds", "p-depth-1-3-worlds"])
 @pytest.mark.parametrize("routes", [
     (translate_max, translate_min, {}),
     (translate_max, unguarded_min, {"translate_min_fn": unguarded_min}),
     (translate_min, translate_min, {"translate_max_fn": translate_min}),
 ], ids=["own", "unguarded-min", "min-as-max"])
-def test_grid_matches_the_scalar_reference(sig, routes):
+def test_grid_matches_the_scalar_reference(sig, max_depth, max_worlds, routes):
     route_max, route_min, injected = routes
-    report = check_faithfulness(sig, 2, 2, **injected)
-    assert report.ok == (not injected)  # the mutants leave examples to compare
-    assert report.checks == _scalar_report(sig, route_max, route_min)
+    report = check_faithfulness(sig, max_depth, max_worlds, **injected)
+    # the mutants leave examples to compare, except on atoms alone
+    assert report.ok == (not injected or max_depth == 0)
+    assert report.checks == _scalar_report(sig, route_max, route_min, max_depth, max_worlds)
+
+
+def test_a_fault_of_the_own_translation_at_top_depth_only_is_caught(monkeypatch):
+    g = _core("p -> ~p")  # box-free and of depth 2, so ~g is top-depth at 3
+    target = translate_max(g)
+    assert target == translate_min(g)
+
+    def faulty_not(body):
+        return body if body == target else CNot(body)
+
+    monkeypatch.setattr(translate, "CNot", faulty_not)
+    assert check_faithfulness(SIG_P, 2, 1).ok  # g itself translates soundly
+    report = check_faithfulness(SIG_P, 3, 1)
+    # ~g is read as g on each of the 4 one-world models
+    assert [c.violation_count for c in report.checks] == [4, 4, 4, 0]
+    assert report.by_name(CHECK_TRUTH_DEEP_MAX).examples[0].formula == pretty(Not(g))
 
 
 # --- grid memory and resource bounds ------------------------------------------------
@@ -354,31 +378,32 @@ def test_every_memo_is_cut_back_after_each_top_depth_formula(monkeypatch, inject
     def seen(memo):
         memos[id(memo)] = memo
 
-    def wrap_deep(deep_truth):
-        def wrapper(self, f, w, memo):
+    # the hooks sit where both passes enter: the lower pass through the
+    # public wrappers, the top pass directly
+    def wrap_deep(deep):
+        def wrapper(self, f, w, memo, *args):
             seen(memo)
             if f in top and w == min(self.designated):  # f's first call
                 at_top.setdefault(self, []).append(
                     {key: len(m) for key, m in memos.items()})
-            return deep_truth(self, f, w, memo)
+            return deep(self, f, w, memo, *args)
         return wrapper
 
-    def wrap_core(core_truth):
-        def wrapper(self, c, binding, memo):
+    def wrap_core(core):
+        def wrapper(self, c, binding, memo, *args):
             seen(memo)
-            return core_truth(self, c, binding, memo)
+            return core(self, c, binding, memo, *args)
         return wrapper
 
     def wrap_translation(translation):
-        def wrapper(f, *, memo):
+        def wrapper(g, depth, guarded, memo, *args):
             seen(memo)
-            return translation(f, memo=memo)
+            return translation(g, depth, guarded, memo, *args)
         return wrapper
 
-    monkeypatch.setattr(ModelSlab, "deep_truth", wrap_deep(ModelSlab.deep_truth))
-    monkeypatch.setattr(ModelSlab, "core_truth", wrap_core(ModelSlab.core_truth))
-    for name in ("translate_max", "translate_min"):
-        monkeypatch.setattr(translate, name, wrap_translation(getattr(translate, name)))
+    monkeypatch.setattr(ModelSlab, "_deep", wrap_deep(ModelSlab._deep))
+    monkeypatch.setattr(ModelSlab, "_core", wrap_core(ModelSlab._core))
+    monkeypatch.setattr(translate, "_translate", wrap_translation(translate._translate))
     top = set(enumerate_formulas(SIG_P, 3)) - set(enumerate_formulas(SIG_P, 2))
     report = check_faithfulness(SIG_P, 3, 2, **injected)
     assert report.ok == (not injected)
