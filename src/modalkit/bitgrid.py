@@ -470,18 +470,18 @@ class ModelSlab:
         """
         if memo is None:
             memo = {}
-        return self._deep(f, w, memo, None)
+        key = (f, w)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = self._deep(f, w, memo, None)
+        return out
 
-    def _deep(self, f, w, memo, assignment, top=False):
-        # metavariable leaves read their truth from the assigned world sets,
-        # which is how schema_validity_mask evaluates instances.  A top call
-        # neither reads nor writes f's own entry; its children are read
-        # from memo as usual
-        if not top:
-            key = (f, w)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+    def _deep(self, f, w, memo, assignment):
+        # f's mask at w from its children's masks, each read from memo or
+        # evaluated and stored there; f's own mask is left to the caller,
+        # so a call on a formula whose children are in memo evaluates one
+        # node.  Metavariable leaves read their truth from the assigned
+        # world sets, which is how schema_validity_mask evaluates instances
         t = type(f)
         full = self.full
         if t is Atom:
@@ -494,34 +494,47 @@ class ModelSlab:
                 raise ValueError("metavariable outside schema evaluation")
             out = full if w in assignment[f.name] else 0
         elif t is Not:
-            x = self._deep(f.body, w, memo, assignment)
+            key = (f.body, w)
+            x = memo.get(key)
+            if x is None:
+                x = memo[key] = self._deep(f.body, w, memo, assignment)
             out = 0 if x is full else full if not x else full ^ x
         elif t is Implies:
             right = f.right
             if (type(right) is MetaVar and assignment is not None
                     and w in assignment[right.name]):
-                out = full  # a true consequent: the antecedent is not read
-            elif not (x := self._deep(f.left, w, memo, assignment)):
-                out = full
+                return full  # a true consequent: the antecedent is not read
+            key = (f.left, w)
+            x = memo.get(key)
+            if x is None:
+                x = memo[key] = self._deep(f.left, w, memo, assignment)
+            if not x:
+                return full
+            key = (right, w)
+            y = memo.get(key)
+            if y is None:
+                y = memo[key] = self._deep(right, w, memo, assignment)
+            if x is full or y is full:
+                out = y
+            elif not y:
+                out = full ^ x
             else:
-                y = self._deep(right, w, memo, assignment)
-                if x is full or y is full:
-                    out = y
-                elif not y:
-                    out = full ^ x
-                else:
-                    out = (full ^ x) | y
+                out = (full ^ x) | y
         elif t is Box:
             # collect the models with a successor v where the body fails,
             # r & ~body(v), which is r itself where the body is 0, and
             # negate once
+            body = f.body
             bad = 0
             row = self._rel[w]
             for v in self._dsorted:
                 r = row[v]
                 if not r:
                     continue
-                x = self._deep(f.body, v, memo, assignment)
+                key = (body, v)
+                x = memo.get(key)
+                if x is None:
+                    x = memo[key] = self._deep(body, v, memo, assignment)
                 if x is full:
                     continue
                 bad = _join(full, bad, r if not x else _meet(full, r, full ^ x))
@@ -530,8 +543,6 @@ class ModelSlab:
             out = _neg(full, bad)
         else:
             raise TypeError(f"cannot evaluate {f!r} (desugar first)")
-        if not top:
-            memo[key] = out
         return out
 
     def validity_mask(self, f: Formula) -> int:
@@ -558,12 +569,14 @@ class ModelSlab:
         """
         if memo is None:
             memo = {}
-        return self._core(c, dict(binding), memo)
+        return self._core(c, dict(binding), memo, None, False)
 
-    def _core(self, c, binding, memo, scratch=None, top=False):
+    def _core(self, c, binding, memo, scratch, top):
         # with a scratch dict, entries missing from memo are read from and
         # written to scratch, so memo does not grow; a top call neither
-        # reads nor writes c's own entry
+        # reads nor writes c's own entry.  Calls pass every argument:
+        # CPython 3.11 specialises a method call only when no default is
+        # filled in
         t = type(c)
         if t is PredW:
             return self.full if binding[c.var] in self.designated else 0
@@ -585,10 +598,10 @@ class ModelSlab:
                 if hit is not None:
                     return hit
         if t is CNot:
-            out = self.full ^ self._core(c.body, binding, memo, scratch)
+            out = self.full ^ self._core(c.body, binding, memo, scratch, False)
         elif t is CImp:
-            out = ((self.full ^ self._core(c.left, binding, memo, scratch))
-                   | self._core(c.right, binding, memo, scratch))
+            out = ((self.full ^ self._core(c.left, binding, memo, scratch, False))
+                   | self._core(c.right, binding, memo, scratch, False))
         elif t is ForallWorld:
             body = c.body
             # a leading designated-set guard lets us skip the worlds it rules out
@@ -600,7 +613,7 @@ class ModelSlab:
             inner = dict(binding)
             for d in domain:
                 inner[c.var] = d
-                out &= self._core(body, inner, memo, scratch)
+                out &= self._core(body, inner, memo, scratch, False)
         else:
             raise TypeError(f"not a translated form: {c!r}")
         if key is not None:

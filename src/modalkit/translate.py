@@ -243,7 +243,7 @@ def _check_slab(slab, formulas: list[Formula], n_lower: int,
             # a scratch dict takes translations keyed by formulas and masks
             # keyed by forms, which never compare equal
             scratch = {}
-            deep = [slab._deep(f, w, deep_memo, None, True) for w in ds]
+            deep = [slab._deep(f, w, deep_memo, None) for w in ds]
             c = (translate_max_fn(f) if translate_max_fn
                  else _translate(f, 0, True, max_memo, scratch, True))
             tmax = [slab._core(c, b, max_core, scratch, True) for b in bindings]
