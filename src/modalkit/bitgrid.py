@@ -26,31 +26,41 @@ test suite pins the two routes against each other.  A slab whose pattern
 masks would exceed MAX_PATTERN_BYTES is refused before anything is
 allocated.
 
-slabs is the one walk over the frames of a size: frame sweeps, admitted
-frame lists, countermodel searches and the faithfulness grid, one walk per
-designated set, all take their slabs from it.  It yields slabs of at most
-2**TILE_BITS models, or of one frame where a frame's valuations are more,
-in ascending order, which keeps the first set bit of the first slab that
-has one the canonically first model.  Over every frame a slab is a tile,
-whose frame list is an aligned block of relation bitmasks, given as a
-range: the pairs whose bit lies below the block's size take the periodic
-pattern of the block, and the others are fixed across it, so their masks
-are the constants full or 0.  Over admitted frames it is a slice of their
-memoised list.  At five worlds a tile's masks are 16 KiB instead of the
-whole slab's 4 MiB.  That is below the allocator's mmap threshold, so each
-big-integer result reuses heap memory instead of faulting in fresh pages.
-The periodic masks are the same in every tile of a size and are built once.
+Time is bounded by one budget, MAX_WORK, in one unit: a mask operation
+over M models costs max(M, OP_FLOOR) units, the floor standing for the
+interpreter's fixed cost of an operation on a small mask.  Each engine
+estimates its work as mask operations per model family, from the sizes
+alone, and passes the estimate to charge before it builds a slab, which
+raises ResourceLimitExceeded over the budget.  Walks run in tiles, but the
+estimate counts the models of each size, so whether a question is answered
+does not depend on the tile size.
 
-A walk may be isomorph-free: up to ISOMORPH_FREE_WORLDS worlds it then
-takes only the canonical frames, each the least relation bitmask among its
-relabellings, one frame per isomorphism class (2, 10, 104 and 3,044 of 2,
-16, 512 and 65,536 frames for 1 to 4 worlds).  They are found on the
-atom-free tiles, one "a relabelling is smaller" mask per permutation of the
-worlds, listed once per process and world count, and filtered by property
-set through ranked atom-free slabs; the walk's slabs are slices of the
-filtered list.  The countermodel search walks them, and the budget counts
-only them.  Sweeps, the faithfulness grid and admitted_frames report
-labelled counts and walk every admitted frame.
+slabs is the one walk over frames: frame sweeps, admitted frame lists,
+countermodel searches and the faithfulness grid, one walk per designated
+set, all take their slabs from it, over every frame or over the frames
+admitted lists.  It yields slabs of at most 2**TILE_BITS models, or of one
+frame where a frame's valuations are more, in ascending order, which keeps
+the first set bit of the first slab that has one the canonically first
+model.  Over every frame a slab is a tile, whose frame list is an aligned
+block of relation bitmasks, given as a range: the pairs whose bit lies
+below the block's size take the periodic pattern of the block, and the
+others are fixed across it, so their masks are the constants full or 0.
+Over admitted frames it is a slice of their list.  At five worlds a tile's
+masks are 16 KiB instead of the whole slab's 4 MiB.  That is below the
+allocator's mmap threshold, so each big-integer result reuses heap memory
+instead of faulting in fresh pages.  The periodic masks are the same in
+every tile of a size and are built once.
+
+A list of admitted frames may be isomorph-free: up to ISOMORPH_FREE_WORLDS
+worlds it then holds only the canonical frames, each the least relation
+bitmask among its relabellings, one frame per isomorphism class (2, 10, 104
+and 3,044 of 2, 16, 512 and 65,536 frames for 1 to 4 worlds).  They are
+found on the atom-free tiles, one "a relabelling is smaller" mask per
+permutation of the worlds, listed once per process and world count, and
+filtered by property set through ranked atom-free slabs; the walk's slabs
+are slices of the filtered list.  The countermodel search walks them, and
+counts its work only for them.  Sweeps and the faithfulness grid report
+labelled counts and walk every frame.
 
 A schema's mask on a tile is the AND over the valuations of its
 metavariables, and stops at the first valuation that leaves it 0.
@@ -74,6 +84,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from decimal import Decimal
 from functools import lru_cache
 from itertools import chain, permutations
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -86,15 +97,21 @@ from .syntax import (
 )
 
 
-# Cap on the bytes of a slab's pattern masks (one per relation pair and per
-# valuation cell).  The walks of slabs run in tiles and are held to it as
-# one slab over all of their models would be, so for them it bounds how
-# many models they would scan, not the masks they hold at once.  It admits
-# the atom-free 5-world sweep (25 masks of 4 MiB) and a search with 3 atoms
-# over the 3,044 canonical 4-world frames (42 MiB).  It refuses 3 atoms over
-# every 4-world frame (0.88 GiB), 4 atoms over the canonical ones (761 MiB)
-# and 5 worlds with 1 atom.
+# Cap on the bytes of the pattern masks (one per relation pair and per
+# valuation cell) of one slab, which is what a walk holds at once.  It
+# admits the atom-free 5-world slab (25 masks of 4 MiB) and refuses one
+# frame with 6 atoms at 5 worlds (7 GiB).
 MAX_PATTERN_BYTES = 128 << 20
+
+# The budget on the work of one question, and the floor of an operation's
+# cost, in units: an operation on masks of M models is max(M, OP_FLOOR)
+# units.  A unit takes about 1e-11 s on 2 vCPUs (Python 3.11.7), so the
+# budget is about 30 s; the floor is the fixed cost of an operation, about
+# 0.7 us.  The budget is the least round figure that admits the README's
+# two-letter reflexive sweep of 5 worlds: its estimate, 2.75e12, counts
+# every valuation on every tile, though most tiles stop at the first.
+MAX_WORK = 3 * 10**12
+OP_FLOOR = 1 << 16
 
 # log2 of the models in a slab of the walk over frames: 2**17 make 16 KiB
 # masks, well under glibc's 128 KiB mmap and trim thresholds.  The atom-free
@@ -112,6 +129,22 @@ ISOMORPH_FREE_WORLDS = 4
 # _DIGITS[k] to the digits b"1" and b"0"
 _BITS = [bytes(x >> k & 1 for x in range(256)) for k in range(8)]
 _DIGITS = [table.translate(b"01" + bytes(254)) for table in _BITS]
+
+
+def work(ops: int, models: int) -> int:
+    """Units of work of ops mask operations over a family of that many
+    models, which a walk spreads over its slabs."""
+    return ops * max(models, OP_FLOOR)
+
+
+def charge(spent: int, what: str) -> int:
+    """spent, the units of work a question takes at least; raises
+    ResourceLimitExceeded when that is over MAX_WORK."""
+    if spent > MAX_WORK:
+        raise ResourceLimitExceeded(
+            f"{what} needs at least {Decimal(spent):.3g} units of work, over "
+            f"the budget of {MAX_WORK:.0e}")
+    return spent
 
 
 def _pattern_bytes(n_worlds: int, n_atoms: int, n_frames: int) -> int:
@@ -152,44 +185,20 @@ def _block_patterns(val_bits: int, k: int) -> tuple[int, ...]:
     return tuple(_bit_pattern(val_bits + k, val_bits + bit) for bit in range(k))
 
 
-def slabs(n_worlds: int, atoms: Sequence[str] = (),
-          props: Iterable[FrameProperty] = (), *,
-          designated: Iterable[int] | None = None,
-          isomorph_free: bool = False) -> Iterator[ModelSlab]:
-    """The slabs over the n-world frames with every property in props, in
-    ascending order, each with the designated set given (by default the
-    whole domain): each holds at most 2**TILE_BITS models, or one frame
-    where a frame's valuations are more.  Without props a slab is a tile,
-    an aligned range of relation bitmasks; with them, a slice of the
-    memoised admitted frames, which are listed over the whole domain.
-
-    isomorph_free walks, up to ISOMORPH_FREE_WORLDS worlds, only the
-    canonical frames with the properties (see _isomorph_free), in slices of
-    their memoised list; they need the whole domain designated.
-
-    The walk is held to the slab budget when this is called, as one slab
-    over all of the frames it walks would be; the slabs are built one at a
-    time as they are taken.
-    """
-    if isomorph_free and n_worlds <= ISOMORPH_FREE_WORLDS:
-        if designated is not None:
-            raise ValueError("an isomorph-free walk designates the whole domain")
-        frames = _isomorph_free(n_worlds, frozenset(props))
-    else:
-        frames = _admitted(n_worlds, props, len(atoms))
-    return _walk(n_worlds, atoms, frames, designated)
-
-
-def _walk(n_worlds: int, atoms: Sequence[str], frames: Sequence[int] | None,
-          designated: Iterable[int] | None) -> Iterator[ModelSlab]:
-    """The slabs of slabs over an ascending frame list, or over every frame
-    when frames is None."""
-    total = 1 << n_worlds * n_worlds if frames is None else len(frames)
-    _check_slab_budget(n_worlds, len(atoms), total)
+def slabs(n_worlds: int, atoms: Sequence[str] = (), frames: Sequence[int] | None = None,
+          *, designated: Iterable[int] | None = None) -> Iterator[ModelSlab]:
+    """The slabs over an ascending list of n-world frames, by default every
+    frame, in ascending order, each with the designated set given, by
+    default the whole domain: each holds at most 2**TILE_BITS models, or
+    one frame where a frame's valuations are more.  A range of frames walks
+    in tiles.  The largest slab is held to MAX_PATTERN_BYTES when this is
+    called; the slabs are built one at a time as they are taken."""
+    if frames is None:
+        frames = range(1 << n_worlds * n_worlds)
+    total = len(frames)
     step = 1 << max(0, TILE_BITS - len(atoms) * n_worlds)
-    return (ModelSlab(n_worlds, atoms, designated,
-                      frames=(range(base, min(base + step, total)) if frames is None
-                              else frames[base:base + step]))
+    _check_slab_budget(n_worlds, len(atoms), min(step, total))
+    return (ModelSlab(n_worlds, atoms, designated, frames=frames[base:base + step])
             for base in range(0, total, step))
 
 
@@ -200,40 +209,21 @@ def _frame_typecode(n_worlds: int) -> str:
     return next(c for c in "BHILQ" if array(c).itemsize * 8 >= bits)
 
 
-def admitted_frames(n_worlds: int, props: Iterable[FrameProperty]) -> list[int] | None:
+def admitted(n_worlds: int, props: Iterable[FrameProperty] = (), *,
+             isomorph_free: bool = False) -> Sequence[int]:
     """Ascending relation bitmasks of the n-world frames with every property
-    in props, read off the atom-free tiles; None, meaning every frame, when
-    props is empty."""
-    frames = _admitted(n_worlds, props, 0)
-    return None if frames is None else list(frames)
-
-
-def _admitted(n_worlds: int, props: Iterable[FrameProperty],
-              n_atoms: int) -> array | None:
-    """admitted_frames as the memo's own array, which callers must not
-    write.  A slab with n_atoms atoms over those frames is held to the
-    budget before they are listed."""
+    in props: a range when that is every frame, else an array read off the
+    atom-free tiles.  isomorph_free takes, up to ISOMORPH_FREE_WORLDS
+    worlds, only the canonical frames, as the memo's own array, which
+    callers must not write; a walk over them has to designate the whole
+    domain (see _isomorph_free)."""
     props = frozenset(props)
+    if isomorph_free and n_worlds <= ISOMORPH_FREE_WORLDS:
+        return _isomorph_free(n_worlds, props)
     if not props:
-        return None
-    if _pattern_bytes(n_worlds, n_atoms, 1 << n_worlds * n_worlds) <= MAX_PATTERN_BYTES:
-        n_atoms = 0  # the slab over every frame fits, so one over any list does
-    return _listed_frames(n_worlds, props, n_atoms)
-
-
-# The labelled lists of admitted_frames and of the walks over every
-# admitted frame, which searches take from five worlds on; a 5-world list
-# that the budget admits for one atom takes about 4.3 MiB.  The atom count
-# is part of the key only where the budget can refuse the list: where the
-# slab over every frame of the size is over it.
-@lru_cache(maxsize=128)
-def _listed_frames(n_worlds: int, props: frozenset[FrameProperty],
-                   n_atoms: int) -> array:
-    # count the frames tile by tile, and list them only once the budget
-    # has admitted that many
-    tiles = [(tile.frames, tile.properties_mask(props)) for tile in slabs(n_worlds)]
-    _check_slab_budget(n_worlds, n_atoms, sum(mask.bit_count() for _, mask in tiles))
-    return _frame_array(n_worlds, tiles)
+        return range(1 << n_worlds * n_worlds)
+    return _frame_array(n_worlds, [(tile.frames, tile.properties_mask(props))
+                                   for tile in slabs(n_worlds)])
 
 
 @lru_cache(maxsize=128)
@@ -265,7 +255,7 @@ def _isomorph_free(n_worlds: int, props: frozenset[FrameProperty]) -> array:
                                        for tile in slabs(n_worlds)])
     frames = _isomorph_free(n_worlds, frozenset())
     return _frame_array(n_worlds, [(slab.frames, slab.properties_mask(props))
-                                   for slab in _walk(n_worlds, (), frames, None)])
+                                   for slab in slabs(n_worlds, (), frames)])
 
 
 def _relabelled_smaller(tile: ModelSlab) -> int:

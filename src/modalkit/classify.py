@@ -65,7 +65,7 @@ def _verdict(f: Formula, logic: Logic, sig: Signature) -> TableauResult | None:
         return None
     if isinstance(result, Invalid):
         # normalize the evidence to the canonically first small model; over
-        # the slab budget the tableau's certified countermodel stands
+        # the work budget the tableau's certified countermodel stands
         try:
             small = find_countermodel(f, set(logic.frame_properties), 4, sig)
         except ResourceLimitExceeded:

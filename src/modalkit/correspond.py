@@ -10,16 +10,13 @@ around the Loeb schema on the same enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
-from .bitgrid import TILE_BITS, slabs
-from .errors import ResourceLimitExceeded
+from .bitgrid import charge, slabs, work
 from .hilbert import FRAME_CONDITIONS, SCHEMAS, AxiomSchemaId
-from .kripke import FrameProperty, KripkeModel, valid_in_model
+from .kripke import FrameProperty
 from .reporting import CheckReport, Violation
-from .syntax import (Atom, Formula, MetaVar, Schema, Signature, atoms_of,
-                     desugar, map_leaves, metavars_of, sorted_signature,
-                     substitute_metavars)
+from .syntax import (Formula, MetaVar, Schema, atoms_of, desugar, map_leaves,
+                     size, sorted_signature)
 
 
 def _core_body(s: Schema) -> Formula:
@@ -35,62 +32,25 @@ def _core_body(s: Schema) -> Formula:
     return map_leaves(body, rename)
 
 
-def schema_valid_on_frame(worlds: set, rel: set, s: Schema) -> bool:
-    """True when s holds on the bare frame under propositional quantification.
-
-    Every metavariable (and any concrete atom in the schema) ranges over
-    arbitrary subsets of the worlds; the instance must hold at every world.
-    """
-    if not worlds:
-        raise ValueError("a frame needs at least one world")
-    bad = [pair for pair in rel if pair[0] not in worlds or pair[1] not in worlds]
-    if bad:
-        raise ValueError(f"relation pair {bad[0]} leaves the world set")
-    body = _core_body(s)
-    names = metavars_of(body)
-    f = substitute_metavars(body, {name: Atom(name) for name in names})
-    ordered = sorted(worlds)
-    subsets = [frozenset(c) for k in range(len(ordered) + 1)
-               for c in combinations(ordered, k)]
-    # one model of the frame, whose valuation alone varies
-    m = KripkeModel(ordered[-1] + 1, worlds, rel, dict.fromkeys(names, ()), Signature(names))
-    for val in product(subsets, repeat=len(names)):
-        m.val = dict(zip(names, val))
-        if not valid_in_model(m, f):
-            return False
-    return True
-
-
-# Cap on the work of a sweep, in tile-valuation steps: a schema with m
-# letters (metavariables and atoms) tries at most 2**(m*n) valuations on
-# each n-world tile.  The count takes tiles of the size bitgrid ships with, read once
-# here, so whether a question is answered does not depend on the tile
-# size.  At five worlds it admits the Loeb suite (one letter, 8,222 steps)
-# and two letters (262,484), and refuses three (8,393,288).
-MAX_SWEEP_STEPS = 10**6
-_STEP_TILE_BITS = TILE_BITS
-
-
 def _sweep(max_worlds: int, s: Schema):
     """(n, tile, mask) for every atom-free tile with 1 to max_worlds worlds,
-    in canonical order, mask being s's schema validity on the tile.  Every
-    size is held to the slab budget, and the sweep to MAX_SWEEP_STEPS,
-    before the first tile is built.  The tiles share one hint, so each
-    tries first the valuation that emptied the last one of its size."""
+    in canonical order, mask being s's schema validity on the tile.  The
+    whole sweep is charged to the work budget before the first tile is
+    built: a schema with m letters (metavariables and atoms) may try all
+    2**(m*n) valuations on an n-world tile, at about one operation per node
+    and world and one per successor, and the frame properties take about
+    n**3 operations.  The tiles share one hint, so each tries first the
+    valuation that emptied the last one of its size."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    sizes = [slabs(n) for n in range(1, max_worlds + 1)]
-    m = len(s.metavars)
-    steps = sum(max(1, 1 << n * n >> _STEP_TILE_BITS) << m * n
-                for n in range(1, max_worlds + 1))
-    if steps > MAX_SWEEP_STEPS:
-        raise ResourceLimitExceeded(
-            f"a schema with {m} metavariables and atoms takes {steps} "
-            f"tile-valuation steps on the frames of up to {max_worlds} worlds, "
-            f"over the {MAX_SWEEP_STEPS} step budget")
+    m, nodes = len(s.metavars), size(s.body)
+    what = f"a sweep of a schema with {m} letters over the frames of up to {max_worlds} worlds"
+    spent = 0
+    for n in range(1, max_worlds + 1):
+        spent = charge(spent + work((n * (n + nodes) << m * n) + n ** 3, 1 << n * n), what)
     hints: dict[int, int] = {}
     return ((n, tile, tile.schema_validity_mask(s, hints))
-            for n, tiles in enumerate(sizes, 1) for tile in tiles)
+            for n in range(1, max_worlds + 1) for tile in slabs(n))
 
 
 @dataclass(frozen=True)
@@ -120,9 +80,9 @@ class CounterFrame:
 
 def correspondence_check(s: Schema, p: FrameProperty,
                          max_worlds: int) -> Holds | CounterFrame:
-    """Check has_property(frame) <=> schema_valid_on_frame over all frames
-    up to max_worlds; the first frame (canonical order) violating either
-    direction is returned."""
+    """Check that p holds on a frame exactly when s is valid on it, over all
+    frames up to max_worlds; the first frame (canonical order) violating
+    either direction is returned."""
     checked = 0
     for n, slab, valid in _sweep(max_worlds, Schema(_core_body(s))):
         prop = slab.property_mask(p)

@@ -8,67 +8,42 @@ world count.  Valuations range only over the atoms that occur in the
 formula; the designated set is always the full domain during search.
 
 The search never builds a model whose frame lacks a requested property:
-for each world count it takes its slabs from bitgrid.slabs, the walk over
-the admitted frames in ascending chunks of models, which holds the size to
-the budget of bitgrid.MAX_PATTERN_BYTES before any chunk is built and
-raises ResourceLimitExceeded over it.  The first falsifying index of the
-first chunk that has one is the canonically first countermodel, so the
-search stops there.  The scalar evaluator and property checks re-check
-that model, and a disagreement raises AssertionError, under python -O too.
+for each world count it walks the admitted frames with bitgrid.slabs, in
+ascending chunks of models.  The first falsifying index of the first chunk
+that has one is the canonically first countermodel, so the search stops
+there.  The scalar evaluator and property checks re-check that model, and
+a disagreement raises AssertionError, under python -O too.
 
 Up to bitgrid.ISOMORPH_FREE_WORLDS worlds the walk is isomorph-free: it
 takes one frame per isomorphism class, the one with the least relation
 bitmask (3,044 of the 65,536 frames at 4 worlds), with every valuation.
 The first countermodel in canonical order has such a frame, so the answer
 is the one a walk over every frame gives (bitgrid._isomorph_free has the
-argument), and the budget counts only the frames walked: 4 worlds with 3
-atoms fit, 4 atoms do not.  From 5 worlds on the walk takes every
-admitted frame.
+argument).  From 5 worlds on the walk takes every admitted frame; with
+properties it lists them first, over all the frames of the size.  The
+canonical frames of a size are memoised once per process and property
+set, 6 KiB at most; a 5-world list is built afresh for each search and
+takes 4 bytes a frame, 128 MiB at most.
 
-Frame lists are memoised per process, as compact arrays keyed by world
-count and property set (and, for a walk over every admitted frame, by atom
-count where the budget can refuse the list), so repeated searches list
-each set once; the canonical frames of a size are listed once and shared
-by all property sets.  The memos keep the 128 most recently used keys.  A
-4-world canonical list takes at most 6 KiB and a 5-world list that the
-budget admits for one atom about 4.3 MiB, so the memoised list, not a
-chunk, is the largest structure a search keeps.
+The search charges its work to bitgrid.MAX_WORK as it goes, adding up the
+world counts it has reached: before a listing, the property masks over
+every frame of the size and a step for each frame, and before a walk, the
+walk's.  So a question answered at a small world count is answered
+whatever the bound, and one over the budget raises ResourceLimitExceeded
+before the list or slab that would pass it is built.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
-from .bitgrid import slabs
+from .bitgrid import ISOMORPH_FREE_WORLDS, OP_FLOOR, admitted, charge, slabs, work
 from .kripke import FrameProperty, KripkeModel, eval_deep, has_property
-from .syntax import Formula, Signature, atoms_of, desugar
+from .syntax import Formula, Signature, atoms_of, desugar, size
 
 
 def search_atoms(f: Formula, sig: Signature) -> tuple[str, ...]:
     """The atoms a countermodel search has to assign: those in f after
     desugaring (so true/false contribute the signature's first atom)."""
     return tuple(sorted(atoms_of(desugar(f, sig)))) or (sig.atoms[0],)
-
-
-def enumerate_models(n_worlds: int, atoms: tuple[str, ...]):
-    """Yield every model with the given domain size in canonical order.
-
-    This is the reference enumeration: 2^(n*n) relations, each with
-    2^(len(atoms)*n) valuations, relation bitmask major, where pair (i, j)
-    is bit i*n + j and atom k at world w is bit k*n + w.  It shares no code
-    with the slabs of find_countermodel; tests compare the two.
-    """
-    n = n_worlds
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    cells = [(a, w) for a in atoms for w in range(n)]
-    sig = Signature(atoms)
-    for rel_bits, val_bits in product(range(1 << len(pairs)), range(1 << len(cells))):
-        rel = [pair for k, pair in enumerate(pairs) if rel_bits >> k & 1]
-        val = {a: [] for a in atoms}
-        for k, (a, w) in enumerate(cells):
-            if val_bits >> k & 1:
-                val[a].append(w)
-        yield KripkeModel(n, range(n), rel, val, sig)
 
 
 def find_countermodel(f: Formula, props: set[FrameProperty], max_worlds: int,
@@ -82,8 +57,22 @@ def find_countermodel(f: Formula, props: set[FrameProperty], max_worlds: int,
         raise ValueError(f"formula uses atoms outside the signature: {sorted(missing)}")
     atoms = search_atoms(f, sig)
     goal = desugar(f, sig)
+    nodes = size(goal)
+    what = f"a countermodel search with {len(atoms)} atoms up to {max_worlds} worlds"
+    spent = 0
     for n in range(1, max_worlds + 1):
-        for slab in slabs(n, atoms, props, isomorph_free=True):
+        if props and n > ISOMORPH_FREE_WORLDS:
+            # the property masks of every frame, and a quarter of an
+            # operation's floor for each frame the listing may take
+            spent = charge(spent + work(len(props) * n ** 3, 1 << n * n)
+                           + (OP_FLOOR >> 2 << n * n), what)
+        frames = admitted(n, props, isomorph_free=True)
+        # a slab builds each valuation mask in about ten operations, and a
+        # ranked one each relation mask from byte lanes in about 25; the
+        # formula takes about one operation per node and world
+        ops = n * (10 * len(atoms) + nodes) + (0 if type(frames) is range else 25 * n * n)
+        spent = charge(spent + work(ops, len(frames) << len(atoms) * n), what)
+        for slab in slabs(n, atoms, frames):
             # falsified somewhere: the complement of "true at every world"
             failing = slab.full ^ slab.validity_mask(goal)
             if not failing:

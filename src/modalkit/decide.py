@@ -333,7 +333,7 @@ class CrossCheckReport:
     formula: Formula
     logic: Logic
     tableau_valid: bool | None   # None when decide hit the resource limit
-    finder_found: bool | None    # None when the finder's slab was over budget
+    finder_found: bool | None    # None when the finder was over its budget
     consistent: bool
     detail: str = ""
 

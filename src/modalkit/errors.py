@@ -3,5 +3,7 @@
 
 class ResourceLimitExceeded(Exception):
     """A question could not be answered within a fixed budget: the tableau's
-    rule budget with an empty bounded fallback, or a slab too large to build.
-    The command line maps it to exit code 3."""
+    rule or label budget with an empty bounded fallback, the exhaustive
+    engines' work budget (bitgrid.MAX_WORK), or a slab whose masks would
+    pass bitgrid.MAX_PATTERN_BYTES.  The command line maps it to exit
+    code 3."""

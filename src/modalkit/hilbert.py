@@ -347,6 +347,9 @@ def _script_signature(text: str) -> Signature:
 
 
 def serialize_proof(proof: Proof) -> str:
+    """The script text of a proof, the inverse of parse_proof_script: each
+    step on its own numbered line, bindings in the step's order, formulas
+    pretty-printed.  The bundled proofs are kept in this form."""
     lines = []
     for num, step in enumerate(proof.steps, start=1):
         if isinstance(step, AxStep):

@@ -80,11 +80,13 @@ class KripkeModel:
         for a, ws in self.val.items():
             if not all(w in domain for w in ws):
                 raise ModelError(f"valuation of {a!r} mentions a world outside the domain")
-        # successors inside the designated set, per world, in ascending order
-        self._succ = {
-            w: tuple(v for v in sorted(self.worlds) if (w, v) in self.rel)
-            for w in self.worlds
-        }
+        # successors inside the designated set, per world, in ascending
+        # order: one pass over the sorted relation
+        succ: dict[int, list[int]] = {w: [] for w in self.worlds}
+        for w, v in sorted(self.rel):
+            if w in succ and v in self.worlds:
+                succ[w].append(v)
+        self._succ = {w: tuple(vs) for w, vs in succ.items()}
 
     def __eq__(self, other):
         if not isinstance(other, KripkeModel):

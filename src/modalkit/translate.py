@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import and_
-from typing import Callable, Mapping
+from typing import Callable
 
-from .bitgrid import slabs
-from .errors import ResourceLimitExceeded
-from .kripke import KripkeModel
+from .bitgrid import MAX_WORK, charge, slabs, work
 from .reporting import CheckReport, Violation
 from .syntax import (
     Atom, Box, CImp, CNot, CoreForm, ForallWorld, Formula, Implies, Not,
@@ -98,47 +96,6 @@ def translate_min(f: Formula, *, memo: dict | None = None) -> CoreForm:
     return _translate(f, 0, False, {} if memo is None else memo)
 
 
-@dataclass
-class CoreEnv:
-    """Evaluation context: a model plus a binding of world variables."""
-
-    model: KripkeModel
-    binding: Mapping[str, int]
-
-
-def eval_core(c: CoreForm, env: CoreEnv) -> bool:
-    """Truth of a translated form.  Quantifiers range over the whole domain;
-    the W predicate tests the designated set."""
-    return _eval_core(c, env.model, dict(env.binding))
-
-
-def _eval_core(c: CoreForm, m: KripkeModel, binding: dict[str, int]) -> bool:
-    t = type(c)
-    try:
-        if t is PredW:
-            return binding[c.var] in m.worlds
-        if t is PredR:
-            return (binding[c.src], binding[c.dst]) in m.rel
-        if t is PredV:
-            if c.atom not in m.val:
-                raise ValueError(f"atom {c.atom!r} is not in the model's signature")
-            return binding[c.var] in m.val[c.atom]
-    except KeyError as e:
-        raise ValueError(f"unbound world variable {e.args[0]!r}") from None
-    if t is CNot:
-        return not _eval_core(c.body, m, binding)
-    if t is CImp:
-        return (not _eval_core(c.left, m, binding)) or _eval_core(c.right, m, binding)
-    if t is ForallWorld:
-        inner = dict(binding)
-        for d in range(m.n_worlds):
-            inner[c.var] = d
-            if not _eval_core(c.body, m, inner):
-                return False
-        return True
-    raise TypeError(f"not a translated form: {c!r}")
-
-
 CHECK_TRUTH_DEEP_MAX = "truth-deep-max"
 CHECK_VALIDITY_DEEP_MAX = "validity-deep-max"
 CHECK_TRUTH_DEEP_MIN = "truth-deep-min"
@@ -174,17 +131,12 @@ class FaithfulnessReport:
 
 Translation = Callable[[Formula], CoreForm]
 
-MAX_GRID_FORMULAS = 10**6
-MAX_GRID_INSTANCES = 2 * 10**10
-MAX_GRID_STEPS = 10**6
-
-
-def _formula_count(n_atoms: int, max_depth: int) -> int:
+def _formula_count(n_atoms: int, max_depth: int, limit: int) -> int:
     """len(enumerate_formulas) over k atoms in closed form, c(d) = k +
-    2c(d-1) + c(d-1)**2, or the first c(d) over MAX_GRID_FORMULAS."""
+    2c(d-1) + c(d-1)**2, or the first c(d) over limit."""
     count = n_atoms
     for _ in range(max_depth):
-        if count > MAX_GRID_FORMULAS:
+        if count > limit:
             break
         count = n_atoms + 2 * count + count * count
     return count
@@ -278,52 +230,36 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
 
     Each designated set is walked in the slabs of bitgrid.slabs.  Every
     formula is translated and evaluated on every slab; the top-depth ones
-    are checked one node deep and write no shared memo.  A grid over the
-    slab budget, MAX_GRID_FORMULAS, MAX_GRID_INSTANCES or
-    MAX_GRID_STEPS raises ResourceLimitExceeded before any formula or slab
-    exists; a negative depth or fewer than one world raises ValueError.
+    are checked one node deep and write no shared memo.  A formula on d
+    designated worlds takes about 12*d mask operations over the three
+    routes, so one formula over the n-world families takes 3*n*2**(n+1).
+    The whole grid is charged to the work budget before any formula or
+    slab exists, and raises ResourceLimitExceeded over it; a negative depth
+    or fewer than one world raises ValueError.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be at least 0")
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     k = len(sig.atoms)
-    # a walk is held to the slab budget when it is made; walks grow with the
-    # world count, so the first refused here is the first the run would reach
-    walks = [slabs(n, sig.atoms, designated=[w for w in range(n) if bits >> w & 1])
-             for n in range(1, max_worlds + 1) for bits in range(1, 1 << n)]
-    n_formulas = _formula_count(k, max_depth)
-    if n_formulas > MAX_GRID_FORMULAS:
-        raise ResourceLimitExceeded(
-            f"a grid of depth {max_depth} over {k} atoms lists "
-            f"more than {MAX_GRID_FORMULAS} formulas, the grid budget")
-    # validity is checked once per formula and model; n worlds give 2**n - 1
-    # designated sets of 2**(n*n + n*k) models each
-    instances = n_formulas * sum(((1 << n) - 1) << n * (n + k)
-                                 for n in range(1, max_worlds + 1))
-    if instances > MAX_GRID_INSTANCES:
-        raise ResourceLimitExceeded(
-            f"a grid of depth {max_depth} over {k} atoms and up to {max_worlds} "
-            f"worlds checks {instances} validity instances, over the "
-            f"{MAX_GRID_INSTANCES} work budget")
-    # a step checks one formula on one of those designated sets
-    steps = n_formulas * sum((1 << n) - 1 for n in range(1, max_worlds + 1))
-    if steps > MAX_GRID_STEPS:
-        raise ResourceLimitExceeded(
-            f"a grid of depth {max_depth} over {k} atoms and up to {max_worlds} "
-            f"worlds takes {steps} formula-slab steps, over the "
-            f"{MAX_GRID_STEPS} step budget")
+    what = f"a grid of depth {max_depth} over {k} atoms and up to {max_worlds} worlds"
+    per_formula = 0
+    for n in range(1, max_worlds + 1):
+        per_formula = charge(per_formula + work(3 * n << n + 1, 1 << n * (n + k)), what)
+    n_formulas = _formula_count(k, max_depth, MAX_WORK // per_formula)
+    charge(n_formulas * per_formula, what)
 
     formulas = enumerate_formulas(sig, max_depth)
     # the enumeration is ordered by depth, so the formulas below max_depth
     # are a prefix of it
-    n_lower = _formula_count(k, max_depth - 1) if max_depth else 0
+    n_lower = _formula_count(k, max_depth - 1, n_formulas) if max_depth else 0
     # the module's own translations share a memo per route across slabs; an
     # injected one keeps none
     memos: list[dict] = [{}, {}]
     report = FaithfulnessReport([CheckReport(name, 0, 0) for name in CHECK_NAMES])
-    for walk in walks:
-        for slab in walk:
-            _check_slab(slab, formulas, n_lower, translate_max_fn, translate_min_fn,
-                        memos, report)
+    for n in range(1, max_worlds + 1):
+        for bits in range(1, 1 << n):
+            for slab in slabs(n, sig.atoms, designated=[w for w in range(n) if bits >> w & 1]):
+                _check_slab(slab, formulas, n_lower, translate_max_fn, translate_min_fn,
+                            memos, report)
     return report

@@ -1,21 +1,28 @@
-"""Shared strategies, an independent reference evaluator and a reference
-lexer.
+"""Shared strategies, the test oracles and a reference lexer.
 
 The naive evaluator here is deliberately written from scratch against the
 connective semantics (including sugar) rather than reusing the package's
 desugaring pipeline, so differential tests compare two genuinely separate
-routes to the same truth value.
+routes to the same truth value.  The other oracles, the reference model
+enumeration, the scalar evaluator of translated forms, schema validity on a
+bare frame and the admitted frame lists, serve the tests alone and share no
+code with the bit-packed engines they are compared with.
 """
 
 import re
 from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import combinations, product
+from typing import Mapping
 
 import hypothesis.strategies as st
 
-from modalkit.kripke import KripkeModel
-from modalkit.syntax import (And, Atom, Bot, Box, Dia, Implies, LexError, Not,
-                             Or, Signature, Top)
-from modalkit.translate import CImp, CNot, ForallWorld, PredV
+from modalkit import bitgrid
+from modalkit.kripke import KripkeModel, valid_in_model
+from modalkit.syntax import (And, Atom, Bot, Box, CImp, CNot, CoreForm,
+                             Dia, ForallWorld, Implies, LexError, Not, Or,
+                             PredR, PredV, PredW, Schema, Signature, Top,
+                             atoms_of, desugar, map_leaves, sorted_signature)
 
 SIG_P = Signature(("p",))
 SIG_PQ = Signature(("p", "q"))
@@ -130,3 +137,103 @@ def unguarded_min(f):
         return ForallWorld(v, go(g.body, v, counter))
 
     return go(f, "w", [0])
+
+
+def enumerate_models(n_worlds: int, atoms: tuple[str, ...]):
+    """Yield every model with the given domain size in canonical order.
+
+    This is the reference enumeration: 2^(n*n) relations, each with
+    2^(len(atoms)*n) valuations, relation bitmask major, where pair (i, j)
+    is bit i*n + j and atom k at world w is bit k*n + w.  It shares no code
+    with the slabs of find_countermodel; tests compare the two.
+    """
+    n = n_worlds
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    cells = [(a, w) for a in atoms for w in range(n)]
+    sig = Signature(atoms)
+    for rel_bits, val_bits in product(range(1 << len(pairs)), range(1 << len(cells))):
+        rel = [pair for k, pair in enumerate(pairs) if rel_bits >> k & 1]
+        val = {a: [] for a in atoms}
+        for k, (a, w) in enumerate(cells):
+            if val_bits >> k & 1:
+                val[a].append(w)
+        yield KripkeModel(n, range(n), rel, val, sig)
+
+
+@dataclass
+class CoreEnv:
+    """Evaluation context: a model plus a binding of world variables."""
+
+    model: KripkeModel
+    binding: Mapping[str, int]
+
+
+def eval_core(c: CoreForm, env: CoreEnv) -> bool:
+    """Truth of a translated form.  Quantifiers range over the whole domain;
+    the W predicate tests the designated set."""
+    return _eval_core(c, env.model, dict(env.binding))
+
+
+def _eval_core(c: CoreForm, m: KripkeModel, binding: dict[str, int]) -> bool:
+    t = type(c)
+    try:
+        if t is PredW:
+            return binding[c.var] in m.worlds
+        if t is PredR:
+            return (binding[c.src], binding[c.dst]) in m.rel
+        if t is PredV:
+            if c.atom not in m.val:
+                raise ValueError(f"atom {c.atom!r} is not in the model's signature")
+            return binding[c.var] in m.val[c.atom]
+    except KeyError as e:
+        raise ValueError(f"unbound world variable {e.args[0]!r}") from None
+    if t is CNot:
+        return not _eval_core(c.body, m, binding)
+    if t is CImp:
+        return (not _eval_core(c.left, m, binding)) or _eval_core(c.right, m, binding)
+    if t is ForallWorld:
+        inner = dict(binding)
+        for d in range(m.n_worlds):
+            inner[c.var] = d
+            if not _eval_core(c.body, m, inner):
+                return False
+        return True
+    raise TypeError(f"not a translated form: {c!r}")
+
+
+def schema_valid_on_frame(worlds: set, rel: set, s: Schema) -> bool:
+    """True when s holds on the bare frame under propositional quantification.
+
+    Every metavariable (and any concrete atom in the schema) ranges over
+    arbitrary subsets of the worlds; the instance must hold at every world.
+    """
+    if not worlds:
+        raise ValueError("a frame needs at least one world")
+    bad = [pair for pair in rel if pair[0] not in worlds or pair[1] not in worlds]
+    if bad:
+        raise ValueError(f"relation pair {bad[0]} leaves the world set")
+    # every leaf, metavariable or atom, becomes an atom of its own, so ?p
+    # stays distinct from p
+    body = desugar(s.body, sorted_signature(atoms_of(s.body)))
+    fresh: dict = {}
+    f = map_leaves(body, lambda leaf: fresh.setdefault((type(leaf), leaf.name),
+                                                       Atom(f"m{len(fresh)}")))
+    names = tuple(a.name for a in fresh.values())
+    ordered = sorted(worlds)
+    subsets = [frozenset(c) for k in range(len(ordered) + 1)
+               for c in combinations(ordered, k)]
+    # one model of the frame, whose valuation alone varies
+    m = KripkeModel(ordered[-1] + 1, worlds, rel, dict.fromkeys(names, ()), Signature(names))
+    for val in product(subsets, repeat=len(names)):
+        m.val = dict(zip(names, val))
+        if not valid_in_model(m, f):
+            return False
+    return True
+
+
+def admitted_frames(n_worlds: int, props) -> list[int] | None:
+    """Ascending relation bitmasks of the n-world frames with every property
+    in props, as bitgrid.admitted lists them; None, meaning every frame,
+    when props is empty."""
+    props = frozenset(props)
+    return list(bitgrid.admitted(n_worlds, props)) if props else None

@@ -11,9 +11,9 @@ from itertools import permutations
 import pytest
 
 from modalkit import bitgrid
-from modalkit.bitgrid import MAX_PATTERN_BYTES, ModelSlab, admitted_frames, slabs
+from modalkit.bitgrid import MAX_PATTERN_BYTES, ModelSlab, slabs
 from modalkit.correspond import _core_body
-from modalkit.countermodel import enumerate_models, find_countermodel
+from modalkit.countermodel import find_countermodel
 from modalkit.errors import ResourceLimitExceeded
 from modalkit.hilbert import ALL_LOGICS, SCHEMAS
 from modalkit.kripke import (
@@ -34,9 +34,9 @@ from modalkit.syntax import (
     parse,
     parse_schema,
 )
-from modalkit.translate import CoreEnv, eval_core, translate_max, translate_min
+from modalkit.translate import translate_max, translate_min
 
-from conftest import SIG_P, index_of
+from conftest import SIG_P, CoreEnv, admitted_frames, enumerate_models, eval_core, index_of
 
 
 def test_counts_and_full_mask():
@@ -439,7 +439,7 @@ def test_slabs_walk_the_frames_in_ascending_chunks(monkeypatch):
     assert sum(t.count for t in tiles) == 512
     # admitted frames: slices of their list, at most 2**TILE_BITS models
     # and at least one frame each
-    ranked = list(slabs(3, ("p",), {R, T}))
+    ranked = list(slabs(3, ("p",), bitgrid.admitted(3, {R, T})))
     assert [f for t in ranked for f in t._frames] == admitted_frames(3, {R, T})
     assert all(8 <= t.count <= 16 for t in ranked)
     # 6 valuation bits, more than TILE_BITS: one frame a slab
@@ -449,9 +449,10 @@ def test_slabs_walk_the_frames_in_ascending_chunks(monkeypatch):
 
 
 def test_slabs_over_the_budget_are_refused_at_the_call():
-    # at the default tile size: a smaller one lists the serial 5-world
-    # frames in many more tiles before refusing them
-    for args in [(5, ("p",)), (5, ("p",), {FrameProperty.SERIAL}), (6,)]:
+    # a slab of one frame holds 2**30 models with 6 atoms at 5 worlds (7
+    # GiB of masks), and 2**32 with 8 atoms at 4 worlds (24 GiB)
+    for args in [(5, tuple("pqrstu")),
+                 (4, tuple("pqrstuvw"), bitgrid.admitted(4, isomorph_free=True))]:
         with pytest.raises(ResourceLimitExceeded):
             slabs(*args)  # raised before the iterator is advanced
 
@@ -470,17 +471,14 @@ def test_admitted_frames_read_tile_by_tile_equal_the_whole_slab(monkeypatch):
     classes = [{R, T}, {S}, {FrameProperty.CONVERSE_WELL_FOUNDED},
                {R, FrameProperty.IRREFLEXIVE}, {FrameProperty.EUCLIDEAN}]
     whole = [admitted_frames(3, props) for props in classes]
-    monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
-    bitgrid._listed_frames.cache_clear()  # list them again, in small tiles
+    monkeypatch.setattr(bitgrid, "TILE_BITS", 4)  # list them again, in small tiles
     assert [admitted_frames(3, props) for props in classes] == whole
 
 
 def test_admitted_frames_are_memoised_per_size_and_property_set():
     E = FrameProperty.EUCLIDEAN
     first = admitted_frames(3, {R, E})
-    misses = bitgrid._listed_frames.cache_info().misses
     assert admitted_frames(3, (R, E)) == first == admitted_frames(3, (E, R, E))
-    assert bitgrid._listed_frames.cache_info().misses == misses
     first.append(-1)
     first[0] = -1
     assert admitted_frames(3, {R, E}) == admitted_frames(3, (E, R))
@@ -503,9 +501,10 @@ def test_a_repeated_search_lists_no_frames_again(monkeypatch):
     walk = bitgrid.slabs
     tiled = []
 
-    def counted(n, atoms=(), props=(), **kwargs):
-        tiled.append(n)
-        return walk(n, atoms, props, **kwargs)
+    def counted(n, atoms=(), frames=None, **kwargs):
+        if frames is None:  # a walk over the tiles of every frame
+            tiled.append(n)
+        return walk(n, atoms, frames, **kwargs)
 
     monkeypatch.setattr(bitgrid, "slabs", counted)
     f = parse("box p -> box box p", SIG_P)
@@ -552,7 +551,7 @@ _FOUR_WORLD_CLASSES = {"K": 3_044, "KT": 218, "KB": 90, "K4": 242,
 
 
 def _isomorph_free_frames(n, props=()):
-    return [f for slab in slabs(n, (), props, isomorph_free=True) for f in slab.frames]
+    return list(bitgrid.admitted(n, props, isomorph_free=True))
 
 
 def test_isomorph_free_walks_take_one_frame_per_class():
@@ -605,11 +604,6 @@ def test_isomorph_free_frames_listed_in_small_tiles_equal_the_default(monkeypatc
         bitgrid._isomorph_free.cache_clear()
 
 
-def test_isomorph_free_walks_designate_the_whole_domain():
-    with pytest.raises(ValueError):
-        slabs(3, ("p",), isomorph_free=True, designated=[0, 1])
-
-
 # --- slab budget ------------------------------------------------------------------
 
 
@@ -620,8 +614,7 @@ def test_slabs_over_the_budget_are_refused(n, atoms):
 
 
 def test_the_budget_admits_the_largest_slabs_in_use():
-    # the atom-free 5-world sweep of correspond and loeb, held to the budget
-    # as one slab although it runs in tiles: 25 masks of 4 MiB
+    # the atom-free slab over every 5-world frame: 25 masks of 4 MiB
     assert 25 * (1 << 25) // 8 <= MAX_PATTERN_BYTES
     # three atoms at four worlds fit once the frames are S5's fifteen
     s5 = admitted_frames(4, {R, S, T})

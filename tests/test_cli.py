@@ -258,50 +258,71 @@ _CAPPED_MAIN = ("import resource, sys\n"
                 "sys.exit(main(sys.argv[1:]))\n")
 
 
+def _capped(*argv):
+    return subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv],
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_countermodel_over_the_slab_budget_exits_3():
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, "countermodel", "p -> p", "--max-worlds", "5"],
-        capture_output=True, text=True, timeout=120,
-    )
+    # two atoms at five worlds: 2**35 models
+    proc = _capped("countermodel", "p & q -> p", "--max-worlds", "5")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: resource limit exceeded")
     assert "Traceback" not in proc.stderr
 
 
+# for each engine a question of about a second that the budget admits, and
+# the README's first refused example (the search's is the test above)
+@pytest.mark.parametrize("argv, code", [
+    (["countermodel", "p -> p", "--max-worlds", "5"], 0),
+    (["correspond", "(box p -> p) & (box q -> q) & (box r -> r)", "reflexive",
+      "--max-worlds", "5"], 3),
+    (["correspond", "4", "transitive", "--max-worlds", "5"], 0),
+    (["faithful", "--depth", "4", "--max-worlds", "3"], 3),
+    (["faithful", "--depth", "1", "--max-worlds", "4", "--atoms", "2"], 0),
+])
+def test_each_engine_keeps_the_exit_contract_under_a_memory_cap(argv, code):
+    proc = _capped(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (proc.stdout == "") == (code == 3)
+
+
 def test_an_over_budget_ranked_search_lists_no_frames(capsys, monkeypatch):
-    # 28,629,151 serial 5-world frames: counted tile by tile, never listed
+    # the 2**36 frames of six worlds would be listed for their properties
     listed = bitgrid._frame_array
 
     def listing(n, tiles):
-        if n == 5:
-            raise AssertionError("listed the frames of a refused slab")
+        if n == 6:
+            raise AssertionError("listed the frames of a refused size")
         return listed(n, tiles)
 
     monkeypatch.setattr(bitgrid, "_frame_array", listing)
-    code, out, err = run(capsys, "countermodel", "box p -> dia p",
-                         "--props", "serial", "--max-worlds", "5")
+    code, out, err = run(capsys, "countermodel", "box p -> box box p",
+                         "--props", "reflexive,transitive", "--max-worlds", "6")
     assert code == 3
     assert out == ""
-    assert err == ("error: resource limit exceeded: a slab of 5 worlds, 1 atoms and "
-                   "28629151 frames needs 3276 MiB of masks, over the 128 MiB budget\n")
+    assert err == ("error: resource limit exceeded: a countermodel search with 1 atoms up "
+                   "to 6 worlds needs at least 1.16e+15 units of work, over the budget "
+                   "of 3e+12\n")
 
 
 @pytest.mark.parametrize("argv", [["correspond", "T", "reflexive", "--max-worlds", "6"],
                                   ["loeb", "--max-worlds", "6"]])
 def test_frame_sweeps_over_the_slab_budget_exit_3(argv):
-    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv],
-                          capture_output=True, text=True, timeout=120)
+    proc = _capped(*argv)
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == ("error: resource limit exceeded: a slab of 6 worlds, 0 atoms "
-                           "and 68719476736 frames needs 294912 MiB of masks, over the "
-                           "128 MiB budget\n")
+    total = "2.79e+14" if argv[0] == "correspond" else "3.84e+14"
+    assert proc.stderr == ("error: resource limit exceeded: a sweep of a schema with 1 "
+                           "letters over the frames of up to 6 worlds needs at least "
+                           f"{total} units of work, over the budget of 3e+12\n")
 
 
 def test_a_sweep_over_the_step_budget_exits_3_at_once(capsys, monkeypatch):
-    # three letters take 8,393,288 tile-valuation steps at five worlds;
-    # unbounded, the sweep ran for minutes
+    # three letters try 2**15 valuations on each 5-world tile; unbounded,
+    # the sweep ran for minutes
     built = []
     monkeypatch.setattr(bitgrid.ModelSlab, "__init__", lambda self, *a, **k: built.append(a))
     start = time.perf_counter()
@@ -309,9 +330,9 @@ def test_a_sweep_over_the_step_budget_exits_3_at_once(capsys, monkeypatch):
                          "reflexive", "--max-worlds", "5")
     assert time.perf_counter() - start < 1
     assert (code, out, built) == (3, "", [])
-    assert err == ("error: resource limit exceeded: a schema with 3 metavariables and "
-                   "atoms takes 8393288 tile-valuation steps on the frames of up to 5 "
-                   "worlds, over the 1000000 step budget\n")
+    assert err == ("error: resource limit exceeded: a sweep of a schema with 3 letters "
+                   "over the frames of up to 5 worlds needs at least 1.26e+14 units of "
+                   "work, over the budget of 3e+12\n")
 
 
 def test_two_letters_at_four_worlds_are_within_the_step_budget(capsys):

@@ -16,14 +16,13 @@ from modalkit.correspond import (
     correspondence_check,
     loeb_suite,
     sahlqvist_suite,
-    schema_valid_on_frame,
 )
 from modalkit.hilbert import SCHEMAS, AxiomSchemaId
 from modalkit.kripke import FrameProperty, KripkeModel, has_property
 from modalkit.reporting import Violation
 from modalkit.syntax import Schema, parse_schema
 
-from conftest import SIG_P
+from conftest import SIG_P, schema_valid_on_frame
 
 T_SCHEMA = SCHEMAS[AxiomSchemaId.T]
 FOUR_SCHEMA = SCHEMAS[AxiomSchemaId.FOUR]

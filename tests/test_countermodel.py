@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from modalkit import bitgrid
 from modalkit.bitgrid import ModelSlab, slabs
 from modalkit.cli import main
-from modalkit.errors import ResourceLimitExceeded
 from modalkit.countermodel import (
-    enumerate_models,
     export_dot,
     find_countermodel,
     search_atoms,
@@ -20,7 +18,7 @@ from modalkit.hilbert import ALL_LOGICS
 from modalkit.kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from modalkit.syntax import Signature, desugar, parse
 
-from conftest import SIG_P, SIG_PQ, formulas, naive_eval
+from conftest import SIG_P, SIG_PQ, enumerate_models, formulas, naive_eval
 
 R = FrameProperty.REFLEXIVE
 
@@ -174,14 +172,12 @@ S = FrameProperty.SYMMETRIC
 
 @pytest.fixture
 def tile_bits(monkeypatch):
-    """Set bitgrid.TILE_BITS, listing admitted frames afresh at that size."""
+    """Set bitgrid.TILE_BITS."""
     def set_bits(bits):
         monkeypatch.setattr(bitgrid, "TILE_BITS", bits)
-        bitgrid._listed_frames.cache_clear()
 
     yield set_bits
     monkeypatch.undo()
-    bitgrid._listed_frames.cache_clear()
 
 
 _CHUNK_PROPERTY_SETS = (
@@ -229,7 +225,7 @@ def test_chunked_search_cases_reach_past_the_first_chunk(tile_bits):
     # 29 reflexive transitive 3-world frames: with one atom and tiles of
     # 2**5 models, chunks of four frames leave a partial last chunk of one
     tile_bits(5)
-    assert len(bitgrid._admitted(3, {R, T}, 1)) == 29
+    assert len(bitgrid.admitted(3, {R, T})) == 29
     assert find_countermodel(parse("box p -> box box p", SIG_P), {R, T}, 3, SIG_P) is None
     f = parse("dia p -> box dia p", SIG_P)
     found = find_countermodel(f, {R, T}, 3, SIG_P)
@@ -291,22 +287,24 @@ def test_a_five_world_reflexive_search_stays_small():
     assert int(peak_kib) < 40 << 10
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["countermodel", "p -> p", "--max-worlds", "5"],
-     "a slab of 5 worlds, 1 atoms and 33554432 frames needs 3840 MiB of masks"),
-    (["countermodel", "box p -> dia p", "--props", "serial", "--max-worlds", "5"],
-     "a slab of 5 worlds, 1 atoms and 28629151 frames needs 3276 MiB of masks"),
+@pytest.mark.parametrize("argv, n, message", [
+    (["countermodel", "p & q -> p", "--max-worlds", "5"], 5,
+     "a countermodel search with 2 atoms up to 5 worlds needs at least 4.64e+12 units"),
+    (["countermodel", "box p -> box box p", "--props", "reflexive,transitive",
+      "--max-worlds", "6"], 6,
+     "a countermodel search with 1 atoms up to 6 worlds needs at least 1.16e+15 units"),
 ])
-def test_over_budget_searches_are_refused_before_any_chunk(capsys, monkeypatch, argv,
+def test_over_budget_searches_are_refused_before_any_chunk(capsys, monkeypatch, argv, n,
                                                            message):
     built = _recorded_slab_counts(monkeypatch)
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: resource limit exceeded: " + message
-                            + ", over the 128 MiB budget\n")
-    # counting serial frames sweeps atom-free tiles; no slab over the atom
-    assert not [b for b in built if b[0] == 5 and b[1]]
+                            + " of work, over the budget of 3e+12\n")
+    # the refused size builds no slab, not even an atom-free tile to list
+    # its frames
+    assert not [b for b in built if b[0] == n]
 
 
 # --- isomorph-free search -----------------------------------------------------
@@ -320,7 +318,7 @@ def _labelled_first_countermodel(f, props, max_worlds, sig):
     atoms = search_atoms(f, sig)
     goal = desugar(f, sig)
     for n in range(1, max_worlds + 1):
-        for slab in slabs(n, atoms, props):
+        for slab in slabs(n, atoms, bitgrid.admitted(n, props)):
             failing = slab.full ^ slab.validity_mask(goal)
             if failing:
                 m = slab.model_at(slab.first_index(failing))
@@ -366,13 +364,10 @@ def test_isomorph_free_probes_reach_four_worlds():
 
 
 def test_a_three_atom_search_at_four_worlds_finds_the_labelled_first_countermodel():
-    # the labelled walk over every 4-world frame is over the budget with
-    # three atoms (896 MiB); the 3,044 canonical frames are not (42 MiB)
+    # the search walks the 3,044 canonical 4-world frames, 1/21 of all
     sig = Signature(("p", "q", "r"))
     f = parse("~(p & q & r & dia (p & ~q & ~r) & dia (~p & q & ~r) & dia (~p & ~q & r))",
               sig)
-    with pytest.raises(ResourceLimitExceeded):
-        slabs(4, sig.atoms)
     assert find_countermodel(f, set(), 3, sig) is None
     # the first labelled tile with a falsifying model, 32 frames a tile
     goal = desugar(f, sig)

@@ -271,9 +271,9 @@ def test_cross_check_agreeing_valid():
 
 
 def test_cross_check_reports_a_finder_over_the_slab_budget():
-    # four atoms over the 3,044 canonical 4-world frames need 761 MiB
-    sig = Signature(("p", "q", "r", "s"))
-    f = parse("~(p & q & r & s & dia (p & ~q & ~r) & dia (~p & q & ~r)"
+    # six atoms over the 3,044 canonical 4-world frames: 5.1e10 models
+    sig = Signature(("p", "q", "r", "s", "t", "u"))
+    f = parse("~(p & q & r & s & t & u & dia (p & ~q & ~r) & dia (~p & q & ~r)"
               " & dia (~p & ~q & r))", sig)
     report = cross_check(f, K, 4)
     assert report.finder_found is None

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from modalkit import bitgrid, translate
 from modalkit.bitgrid import ModelSlab
 from modalkit.cli import main
-from modalkit.countermodel import enumerate_models
 from modalkit.kripke import KripkeModel, eval_deep
 from modalkit.reporting import CheckReport, Violation
 from modalkit.syntax import (
@@ -34,14 +33,13 @@ from modalkit.translate import (
     CHECK_TRUTH_DEEP_MIN,
     CHECK_TRUTH_MAX_MIN,
     CHECK_VALIDITY_DEEP_MAX,
-    CoreEnv,
     check_faithfulness,
-    eval_core,
     translate_max,
     translate_min,
 )
 
-from conftest import SIG_P, SIG_PQ, formulas, models, unguarded_min
+from conftest import (SIG_P, SIG_PQ, CoreEnv, enumerate_models, eval_core, formulas, models,
+                      unguarded_min)
 
 
 def _core(text, sig=SIG_P):
@@ -425,27 +423,25 @@ def test_grid_is_refused_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr("modalkit.bitgrid.ModelSlab", refuse)
     for argv, message in [
         (["--max-worlds", "5", "--depth", "3"],
-         "a slab of 5 worlds, 1 atoms and 33554432 frames needs 3840 MiB of masks, "
-         "over the 128 MiB budget"),
+         "a grid of depth 3 over 1 atoms and up to 5 worlds needs at least 4.12e+12 units"),
         (["--depth", "4", "--atoms", "2"],
-         "a grid of depth 4 over 2 atoms lists more than 1000000 formulas, the grid budget"),
+         "a grid of depth 4 over 2 atoms and up to 2 worlds needs at least 9.00e+14 units"),
         (["--depth", "1000000000"],
-         "a grid of depth 1000000000 over 1 atoms lists more than 1000000 formulas, "
-         "the grid budget"),
+         "a grid of depth 1000000000 over 1 atoms and up to 2 worlds needs at least "
+         "8.26e+17 units"),
         (["--depth", "2", "--max-worlds", "3", "--atoms", "5"],
-         "a grid of depth 2 over 5 atoms and up to 3 worlds checks 197970191680 "
-         "validity instances, over the 20000000000 work budget"),
-        (["--depth", "4", "--max-worlds", "2"],
-         "a grid of depth 4 over 1 atoms and up to 2 worlds takes 1833316 "
-         "formula-slab steps, over the 1000000 step budget"),
+         "a grid of depth 2 over 5 atoms and up to 3 worlds needs at least 4.08e+12 units"),
         (["--depth", "4", "--max-worlds", "3"],
-         "a grid of depth 4 over 1 atoms and up to 3 worlds takes 5041619 "
-         "formula-slab steps, over the 1000000 step budget"),
+         "a grid of depth 4 over 1 atoms and up to 3 worlds needs at least 6.13e+12 units"),
+        (["--depth", "2", "--max-worlds", "1000000"],
+         "a grid of depth 2 over 1 atoms and up to 1000000 worlds needs at least "
+         "1.01e+16 units"),
     ]:
         assert main(["faithful", *argv]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: resource limit exceeded: {message}\n"
+        assert err == (f"error: resource limit exceeded: {message} of work, over the "
+                       "budget of 3e+12\n")
 
 
 def test_a_grid_that_checks_nothing_is_refused():
@@ -484,7 +480,7 @@ def test_grids_in_tiles_of_sixteen_models_equal_the_default_ones(monkeypatch):
 def test_formula_count_is_the_enumeration_length():
     for atoms in (SIG_P, SIG_PQ):
         for depth in range(4):
-            count = translate._formula_count(len(atoms.atoms), depth)
+            count = translate._formula_count(len(atoms.atoms), depth, 10**9)
             assert count == len(enumerate_formulas(atoms, depth))
 
 
