@@ -1,55 +1,60 @@
 """Bulk evaluation over exhaustively enumerated model families.
 
 A ModelSlab fixes a world count, an atom list, a designated world subset and
-a list of admitted frames, and represents every (frame, valuation)
-combination at once.  Model index m is `rank << val_bits | valuation`: rank
-is the frame's position in the admitted list, which ascends by relation
-bitmask, and the valuation bitmask fills the low bits.  Ascending index
-order is therefore exactly the canonical search order, relation bitmask
-first, then valuation bitmask, restricted to the admitted frames.  A slab
-without a frame list admits every relation, and then the rank is the
-relation bitmask itself.
+a list of admitted frames, and represents a window of their (frame,
+valuation) combinations at once.  Model index m is `rank << val_bits |
+valuation`: rank is the frame's position in the admitted list, which
+ascends by relation bitmask, and the valuation bitmask fills the low bits.
+Ascending index order is therefore exactly the canonical search order,
+relation bitmask first, then valuation bitmask, restricted to the admitted
+frames.  A slab without a frame list admits every relation, and then the
+rank is the relation bitmask itself.
 
-A ranked slab builds its relation masks from packed byte lanes, with no
-Python work per frame.  The frames are packed once into an array of
-fixed-width little-endian items.  For pair bit b, byte b >> 3 of every item
-is one strided slice, read from the end so the highest rank comes first; a
-256-entry translate table turns it into one 0/1 byte or binary digit per
-frame.  Spread to one per valuation block, as the last byte of the block or
-a base-2**block digit, and decoded, that is an integer with the lowest bit
-of each block holding the edge set; (low << block) - low fills the blocks.
+A window is an aligned range of at most 2**TILE_BITS indices: it starts at
+a multiple of the least power of two, 2**k, that holds it, and only the
+last window of an index space is cut short.  Within it, index bit b runs
+through its periodic pattern when b < k, and is fixed, so that its mask is
+the constant full or 0, otherwise.  One table per k holds full and the
+patterns, and every mask of index bits comes from it: the valuation masks,
+and the relation masks over every frame, where pair bit b is index bit
+val_bits + b.  At 2**17 models masks are 16 KiB, below the allocator's mmap
+threshold, so each big-integer result reuses heap memory instead of
+faulting in fresh pages.  A slab holds a relation mask per pair of worlds
+and a valuation mask per atom and world, and a walk holds one slab at a
+time.
 
-Truth values across the whole family are Python integers with one bit per
-model, which makes the connectives single big-integer operations.  The
-scalar evaluators in kripke and translate stay the reference semantics; the
-test suite pins the two routes against each other.  A slab whose pattern
-masks would exceed MAX_PATTERN_BYTES is refused before anything is
-allocated.
+Over a list of admitted frames, a window inside one frame reads that
+frame's index among every frame's models, so its relation masks are the
+constants too.  A window over several frames builds its relation masks
+from packed byte lanes, with no Python work per frame.  Its frames are
+packed once into an array of fixed-width little-endian items.  For pair
+bit b, byte b >> 3 of every item is one strided slice, read from the end so
+the highest rank comes first; a 256-entry translate table turns it into one
+0/1 byte or binary digit per frame.  Spread to one per valuation block, as
+the last byte of the block or a base-2**block digit, and decoded, that is
+an integer with the lowest bit of each block holding the edge set; (low <<
+block) - low fills the blocks.
 
-Time is bounded by one budget, MAX_WORK, in one unit: a mask operation
+Truth values across the window are Python integers with one bit per model,
+which makes the connectives single big-integer operations.  The scalar
+evaluators in kripke and translate stay the reference semantics; the test
+suite pins the two routes against each other.
+
+Work is bounded by one budget, MAX_WORK, in one unit: a mask operation
 over M models costs max(M, OP_FLOOR) units, the floor standing for the
 interpreter's fixed cost of an operation on a small mask.  Each engine
 estimates its work as mask operations per model family, from the sizes
 alone, and passes the estimate to charge before it builds a slab, which
-raises ResourceLimitExceeded over the budget.  Walks run in tiles, but the
-estimate counts the models of each size, so whether a question is answered
-does not depend on the tile size.
+raises ResourceLimitExceeded over the budget.  Walks run in windows, but
+the estimate counts the models of each size, so whether a question is
+answered does not depend on the window size.
 
 slabs is the one walk over frames: frame sweeps, admitted frame lists,
 countermodel searches and the faithfulness grid, one walk per designated
 set, all take their slabs from it, over every frame or over the frames
-admitted lists.  It yields slabs of at most 2**TILE_BITS models, or of one
-frame where a frame's valuations are more, in ascending order, which keeps
-the first set bit of the first slab that has one the canonically first
-model.  Over every frame a slab is a tile, whose frame list is an aligned
-block of relation bitmasks, given as a range: the pairs whose bit lies
-below the block's size take the periodic pattern of the block, and the
-others are fixed across it, so their masks are the constants full or 0.
-Over admitted frames it is a slice of their list.  At five worlds a tile's
-masks are 16 KiB instead of the whole slab's 4 MiB.  That is below the
-allocator's mmap threshold, so each big-integer result reuses heap memory
-instead of faulting in fresh pages.  The periodic masks are the same in
-every tile of a size and are built once.
+admitted lists.  It yields its tiles, the windows of 2**TILE_BITS models,
+in ascending order, which keeps the first set bit of the first slab that
+has one the canonically first model.
 
 A list of admitted frames may be isomorph-free: up to ISOMORPH_FREE_WORLDS
 worlds it then holds only the canonical frames, each the least relation
@@ -97,12 +102,6 @@ from .syntax import (
 )
 
 
-# Cap on the bytes of the pattern masks (one per relation pair and per
-# valuation cell) of one slab, which is what a walk holds at once.  It
-# admits the atom-free 5-world slab (25 masks of 4 MiB) and refuses one
-# frame with 6 atoms at 5 worlds (7 GiB).
-MAX_PATTERN_BYTES = 128 << 20
-
 # The budget on the work of one question, and the floor of an operation's
 # cost, in units: an operation on masks of M models is max(M, OP_FLOOR)
 # units.  A unit takes about 1e-11 s on 2 vCPUs (Python 3.11.7), so the
@@ -113,9 +112,9 @@ MAX_PATTERN_BYTES = 128 << 20
 MAX_WORK = 3 * 10**12
 OP_FLOOR = 1 << 16
 
-# log2 of the models in a slab of the walk over frames: 2**17 make 16 KiB
+# log2 of the models in a window, the most a slab holds: 2**17 make 16 KiB
 # masks, well under glibc's 128 KiB mmap and trim thresholds.  The atom-free
-# sizes up to four worlds fit in one tile.
+# sizes up to four worlds fit in one window.
 TILE_BITS = 17
 
 # The largest world count whose isomorph-free walks take the canonical
@@ -147,58 +146,34 @@ def charge(spent: int, what: str) -> int:
     return spent
 
 
-def _pattern_bytes(n_worlds: int, n_atoms: int, n_frames: int) -> int:
-    """Bytes of the pattern masks of a slab of n_frames frames with that many
-    worlds and atoms."""
-    count = n_frames << n_atoms * n_worlds
-    return (n_worlds + n_atoms) * n_worlds * count // 8
-
-
-def _check_slab_budget(n_worlds: int, n_atoms: int, n_frames: int) -> None:
-    """Raise ResourceLimitExceeded when a slab of n_frames frames with that
-    many worlds and atoms needs more than MAX_PATTERN_BYTES of masks."""
-    pattern_bytes = _pattern_bytes(n_worlds, n_atoms, n_frames)
-    if pattern_bytes > MAX_PATTERN_BYTES:
-        raise ResourceLimitExceeded(
-            f"a slab of {n_worlds} worlds, {n_atoms} atoms and "
-            f"{n_frames} frames needs {pattern_bytes / 2**20:.0f} MiB of "
-            f"masks, over the {MAX_PATTERN_BYTES >> 20} MiB budget")
-
-
-def _bit_pattern(total_index_bits: int, bit: int) -> int:
-    """Mask over all 2**total_index_bits indices whose binary digit `bit` is set."""
-    run = 1 << bit
-    mask = ((1 << run) - 1) << run
-    width = run << 1
-    size = 1 << total_index_bits
-    while width < size:
-        mask |= mask << width
-        width <<= 1
-    return mask
-
-
-@lru_cache(maxsize=1)
-def _block_patterns(val_bits: int, k: int) -> tuple[int, ...]:
-    """The periodic masks of the low k relation bits over an aligned block
-    of 2**k frames with val_bits valuation bits each.  They are the same
-    for every tile of a sweep, so they are built once per size."""
-    return tuple(_bit_pattern(val_bits + k, val_bits + bit) for bit in range(k))
+@lru_cache(maxsize=32)
+def _window_masks(k: int) -> tuple[int, tuple[int, ...]]:
+    """full over an aligned window of 2**k models, and the periodic mask of
+    each index bit below k: bit b's runs of 2**b clear and 2**b set."""
+    size = 1 << k
+    patterns = []
+    for bit in range(k):
+        run = 1 << bit
+        mask = ((1 << run) - 1) << run
+        width = run << 1
+        while width < size:
+            mask |= mask << width
+            width <<= 1
+        patterns.append(mask)
+    return (1 << size) - 1, tuple(patterns)
 
 
 def slabs(n_worlds: int, atoms: Sequence[str] = (), frames: Sequence[int] | None = None,
           *, designated: Iterable[int] | None = None) -> Iterator[ModelSlab]:
     """The slabs over an ascending list of n-world frames, by default every
     frame, in ascending order, each with the designated set given, by
-    default the whole domain: each holds at most 2**TILE_BITS models, or
-    one frame where a frame's valuations are more.  A range of frames walks
-    in tiles.  The largest slab is held to MAX_PATTERN_BYTES when this is
-    called; the slabs are built one at a time as they are taken."""
-    if frames is None:
-        frames = range(1 << n_worlds * n_worlds)
-    total = len(frames)
-    step = 1 << max(0, TILE_BITS - len(atoms) * n_worlds)
-    _check_slab_budget(n_worlds, len(atoms), min(step, total))
-    return (ModelSlab(n_worlds, atoms, designated, frames=frames[base:base + step])
+    default the whole domain: the windows of 2**TILE_BITS models, the last
+    cut at the end of the models.  They are built one at a time as they
+    are taken."""
+    n_frames = 1 << n_worlds * n_worlds if frames is None else len(frames)
+    total = n_frames << len(atoms) * n_worlds
+    step = 1 << TILE_BITS
+    return (ModelSlab(n_worlds, atoms, designated, frames, range(base, min(base + step, total)))
             for base in range(0, total, step))
 
 
@@ -332,14 +307,17 @@ def _neg(full: int, a: int) -> int:
 
 
 class ModelSlab:
-    """All models with a fixed world count, atom list and designated subset,
-    over every frame or over an ascending list of admitted relation bitmasks.
-    A list given as a range over an aligned block of 2**k bitmasks is a
-    tile, whose relation masks are built without a pass over its frames."""
+    """A window of the models with a fixed world count, atom list and
+    designated subset, over every frame or over an ascending list of
+    admitted relation bitmasks; by default the window of all of them.
+    frames holds the relation bitmasks the window reaches, ascending.  A
+    window of more than 2**TILE_BITS models, one not aligned to its size
+    or one cut short before the last model raises ValueError: slabs cuts a
+    walk into windows."""
 
     def __init__(self, n_worlds: int, atoms: Iterable[str],
                  designated: Iterable[int] | None = None,
-                 frames: Sequence[int] | None = None):
+                 frames: Sequence[int] | None = None, window: range | None = None):
         self.n = n_worlds
         self.atoms = tuple(atoms)
         if designated is None:
@@ -349,42 +327,40 @@ class ModelSlab:
         if not self.designated or not all(0 <= w < n_worlds for w in self.designated):
             raise ValueError("designated set must be a non-empty subset of the domain")
         self._dsorted = tuple(sorted(self.designated))
-        self._val_bits = len(self.atoms) * n_worlds
-        self._rel_bits = n_worlds * n_worlds
-        if frames is not None and len(frames) == 1 << self._rel_bits:
-            frames = None  # every frame admitted: rank equals bitmask
-        self._frames = frames
-        n_frames = 1 << self._rel_bits if frames is None else len(frames)
-        _check_slab_budget(n_worlds, len(self.atoms), n_frames)
-        self.count = n_frames << self._val_bits
-        self.full = (1 << self.count) - 1
-        # every frame, or a tile: an aligned block of 2**k consecutive frames
-        block = range(n_frames) if frames is None else frames
-        if (type(block) is range and block.step == 1 and n_frames
-                and not n_frames & (n_frames - 1) and not block.start % n_frames):
-            self._rel = self._block_relation_masks(block)
+        val_bits = self._val_bits = len(self.atoms) * n_worlds
+        rel_bits = n_worlds * n_worlds
+        # a list of every frame is no list: rank equals bitmask
+        ranked = frames is not None and len(frames) != 1 << rel_bits
+        total = (len(frames) if ranked else 1 << rel_bits) << val_bits
+        self.window = range(total) if window is None else window
+        start, count = self.window.start, self.window.stop - self.window.start
+        k = (count - 1).bit_length()  # the window lies in 2**k aligned indices
+        if (self.window.step != 1 or not 0 <= start <= self.window.stop <= total
+                or count > 1 << TILE_BITS or start % (1 << k)
+                or count < 1 << k and self.window.stop < total):
+            raise ValueError(f"{self.window} is not an aligned window of at most "
+                             f"2**{TILE_BITS} of the {total} models")
+        self.count = count
+        full, patterns = _window_masks(k)
+        if count < 1 << k:  # cut at the end of the models
+            full = (1 << count) - 1
+            patterns = [mask & full for mask in patterns]
+        self.full = full
+        ranks = slice(start >> val_bits, (start + count - 1 >> val_bits) + 1)
+        self.frames = frames[ranks] if ranked else range(1 << rel_bits)[ranks]
+        if ranked and count and k <= val_bits:
+            # inside one frame: the window's place among every frame's models
+            start = self.frames[0] << val_bits | start & (1 << val_bits) - 1
+            ranked = False
+        masks = [patterns[bit] if bit < k else full if start >> bit & 1 else 0
+                 for bit in range(val_bits if ranked else val_bits + rel_bits)]
+        self._val = {a: masks[ai * n_worlds:(ai + 1) * n_worlds]
+                     for ai, a in enumerate(self.atoms)}
+        if ranked:
+            self._rel = self._ranked_relation_masks(self.frames)
         else:
-            self._rel = self._ranked_relation_masks(frames)
-        # valuation masks repeat once per frame block, cut at the last frame
-        total = self._val_bits + (n_frames - 1).bit_length()
-        self._val = {
-            a: [_bit_pattern(total, ai * n_worlds + w) & self.full
-                for w in range(n_worlds)]
-            for ai, a in enumerate(self.atoms)
-        }
-
-    def _block_relation_masks(self, block: range) -> list[list[int]]:
-        """Mask of each pair (i, j) over an aligned block of 2**k relation
-        bitmasks: the periodic pattern for a pair whose bit is below k, and
-        full or 0, as the block's frames all have the edge or all lack it,
-        for the others."""
-        k = len(block).bit_length() - 1
-        n = self.n
-        patterns = _block_patterns(self._val_bits, k)
-        masks = [patterns[bit] if bit < k
-                 else self.full if block.start >> bit & 1 else 0
-                 for bit in range(n * n)]
-        return [masks[i * n:(i + 1) * n] for i in range(n)]
+            self._rel = [masks[val_bits + i * n_worlds:val_bits + (i + 1) * n_worlds]
+                         for i in range(n_worlds)]
 
     def _ranked_relation_masks(self, frames: Sequence[int]) -> list[list[int]]:
         """Mask of each pair (i, j) over a ranked slab: the bits of the
@@ -414,22 +390,22 @@ class ModelSlab:
 
         return [[mask(i * n + j) for j in range(n)] for i in range(n)]
 
-    @property
-    def frames(self) -> Sequence[int]:
-        """The slab's relation bitmasks, ascending: rank k is frames[k]."""
-        return range(1 << self._rel_bits) if self._frames is None else self._frames
-
     # -- decoding ----------------------------------------------------------
 
-    def _relation_bits(self, index: int) -> int:
+    def _decode(self, index: int) -> tuple[int, int]:
+        """The relation bitmask and the valuation bitmask behind a bit
+        position."""
         if not 0 <= index < self.count:
             raise IndexError(f"model index {index} out of range")
-        return self.frames[index >> self._val_bits]
+        # a window inside one frame starts part way through its valuations
+        offset = self.window.start & (1 << self._val_bits) - 1
+        rank, valuation = divmod(offset + index, 1 << self._val_bits)
+        return self.frames[rank], valuation
 
     def model_at(self, index: int) -> KripkeModel:
         """The concrete model behind a bit position."""
         n, rel = self.frame_at(index)
-        val_bits = index & ((1 << self._val_bits) - 1)
+        val_bits = self._decode(index)[1]
         val = {a: [w for w in range(n) if val_bits >> (ai * n + w) & 1]
                for ai, a in enumerate(self.atoms)}
         return KripkeModel(n, self.designated, rel, val, Signature(self.atoms))
@@ -437,7 +413,7 @@ class ModelSlab:
     def frame_at(self, index: int) -> tuple[int, frozenset[tuple[int, int]]]:
         """World count and relation behind a bit position, ignoring the
         valuation.  Works on atom-free slabs where model_at cannot."""
-        rel_bits = self._relation_bits(index)
+        rel_bits = self._decode(index)[0]
         n = self.n
         rel = frozenset((i, j) for i in range(n) for j in range(n)
                         if rel_bits >> (i * n + j) & 1)

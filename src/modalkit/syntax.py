@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 RESERVED_WORDS = frozenset({"box", "dia", "not", "true", "false"})
 
@@ -37,10 +37,6 @@ class UnknownAtomError(FormulaSyntaxError):
     def __init__(self, name: str, position: int):
         super().__init__(f"unknown atom {name!r}", position)
         self.name = name
-
-
-class SchemaError(ValueError):
-    """Raised for bad schema instantiations (missing metavariable bindings)."""
 
 
 @dataclass(frozen=True)
@@ -351,11 +347,6 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def is_core(f: Formula) -> bool:
-    """True when f uses only atoms, negation, implication and box."""
-    return type(f) in (Atom, Not, Implies, Box) and all(map(is_core, _children(f)))
-
-
 def desugar(f: Formula, sig: Signature) -> Formula:
     """Rewrite sugar into the core connectives.
 
@@ -418,11 +409,6 @@ def metavars_of(f: Formula) -> tuple[str, ...]:
     return tuple(_leaf_names(f, MetaVar))
 
 
-def depth(f: Formula) -> int:
-    """AST depth; atoms and other leaves sit at depth 0."""
-    return 1 + max(map(depth, _children(f)), default=-1)
-
-
 def size(f: Formula) -> int:
     """Number of AST nodes."""
     return 1 + sum(map(size, _children(f)))
@@ -449,25 +435,6 @@ def map_leaves(f: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
     if isinstance(f, _Binary):
         return type(f)(map_leaves(f.left, leaf), map_leaves(f.right, leaf))
     return leaf(f)
-
-
-def substitute_metavars(f: Formula, subst: Mapping[str, Formula]) -> Formula:
-    """Replace every metavariable leaf using subst; missing names raise SchemaError."""
-
-    def leaf(g: Formula) -> Formula:
-        if type(g) is not MetaVar:
-            return g
-        try:
-            return subst[g.name]
-        except KeyError:
-            raise SchemaError(f"no binding for metavariable ?{g.name}") from None
-
-    return map_leaves(f, leaf)
-
-
-def instantiate(s: Schema, subst: Mapping[str, Formula]) -> Formula:
-    """Produce the instance of schema s under a total metavariable substitution."""
-    return substitute_metavars(s.body, subst)
 
 
 # ---------------------------------------------------------------------------

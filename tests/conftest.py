@@ -6,7 +6,8 @@ desugaring pipeline, so differential tests compare two genuinely separate
 routes to the same truth value.  The other oracles, the reference model
 enumeration, the scalar evaluator of translated forms, schema validity on a
 bare frame and the admitted frame lists, serve the tests alone and share no
-code with the bit-packed engines they are compared with.
+code with the bit-packed engines they are compared with.  So do the formula
+helpers: the core test, AST depth and schema instantiation.
 """
 
 import re
@@ -20,9 +21,10 @@ import hypothesis.strategies as st
 from modalkit import bitgrid
 from modalkit.kripke import KripkeModel, valid_in_model
 from modalkit.syntax import (And, Atom, Bot, Box, CImp, CNot, CoreForm,
-                             Dia, ForallWorld, Implies, LexError, Not, Or,
-                             PredR, PredV, PredW, Schema, Signature, Top,
-                             atoms_of, desugar, map_leaves, sorted_signature)
+                             Dia, ForallWorld, Formula, Implies, LexError,
+                             MetaVar, Not, Or, PredR, PredV, PredW, Schema,
+                             Signature, Top, atoms_of, desugar, map_leaves,
+                             sorted_signature)
 
 SIG_P = Signature(("p",))
 SIG_PQ = Signature(("p", "q"))
@@ -72,7 +74,11 @@ def index_of(slab, m: KripkeModel) -> int:
     if rank == len(slab.frames) or slab.frames[rank] != rel_bits:
         raise ValueError("the model's frame is not admitted by this slab")
     val_bits = sum(1 << (ai * n + w) for ai, a in enumerate(slab.atoms) for w in m.val[a])
-    return (rank << len(slab.atoms) * n) | val_bits
+    # a window inside one frame starts part way through its valuations
+    index = (rank << len(slab.atoms) * n | val_bits) - (slab.window.start & (1 << len(slab.atoms) * n) - 1)
+    if not 0 <= index < slab.count:
+        raise ValueError("the model's valuation is outside this slab's window")
+    return index
 
 
 def naive_eval(m: KripkeModel, w: int, f) -> bool:
@@ -118,6 +124,48 @@ def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _operands(f: Formula) -> tuple[Formula, ...]:
+    """The operands of f, left to right; a leaf or constant has none."""
+    if isinstance(f, (Not, Box, Dia)):
+        return (f.body,)
+    if isinstance(f, (Implies, And, Or)):
+        return (f.left, f.right)
+    return ()
+
+
+def is_core(f: Formula) -> bool:
+    """True when f uses only atoms, negation, implication and box."""
+    return type(f) in (Atom, Not, Implies, Box) and all(map(is_core, _operands(f)))
+
+
+def depth(f: Formula) -> int:
+    """AST depth; atoms and other leaves sit at depth 0."""
+    return 1 + max(map(depth, _operands(f)), default=-1)
+
+
+class SchemaError(ValueError):
+    """Raised for bad schema instantiations (missing metavariable bindings)."""
+
+
+def substitute_metavars(f: Formula, subst: Mapping[str, Formula]) -> Formula:
+    """Replace every metavariable leaf using subst; missing names raise SchemaError."""
+
+    def leaf(g: Formula) -> Formula:
+        if type(g) is not MetaVar:
+            return g
+        try:
+            return subst[g.name]
+        except KeyError:
+            raise SchemaError(f"no binding for metavariable ?{g.name}") from None
+
+    return map_leaves(f, leaf)
+
+
+def instantiate(s: Schema, subst: Mapping[str, Formula]) -> Formula:
+    """Produce the instance of schema s under a total metavariable substitution."""
+    return substitute_metavars(s.body, subst)
 
 
 def unguarded_min(f):

@@ -11,7 +11,7 @@ from itertools import permutations
 import pytest
 
 from modalkit import bitgrid
-from modalkit.bitgrid import MAX_PATTERN_BYTES, ModelSlab, slabs
+from modalkit.bitgrid import ModelSlab, slabs
 from modalkit.correspond import _core_body
 from modalkit.countermodel import find_countermodel
 from modalkit.errors import ResourceLimitExceeded
@@ -350,7 +350,8 @@ def _reference_relation_masks(n, n_atoms, frames):
 
 
 # (worlds, atoms, frames listed): 1-2 worlds pack into B items, 3-4 into H
-# and 5 into I; valuation blocks run from 1 bit to 2**15
+# and 5 into I; valuation blocks run from 1 bit to 2**15, and the six
+# frames of the last shape take two windows, of four frames and of two
 _RANKED_SHAPES = [(1, 0, 1), (1, 3, 1), (2, 0, 9), (2, 1, 11), (2, 2, 7), (2, 3, 5),
                   (3, 0, 300), (3, 1, 200), (3, 2, 60), (3, 3, 20), (4, 0, 3000),
                   (4, 1, 500), (4, 2, 40), (5, 0, 4000), (5, 1, 300), (5, 3, 6)]
@@ -362,13 +363,16 @@ def test_ranked_relation_masks_match_a_frame_by_frame_reference(n, n_atoms, k):
     atoms = ("p", "q", "r")[:n_atoms]
     for _ in range(3):
         frames = sorted(rng.sample(range(1 << n * n), k))
-        slab = ModelSlab(n, atoms, frames=frames)
-        assert slab._rel == _reference_relation_masks(n, n_atoms, frames)
-    # an aligned block listed frame by frame is the tile over that range
-    bits = min(n * n - 1, 6)
+        walk = list(slabs(n, atoms, frames))
+        assert [f for slab in walk for f in slab.frames] == frames
+        for slab in walk:
+            assert slab._rel == _reference_relation_masks(n, n_atoms, slab.frames)
+    # an aligned block listed frame by frame is the window over its models
+    bits = min(n * n - 1, 6, bitgrid.TILE_BITS - n_atoms * n)
     base = rng.randrange(1 << n * n - bits) << bits
-    block = range(base, base + (1 << bits))
-    assert ModelSlab(n, atoms, frames=list(block))._rel == ModelSlab(n, atoms, frames=block)._rel
+    window = range(base << n_atoms * n, base + (1 << bits) << n_atoms * n)
+    assert (ModelSlab(n, atoms, frames=list(range(base, base + (1 << bits))))._rel
+            == ModelSlab(n, atoms, window=window)._rel)
 
 
 def test_a_slab_listing_every_frame_is_the_unrestricted_slab():
@@ -384,17 +388,17 @@ def test_an_empty_frame_list_gives_an_empty_slab():
     assert slab.deep_truth(parse("box p", SIG_P), 0) == 0
 
 
-# --- tiles --------------------------------------------------------------------
+# --- windows ------------------------------------------------------------------
 
 
-# 320 = 0b101000000: in a tile of 32 frames the pairs with bits 5 to 8,
+# 320 = 0b101000000: in a window of 32 frames the pairs with bits 5 to 8,
 # (1, 2), (2, 0), (2, 1) and (2, 2), are fixed, and (2, 0) and (2, 2) are set
 _TILE = range(320, 352)
 
 
 def test_a_tile_is_the_full_slab_restricted_to_its_block():
     whole = ModelSlab(3, ())
-    tile = ModelSlab(3, (), frames=_TILE)
+    tile = ModelSlab(3, (), window=_TILE)
     window = (1 << tile.count) - 1
     assert tile.count == 32
     assert tile._rel == ModelSlab(3, (), frames=list(_TILE))._rel
@@ -409,7 +413,8 @@ def test_a_tile_is_the_full_slab_restricted_to_its_block():
 
 
 def test_a_tile_with_atoms_round_trips_and_restricts_the_full_slab():
-    tile = ModelSlab(3, ("p",), frames=_TILE)
+    tile = ModelSlab(3, ("p",), window=range(_TILE.start << 3, _TILE.stop << 3))
+    assert tile.frames == _TILE
     whole = ModelSlab(3, ("p",))
     assert tile.count == 32 << 3
     for index in range(tile.count):
@@ -431,40 +436,85 @@ def test_a_tile_with_atoms_round_trips_and_restricts_the_full_slab():
 
 
 def test_slabs_walk_the_frames_in_ascending_chunks(monkeypatch):
-    assert [t._frames for t in slabs(2)] == [None]
+    assert [t.window for t in slabs(2)] == [range(16)]
     monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
     # every frame: aligned ranges of relation bitmasks
     tiles = list(slabs(3))
-    assert [t._frames for t in tiles] == [range(b, b + 16) for b in range(0, 512, 16)]
+    assert [t.window for t in tiles] == [range(b, b + 16) for b in range(0, 512, 16)]
+    assert [t.frames for t in tiles] == [range(b, b + 16) for b in range(0, 512, 16)]
     assert sum(t.count for t in tiles) == 512
-    # admitted frames: slices of their list, at most 2**TILE_BITS models
-    # and at least one frame each
+    # admitted frames: slices of their list, 2**TILE_BITS models but the last
     ranked = list(slabs(3, ("p",), bitgrid.admitted(3, {R, T})))
-    assert [f for t in ranked for f in t._frames] == admitted_frames(3, {R, T})
-    assert all(8 <= t.count <= 16 for t in ranked)
-    # 6 valuation bits, more than TILE_BITS: one frame a slab
+    assert [f for t in ranked for f in t.frames] == admitted_frames(3, {R, T})
+    assert [t.count for t in ranked] == [16] * 14 + [8]
+    # 6 valuation bits, more than TILE_BITS: four windows inside each frame
     single = list(slabs(3, ("p", "q")))
-    assert [t._frames for t in single] == [range(b, b + 1) for b in range(512)]
-    assert {t.count for t in single} == {64}
+    assert [t.frames for t in single] == [range(b, b + 1) for b in range(512) for _ in range(4)]
+    assert [t.window for t in single] == [range(b, b + 16) for b in range(0, 512 << 6, 16)]
 
 
-def test_slabs_over_the_budget_are_refused_at_the_call():
-    # a slab of one frame holds 2**30 models with 6 atoms at 5 worlds (7
-    # GiB of masks), and 2**32 with 8 atoms at 4 worlds (24 GiB)
+def test_windows_inside_one_frame_equal_the_whole_slab(monkeypatch):
+    # two atoms at two worlds: 2**4 valuations a frame, windows of 2**2,
+    # over every frame and over an admitted list
+    atoms = ("p", "q")
+    sig = Signature(atoms)
+    for frames in (None, admitted_frames(2, {R})):
+        whole = ModelSlab(2, atoms, frames=frames)
+        monkeypatch.setattr(bitgrid, "TILE_BITS", 2)
+        windows = list(slabs(2, atoms, frames))
+        monkeypatch.undo()
+        assert [t.window for t in windows] == [range(b, b + 4)
+                                               for b in range(0, whole.count, 4)]
+        for tile in windows:
+            cut = tile.window.start
+            assert len(tile.frames) == 1
+            for i in range(2):
+                for j in range(2):
+                    assert tile._rel[i][j] == whole._rel[i][j] >> cut & tile.full
+                    assert tile._rel[i][j] in (0, tile.full)
+            for a in atoms:
+                assert [m >> cut & tile.full for m in whole._val[a]] == tile._val[a]
+            for index in range(tile.count):
+                assert tile.model_at(index) == whole.model_at(cut + index)
+                assert tile.frame_at(index) == whole.frame_at(cut + index)
+                assert index_of(tile, tile.model_at(index)) == index
+            for f in enumerate_formulas(sig, 1):
+                for w in range(2):
+                    assert tile.deep_truth(f, w) == whole.deep_truth(f, w) >> cut & tile.full
+            with pytest.raises(IndexError):
+                tile.model_at(tile.count)
+
+
+def test_frames_larger_than_a_window_are_walked_in_windows():
+    # a frame holds 2**30 models with 6 atoms at 5 worlds, and 2**32 with
+    # 8 atoms at 4 worlds: each walk builds windows of 2**TILE_BITS inside
+    # its first frame
+    size = 1 << bitgrid.TILE_BITS
     for args in [(5, tuple("pqrstu")),
                  (4, tuple("pqrstuvw"), bitgrid.admitted(4, isomorph_free=True))]:
-        with pytest.raises(ResourceLimitExceeded):
-            slabs(*args)  # raised before the iterator is advanced
+        walk = slabs(*args)
+        first, second = next(walk), next(walk)
+        assert first.count == second.count == size
+        assert (first.window, second.window) == (range(size), range(size, 2 * size))
+        assert list(first.frames) == list(second.frames) == [0]
+        assert first.full is second.full
 
 
 def test_the_tiles_of_a_size_share_their_periodic_masks():
-    # the masks of the pairs below TILE_BITS are built once per size
+    # full and the masks of the index bits below TILE_BITS come from one
+    # table per window size
     tiles = slabs(5)
     first, second = next(tiles), next(tiles)
-    assert first._frames == range(1 << bitgrid.TILE_BITS)
+    assert first.window == range(1 << bitgrid.TILE_BITS)
+    assert first.full is second.full
     for bit in range(bitgrid.TILE_BITS):
         i, j = divmod(bit, 5)
         assert first._rel[i][j] is second._rel[i][j], (i, j)
+    walk = slabs(2, tuple("pqrstuvwxyz"))  # 22 valuation bits: windows inside a frame
+    one, two = next(walk), next(walk)
+    masks = [[m for row in slab._val.values() for m in row] for slab in (one, two)]
+    assert all(x is y for x, y in zip(*(m[:bitgrid.TILE_BITS] for m in masks)))
+    assert one.full is two.full is first.full
 
 
 def test_admitted_frames_read_tile_by_tile_equal_the_whole_slab(monkeypatch):
@@ -604,19 +654,31 @@ def test_isomorph_free_frames_listed_in_small_tiles_equal_the_default(monkeypatc
         bitgrid._isomorph_free.cache_clear()
 
 
-# --- slab budget ------------------------------------------------------------------
+# --- the window rule ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n, atoms", [(6, ()), (5, ("p",)), (4, ("p", "q", "r"))])
 def test_slabs_over_the_budget_are_refused(n, atoms):
-    with pytest.raises(ResourceLimitExceeded):
+    # a slab holds at most 2**TILE_BITS models, and these have 2**36, 2**30
+    # and 2**28; only slabs builds slabs, in windows
+    with pytest.raises(ValueError, match="not an aligned window"):
         ModelSlab(n, atoms)
 
 
-def test_the_budget_admits_the_largest_slabs_in_use():
-    # the atom-free slab over every 5-world frame: 25 masks of 4 MiB
-    assert 25 * (1 << 25) // 8 <= MAX_PATTERN_BYTES
-    # three atoms at four worlds fit once the frames are S5's fifteen
+@pytest.mark.parametrize("window", [range(8, 24), range(16, 64), range(0, 16, 2),
+                                    range(-16, 0), range(512, 528), range(16, 8),
+                                    range(0, 6)])
+def test_windows_not_aligned_to_their_size_are_refused(window):
+    with pytest.raises(ValueError, match="not an aligned window"):
+        ModelSlab(3, (), window=window)
+
+
+def test_a_window_holds_the_largest_slabs_in_use():
+    # the atom-free walk over every 5-world frame takes 2**25 models in
+    # 256 windows
+    assert sum(1 for _ in slabs(5)) == 256
+    # three atoms at four worlds fit one window once the frames are S5's
+    # fifteen
     s5 = admitted_frames(4, {R, S, T})
     slab = ModelSlab(4, ("p", "q", "r"), frames=s5)
     assert slab.count == 15 << 12

@@ -17,7 +17,9 @@ from modalkit.classify import (
     corpus,
     render_table,
 )
+from modalkit.countermodel import find_countermodel
 from modalkit.decide import Invalid, Valid
+from modalkit.errors import ResourceLimitExceeded
 from modalkit.hilbert import ALL_LOGICS, Logic
 from modalkit.kripke import eval_deep, has_property
 from modalkit.syntax import Signature, parse, pretty
@@ -164,11 +166,13 @@ def test_monotonicity_violations_raise(monkeypatch):
 def test_verdict_keeps_the_tableau_model_when_the_search_is_over_budget():
     from modalkit.classify import _verdict
 
-    # every countermodel needs four worlds with three atoms, and the search
-    # over all 4-world frames with three atoms is refused by the slab budget
-    sig = Signature(("p", "q", "r"))
-    f = parse("~(p & q & r & dia (p & ~q & ~r) & dia (~p & q & ~r)"
+    # every countermodel needs four worlds, and the search over the 4-world
+    # frames with six atoms is refused by the work budget
+    sig = Signature(("p", "q", "r", "s", "t", "u"))
+    f = parse("~(p & q & r & s & t & u & dia (p & ~q & ~r) & dia (~p & q & ~r)"
               " & dia (~p & ~q & r))", sig)
+    with pytest.raises(ResourceLimitExceeded):
+        find_countermodel(f, set(), 4, sig)
     result = _verdict(f, Logic.from_name("K"), sig)
     assert isinstance(result, Invalid)
     assert result.model.n_worlds >= 4

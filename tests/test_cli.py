@@ -196,8 +196,8 @@ def test_prove_valid(capsys):
 
 def test_prove_valid_when_every_branch_closes_past_the_label_budget(capsys):
     # 66 true diamonds each want a label, over the default budget of 64,
-    # yet q & ~q closes the branch; the bounded search would need a slab of
-    # 7 atoms, far over its memory budget
+    # yet q & ~q closes the branch; the bounded search over 7 atoms would
+    # be far over the work budget
     atoms = "pqrstuv"
     text = "q & ~q"
     for signs in reversed(list(itertools.islice(itertools.product((0, 1), repeat=7), 66))):
@@ -250,8 +250,8 @@ def test_countermodel_over_an_empty_frame_class(capsys):
     assert out.strip() == "no countermodel with up to 3 worlds"
 
 
-# the child caps its own address space, so a slab that escaped the budget
-# would fail to allocate instead of taking memory from the machine
+# the child caps its own address space, so a question that escaped the
+# budget would fail to allocate instead of taking memory from the machine
 _CAPPED_MAIN = ("import resource, sys\n"
                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
                 "from modalkit.cli import main\n"
@@ -263,7 +263,7 @@ def _capped(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_countermodel_over_the_slab_budget_exits_3():
+def test_countermodel_over_the_work_budget_exits_3():
     # two atoms at five worlds: 2**35 models
     proc = _capped("countermodel", "p & q -> p", "--max-worlds", "5")
     assert proc.returncode == 3
@@ -310,7 +310,7 @@ def test_an_over_budget_ranked_search_lists_no_frames(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["correspond", "T", "reflexive", "--max-worlds", "6"],
                                   ["loeb", "--max-worlds", "6"]])
-def test_frame_sweeps_over_the_slab_budget_exit_3(argv):
+def test_frame_sweeps_over_the_work_budget_exit_3(argv):
     proc = _capped(*argv)
     assert proc.returncode == 3
     assert proc.stdout == ""

@@ -270,7 +270,7 @@ def test_cross_check_agreeing_valid():
     assert report.consistent
 
 
-def test_cross_check_reports_a_finder_over_the_slab_budget():
+def test_cross_check_reports_a_finder_over_the_work_budget():
     # six atoms over the 3,044 canonical 4-world frames: 5.1e10 models
     sig = Signature(("p", "q", "r", "s", "t", "u"))
     f = parse("~(p & q & r & s & t & u & dia (p & ~q & ~r) & dia (~p & q & ~r)"

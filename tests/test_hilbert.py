@@ -33,7 +33,9 @@ from modalkit.hilbert import (
     serialize_proof,
 )
 from modalkit.syntax import (Atom, MetaVar, Signature, atoms_of, desugar, map_leaves,
-                             parse, pretty, substitute_metavars)
+                             parse, pretty)
+
+from conftest import substitute_metavars
 
 K = Logic.from_name("K")
 KT = Logic.from_name("KT")

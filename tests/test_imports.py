@@ -1,6 +1,7 @@
 """Every import in the package's modules is used by that module and takes
 only public names from the other modules; the modules import one another
-without a cycle, and only bitgrid builds slabs."""
+without a cycle, only bitgrid builds slabs, and only the two budgets raise
+ResourceLimitExceeded."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,32 @@ def _slab_constructions(tree: ast.Module) -> int:
 def test_only_bitgrid_builds_slabs(path):
     count = _slab_constructions(ast.parse(path.read_text()))
     assert count > 0 if path.stem == "bitgrid" else count == 0
+
+
+def _raise_sites(tree: ast.Module, name: str) -> list[str]:
+    """The innermost function around each raise of the named exception,
+    "<module>" outside any."""
+    sites = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if name in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                    sites.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_only_the_budgets_raise_resource_limit_exceeded():
+    # the exhaustive engines' work budget, and the tableau once its
+    # fallback search finds nothing
+    sites = sorted(f"{path.stem}.{site}" for path in MODULES
+                   for site in _raise_sites(ast.parse(path.read_text()),
+                                            "ResourceLimitExceeded"))
+    assert sites == ["bitgrid.charge", "decide.decide"]

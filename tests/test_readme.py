@@ -52,7 +52,7 @@ def test_readme_shell_examples(tmp_path, monkeypatch, capsys):
     (tmp_path / "m.km").write_text(_block_after(text, "## Model files"), encoding="utf-8")
     (tmp_path / "proof.txt").write_text(_block_after(text, "## Proof scripts"), encoding="utf-8")
     examples = _shell_examples(text)
-    assert len(examples) == 19
+    assert len(examples) == 20
     for argv, shown, code in examples:
         assert main(argv) == code, argv
         out = capsys.readouterr().out

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SIG_P, SIG_PQ, formulas, reference_tokenize
+from conftest import (SIG_P, SIG_PQ, SchemaError, depth, formulas, instantiate, is_core,
+                      reference_tokenize)
 from modalkit.syntax import (
     MAX_FORMULA_DEPTH, And, Atom, Bot, Box, Dia, Formula, Implies, LexError,
     MetaVar, Not, Or, ParseError, _tokenize,
-    Schema, SchemaError, Signature, Top, UnknownAtomError, atoms_of, depth,
-    desugar, enumerate_formulas, infer_signature, instantiate, is_core,
+    Schema, Signature, Top, UnknownAtomError, atoms_of,
+    desugar, enumerate_formulas, infer_signature,
     metavars_of, parse, parse_schema, pretty, size, to_sexpr,
 )
 
