@@ -5,13 +5,22 @@ is the antichain of minimal logics (under schema-set inclusion) where the
 formula is valid, together with per-logic evidence.  Validity must be
 monotone in the frame conditions; a violation indicates a prover bug and
 raises rather than returning a bogus table.
+
+The evidence of an Invalid logic is normalised to its canonically first
+countermodel up to 4 worlds, and one walk (countermodel.countermodels)
+finds them for every Invalid logic at once.  A formula invalid in some
+logic is invalid in K, whose frames include every other logic's, so the
+walk is K's own search until K is answered, and takes fewer frames after.
+Over the work budget the walk stops, and each logic it has not answered
+by then keeps the tableau's certified countermodel, as does a logic with
+none up to 4 worlds; the verdicts do not depend on the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .countermodel import find_countermodel
+from .countermodel import countermodels
 from .decide import (Invalid, ResourceLimitExceeded, TableauResult, Valid,
                      decide)
 from .hilbert import ALL_LOGICS, Logic
@@ -58,28 +67,19 @@ class ClassificationResult:
         return any(v is None for v in self.evidence.values())
 
 
-def _verdict(f: Formula, logic: Logic, sig: Signature) -> TableauResult | None:
+def _tableau_verdict(f: Formula, logic: Logic, sig: Signature) -> TableauResult | None:
     try:
-        result = decide(f, logic, sig=sig)
+        return decide(f, logic, sig=sig)
     except ResourceLimitExceeded:
         return None
-    if isinstance(result, Invalid):
-        # normalize the evidence to the canonically first small model; over
-        # the work budget the tableau's certified countermodel stands
-        try:
-            small = find_countermodel(f, set(logic.frame_properties), 4, sig)
-        except ResourceLimitExceeded:
-            small = None
-        if small is not None:
-            result = Invalid(small[0], small[1])
-    return result
 
 
 def classify(f: Formula, *, sig: Signature | None = None) -> ClassificationResult:
-    """Decide f in all eight logics and extract the minimal antichain."""
+    """Decide f in all eight logics, extract the minimal antichain and
+    normalise the evidence of the Invalid logics."""
     if sig is None:
         sig = sorted_signature(atoms_of(f))
-    evidence = {logic.name: _verdict(f, logic, sig) for logic in ALL_LOGICS}
+    evidence = {logic.name: _tableau_verdict(f, logic, sig) for logic in ALL_LOGICS}
 
     valid = {l for l in ALL_LOGICS if isinstance(evidence[l.name], Valid)}
     for weaker in valid:
@@ -93,6 +93,14 @@ def classify(f: Formula, *, sig: Signature | None = None) -> ClassificationResul
     minimal = tuple(l for l in ALL_LOGICS
                     if l in valid
                     and not any(o.schemata < l.schemata for o in valid))
+
+    invalid = [l for l in ALL_LOGICS if isinstance(evidence[l.name], Invalid)]
+    try:
+        for i, model, world in countermodels(
+                f, [l.frame_properties for l in invalid], 4, sig):
+            evidence[invalid[i].name] = Invalid(model, world)
+    except ResourceLimitExceeded:
+        pass  # the logics still pending keep the tableau's countermodel
     return ClassificationResult(f, minimal, evidence)
 
 

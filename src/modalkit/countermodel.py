@@ -7,33 +7,45 @@ formula at some world wins, which makes results reproducible and minimal in
 world count.  Valuations range only over the atoms that occur in the
 formula; the designated set is always the full domain during search.
 
-The search never builds a model whose frame lacks a requested property:
-for each world count it walks the admitted frames with bitgrid.slabs, in
-ascending chunks of models.  The first falsifying index of the first chunk
-that has one is the canonically first countermodel, so the search stops
-there.  The scalar evaluator and property checks re-check that model, and
-a disagreement raises AssertionError, under python -O too.
+One walk answers several property sets at once, and a search for one set
+is its one-set case.  For each world count the walk takes the frames that
+have every property the still-pending sets share, with bitgrid.slabs, in
+ascending chunks of models, and evaluates the formula once per chunk.  A
+set's own frames are the chunk's frames that also have its other
+properties, one mask; the first falsifying index among them, in the first
+chunk that has one, is the set's canonically first countermodel, so the
+set is answered there and leaves the walk, and the walk stops when no set
+is pending.  The scalar evaluator and property checks re-check each
+answer, and a disagreement raises AssertionError, under python -O too.
 
 Up to bitgrid.ISOMORPH_FREE_WORLDS worlds the walk is isomorph-free: it
 takes one frame per isomorphism class, the one with the least relation
 bitmask (3,044 of the 65,536 frames at 4 worlds), with every valuation.
 The first countermodel in canonical order has such a frame, so the answer
 is the one a walk over every frame gives (bitgrid._isomorph_free has the
-argument).  From 5 worlds on the walk takes every admitted frame; with
-properties it lists them first, over all the frames of the size.  The
-canonical frames of a size are memoised once per process and property
+argument).  A set's canonical frames are the canonical frames of the
+shared properties that have its own, so masking the shared list keeps
+every set's answer.  From 5 worlds on the walk takes every admitted frame;
+with properties it lists them first, over all the frames of the size.
+The canonical frames of a size are memoised once per process and property
 set, 6 KiB at most; a 5-world list is built afresh for each search and
 takes 4 bytes a frame, 128 MiB at most.
 
-The search charges its work to bitgrid.MAX_WORK as it goes, adding up the
-world counts it has reached: before a listing, the property masks over
-every frame of the size and a step for each frame, and before a walk, the
-walk's.  So a question answered at a small world count is answered
-whatever the bound, and one over the budget raises ResourceLimitExceeded
-before the list or slab that would pass it is built.
+The walk charges its work to bitgrid.MAX_WORK as it goes, adding up the
+world counts it has reached: before a listing, the property masks of the
+shared properties over every frame of the size and a step for each frame,
+and before a walk, the walk's over the list it takes.  So a question
+answered at a small world count is answered whatever the bound, and one
+over the budget raises ResourceLimitExceeded before the list or slab that
+would pass it is built.  A walk refused at some world count has given the
+answers it found below it, and no others.  A set's own masks are not
+charged: with one set they are never built, and the walk's charge is that
+set's.
 """
 
 from __future__ import annotations
+
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .bitgrid import ISOMORPH_FREE_WORLDS, OP_FLOOR, admitted, charge, slabs, work
 from .kripke import FrameProperty, KripkeModel, eval_deep, has_property
@@ -43,30 +55,56 @@ from .syntax import Formula, Signature, atoms_of, desugar, size
 def search_atoms(f: Formula, sig: Signature) -> tuple[str, ...]:
     """The atoms a countermodel search has to assign: those in f after
     desugaring (so true/false contribute the signature's first atom)."""
-    return tuple(sorted(atoms_of(desugar(f, sig)))) or (sig.atoms[0],)
+    return tuple(sorted(atoms_of(desugar(f, sig))))
 
 
-def find_countermodel(f: Formula, props: set[FrameProperty], max_worlds: int,
+def find_countermodel(f: Formula, props: Collection[FrameProperty], max_worlds: int,
                       sig: Signature) -> tuple[KripkeModel, int] | None:
     """First model up to max_worlds (canonical order) with all props where
-    f fails at some world, or None when no such model exists in the bound."""
+    f fails at some world, or None when no such model exists in the bound:
+    the one-set case of find_countermodels."""
+    return find_countermodels(f, [props], max_worlds, sig)[0]
+
+
+def find_countermodels(f: Formula, prop_sets: Sequence[Collection[FrameProperty]],
+                       max_worlds: int, sig: Signature
+                       ) -> list[tuple[KripkeModel, int] | None]:
+    """find_countermodel's answer for each property set, from one walk."""
+    found: list[tuple[KripkeModel, int] | None] = [None] * len(prop_sets)
+    for i, model, world in countermodels(f, prop_sets, max_worlds, sig):
+        found[i] = model, world
+    return found
+
+
+def countermodels(f: Formula, prop_sets: Iterable[Collection[FrameProperty]],
+                  max_worlds: int, sig: Signature
+                  ) -> Iterator[tuple[int, KripkeModel, int]]:
+    """The walk: (i, model, world) for each property set prop_sets[i] that
+    has a countermodel up to max_worlds, its first one, as the walk finds
+    them, in ascending world count.  Raises ResourceLimitExceeded when the
+    walk a pending set needs is over the budget, after the answers found
+    before it."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     missing = atoms_of(f) - set(sig.atoms)
     if missing:
         raise ValueError(f"formula uses atoms outside the signature: {sorted(missing)}")
-    atoms = search_atoms(f, sig)
     goal = desugar(f, sig)
+    atoms = tuple(sorted(atoms_of(goal)))  # search_atoms(f, sig)
     nodes = size(goal)
     what = f"a countermodel search with {len(atoms)} atoms up to {max_worlds} worlds"
+    pending = {i: frozenset(props) for i, props in enumerate(prop_sets)}
     spent = 0
     for n in range(1, max_worlds + 1):
-        if props and n > ISOMORPH_FREE_WORLDS:
+        if not pending:
+            return
+        common = frozenset.intersection(*pending.values())
+        if common and n > ISOMORPH_FREE_WORLDS:
             # the property masks of every frame, and a quarter of an
             # operation's floor for each frame the listing may take
-            spent = charge(spent + work(len(props) * n ** 3, 1 << n * n)
+            spent = charge(spent + work(len(common) * n ** 3, 1 << n * n)
                            + (OP_FLOOR >> 2 << n * n), what)
-        frames = admitted(n, props, isomorph_free=True)
+        frames = admitted(n, common, isomorph_free=True)
         # a slab builds each valuation mask in about ten operations, and a
         # ranked one each relation mask from byte lanes in about 25; the
         # formula takes about one operation per node and world
@@ -77,17 +115,25 @@ def find_countermodel(f: Formula, props: set[FrameProperty], max_worlds: int,
             failing = slab.full ^ slab.validity_mask(goal)
             if not failing:
                 continue
-            model = slab.model_at(slab.first_index(failing))
-            # re-check the model with the scalar evaluator and properties
-            world = next((w for w in range(n) if not eval_deep(model, w, goal)), None)
-            if world is None:
-                raise AssertionError(
-                    f"search returned a model where {f} holds at every world")
-            if not all(has_property(model, p) for p in props):
-                raise AssertionError(
-                    "search returned a model violating a requested frame property")
-            return model, world
-    return None
+            for i, props in list(pending.items()):
+                # the set's own frames among the shared ones
+                own = props - common
+                hits = failing & slab.properties_mask(own) if own else failing
+                if not hits:
+                    continue
+                model = slab.model_at(slab.first_index(hits))
+                # re-check the model with the scalar evaluator and properties
+                world = next((w for w in range(n) if not eval_deep(model, w, goal)), None)
+                if world is None:
+                    raise AssertionError(
+                        f"search returned a model where {f} holds at every world")
+                if not all(has_property(model, p) for p in props):
+                    raise AssertionError(
+                        "search returned a model violating a requested frame property")
+                del pending[i]
+                yield i, model, world
+            if not pending:
+                return
 
 
 def export_dot(m: KripkeModel, marked: int, f: Formula) -> str:

@@ -342,6 +342,7 @@ def cross_check(f: Formula, logic: Logic, max_worlds: int) -> CrossCheckReport:
     """Run the tableau and the bounded finder on the same question and
     confirm they never both answer positively."""
     sig = sorted_signature(atoms_of(f))
+    goal = desugar(f, sig)
     try:
         found = find_countermodel(f, set(logic.frame_properties), max_worlds, sig)
     except ResourceLimitExceeded as e:
@@ -350,7 +351,7 @@ def cross_check(f: Formula, logic: Logic, max_worlds: int) -> CrossCheckReport:
         found_any, note = found is not None, ""
     if found is not None:
         model, world = found
-        if eval_deep(model, world, desugar(f, sig)):
+        if eval_deep(model, world, goal):
             return CrossCheckReport(f, logic, None, True, False,
                                     "finder returned a non-falsifying model")
     try:
@@ -362,6 +363,6 @@ def cross_check(f: Formula, logic: Logic, max_worlds: int) -> CrossCheckReport:
         ok = found is None
         detail = note if ok else "tableau says valid but the finder has a model"
         return CrossCheckReport(f, logic, True, found_any, ok, detail)
-    ok = not eval_deep(result.model, result.world, desugar(f, sig))
+    ok = not eval_deep(result.model, result.world, goal)
     detail = note if ok else "tableau countermodel fails re-evaluation"
     return CrossCheckReport(f, logic, False, found_any, ok, detail)

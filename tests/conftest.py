@@ -7,9 +7,13 @@ routes to the same truth value.  The other oracles, the reference model
 enumeration, the scalar evaluator of translated forms, schema validity on a
 bare frame and the admitted frame lists, serve the tests alone and share no
 code with the bit-packed engines they are compared with.  So do the formula
-helpers: the core test, AST depth and schema instantiation.
+helpers: the core test, AST depth and schema instantiation.  The per-logic
+classification evidence is the exception: it runs the countermodel search
+once per logic, the route that classify's one walk for every logic
+replaces, so the two are compared on the same engine.
 """
 
+import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -19,6 +23,11 @@ from typing import Mapping
 import hypothesis.strategies as st
 
 from modalkit import bitgrid
+from modalkit.bitgrid import ModelSlab
+from modalkit.countermodel import find_countermodel
+from modalkit.decide import Invalid, decide
+from modalkit.errors import ResourceLimitExceeded
+from modalkit.hilbert import ALL_LOGICS
 from modalkit.kripke import KripkeModel, valid_in_model
 from modalkit.syntax import (And, Atom, Bot, Box, CImp, CNot, CoreForm,
                              Dia, ForallWorld, Formula, Implies, LexError,
@@ -49,6 +58,24 @@ def formulas(sig=SIG_PQ, max_leaves=10, core_only=False):
         )
 
     return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+def seeded_formulas(seed: int, count: int, sig=SIG_PQ, max_depth=4) -> list[Formula]:
+    """count formulas over sig of depth at most max_depth, drawn from
+    random.Random(seed); a leaf is each atom four times as often as true or
+    as false."""
+    rng = random.Random(seed)
+    leaves = [Atom(a) for a in sig.atoms] * 4 + [Top(), Bot()]
+
+    def draw(depth: int) -> Formula:
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice(leaves)
+        op = rng.choice((Not, Box, Dia, Implies, And, Or))
+        if op in (Not, Box, Dia):
+            return op(draw(depth - 1))
+        return op(draw(depth - 1), draw(depth - 1))
+
+    return [draw(max_depth) for _ in range(count)]
 
 
 @st.composite
@@ -285,3 +312,38 @@ def admitted_frames(n_worlds: int, props) -> list[int] | None:
     when props is empty."""
     props = frozenset(props)
     return list(bitgrid.admitted(n_worlds, props)) if props else None
+
+
+def recorded_slab_counts(monkeypatch):
+    """Record (world count, atom count, model count) of every slab built."""
+    built = []
+    init = ModelSlab.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.n, len(self.atoms), self.count))
+
+    monkeypatch.setattr(ModelSlab, "__init__", recording)
+    return built
+
+
+def per_logic_evidence(f: Formula, sig: Signature) -> dict:
+    """classify's evidence logic by logic: the tableau's verdict, None when
+    it is over its budget, and an Invalid one replaced by the logic's own
+    search's first countermodel up to 4 worlds, unless there is none or the
+    search is over the work budget."""
+    evidence = {}
+    for logic in ALL_LOGICS:
+        try:
+            result = decide(f, logic, sig=sig)
+        except ResourceLimitExceeded:
+            result = None
+        if isinstance(result, Invalid):
+            try:
+                small = find_countermodel(f, set(logic.frame_properties), 4, sig)
+            except ResourceLimitExceeded:
+                small = None
+            if small is not None:
+                result = Invalid(small[0], small[1])
+        evidence[logic.name] = result
+    return evidence

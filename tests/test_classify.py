@@ -17,12 +17,15 @@ from modalkit.classify import (
     corpus,
     render_table,
 )
-from modalkit.countermodel import find_countermodel
-from modalkit.decide import Invalid, Valid
+from modalkit import bitgrid
+from modalkit.countermodel import find_countermodels
+from modalkit.decide import Invalid, Valid, decide
 from modalkit.errors import ResourceLimitExceeded
 from modalkit.hilbert import ALL_LOGICS, Logic
 from modalkit.kripke import eval_deep, has_property
 from modalkit.syntax import Signature, parse, pretty
+
+from conftest import per_logic_evidence, recorded_slab_counts, seeded_formulas
 
 _EXPECTED_MINIMAL = {
     "F1": {"K4"},
@@ -164,16 +167,58 @@ def test_monotonicity_violations_raise(monkeypatch):
 
 
 def test_verdict_keeps_the_tableau_model_when_the_search_is_over_budget():
-    from modalkit.classify import _verdict
-
-    # every countermodel needs four worlds, and the search over the 4-world
-    # frames with six atoms is refused by the work budget
+    # every countermodel needs four worlds, and the walk over the 4-world
+    # frames with six atoms is refused by the work budget while K is still
+    # pending, so no logic is answered
     sig = Signature(("p", "q", "r", "s", "t", "u"))
     f = parse("~(p & q & r & s & t & u & dia (p & ~q & ~r) & dia (~p & q & ~r)"
               " & dia (~p & ~q & r))", sig)
     with pytest.raises(ResourceLimitExceeded):
-        find_countermodel(f, set(), 4, sig)
-    result = _verdict(f, Logic.from_name("K"), sig)
-    assert isinstance(result, Invalid)
-    assert result.model.n_worlds >= 4
-    assert eval_deep(result.model, result.world, f) is False
+        find_countermodels(f, [set()], 4, sig)
+    res = classify(f, sig=sig)
+    assert res.minimal == ()
+    assert render_table([("F", res)]).count("✗") == 8
+    for logic in ALL_LOGICS:
+        result = res.evidence[logic.name]
+        assert result == decide(f, logic, sig=sig)
+        assert isinstance(result, Invalid)
+        assert result.model.n_worlds >= 4
+        assert eval_deep(result.model, result.world, f) is False
+
+
+def test_a_refused_walk_leaves_each_pending_logic_its_tableau_model(monkeypatch):
+    # box p -> box box p is invalid in K, KT, KB and KTB.  The walk answers
+    # K and KB at 2 worlds; with this budget it is refused at 3, where KT
+    # and KTB have their first countermodels
+    sig = Signature(("p",))
+    f = parse("box p -> box box p", sig)
+    marks = render_table([("F", classify(f, sig=sig))])
+    monkeypatch.setattr(bitgrid, "MAX_WORK", 2 * 10**7)
+    res = classify(f, sig=sig)
+    assert render_table([("F", res)]) == marks
+    for name in ("K", "KB"):
+        # the search's model, which carries no tableau trace
+        assert res.evidence[name].trace is None
+    for name in ("KT", "KTB"):
+        assert res.evidence[name] == decide(f, Logic.from_name(name), sig=sig)
+    # each logic's own search is refused at 3 worlds too
+    assert res.evidence == per_logic_evidence(f, sig)
+
+
+def test_evidence_equals_each_logics_own_search_on_the_corpus(table):
+    for name, res in table:
+        assert res.evidence == per_logic_evidence(res.formula, CORPUS_SIGNATURE), name
+
+
+def test_evidence_equals_each_logics_own_search_on_seeded_formulas():
+    for f in seeded_formulas(24, 240):
+        assert classify(f, sig=CORPUS_SIGNATURE).evidence == per_logic_evidence(
+            f, CORPUS_SIGNATURE), pretty(f)
+
+
+def test_the_corpus_is_classified_in_at_most_25_slabs(monkeypatch):
+    classify_corpus()  # list the canonical frames first
+    built = recorded_slab_counts(monkeypatch)
+    classify_corpus()
+    # one walk per formula; a search per Invalid logic built 88
+    assert len(built) <= 25

@@ -1,24 +1,29 @@
 """Bounded countermodel search against its own reference enumeration."""
 
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 
-from modalkit import bitgrid
+from modalkit import bitgrid, countermodel
 from modalkit.bitgrid import ModelSlab, slabs
 from modalkit.cli import main
 from modalkit.countermodel import (
+    countermodels,
     export_dot,
     find_countermodel,
+    find_countermodels,
     search_atoms,
 )
+from modalkit.errors import ResourceLimitExceeded
 from modalkit.hilbert import ALL_LOGICS
 from modalkit.kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from modalkit.syntax import Signature, desugar, parse
 
-from conftest import SIG_P, SIG_PQ, enumerate_models, formulas, naive_eval
+from conftest import (SIG_P, SIG_PQ, enumerate_models, formulas, naive_eval,
+                      recorded_slab_counts, seeded_formulas)
 
 R = FrameProperty.REFLEXIVE
 
@@ -232,19 +237,6 @@ def test_chunked_search_cases_reach_past_the_first_chunk(tile_bits):
     assert found is not None and found == _scalar_first_countermodel(f, {R, T}, 3, SIG_P)
 
 
-def _recorded_slab_counts(monkeypatch):
-    """Record (world count, atom count, model count) of every slab built."""
-    built = []
-    init = ModelSlab.__init__
-
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append((self.n, len(self.atoms), self.count))
-
-    monkeypatch.setattr(ModelSlab, "__init__", recording)
-    return built
-
-
 @pytest.mark.parametrize("text, sig, props, max_worlds, bits", [
     ("box (p -> q) -> box p -> box q", SIG_PQ, set(), 4, 17),
     ("box p -> p", SIG_P, {R}, 4, 17),
@@ -255,7 +247,7 @@ def _recorded_slab_counts(monkeypatch):
 def test_no_search_slab_exceeds_a_tile(tile_bits, monkeypatch, text, sig, props,
                                        max_worlds, bits):
     tile_bits(bits)
-    built = _recorded_slab_counts(monkeypatch)
+    built = recorded_slab_counts(monkeypatch)
     find_countermodel(parse(text, sig), props, max_worlds, sig)
     assert built
     for n, n_atoms, count in built:
@@ -310,7 +302,7 @@ def _assert_small_search(argv, stdout):
 ])
 def test_over_budget_searches_are_refused_before_any_chunk(capsys, monkeypatch, argv, n,
                                                            message):
-    built = _recorded_slab_counts(monkeypatch)
+    built = recorded_slab_counts(monkeypatch)
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -395,6 +387,80 @@ def test_a_three_atom_search_at_four_worlds_finds_the_labelled_first_countermode
     assert sorted(first.rel) == [(0, 1), (0, 2), (0, 3)]
     assert {a: sorted(ws) for a, ws in first.val.items()} == {
         "p": [0, 3], "q": [0, 2], "r": [0, 1]}
+
+
+# --- one walk for several property sets -------------------------------------------
+
+
+def _property_sets(rng, with_empty):
+    """One to five property sets of up to three properties each; without
+    with_empty, none of them is empty."""
+    props = list(FrameProperty)
+    return [set(rng.sample(props, rng.randint(0 if with_empty else 1, 3)))
+            for _ in range(rng.randint(1, 5))]
+
+
+def _assert_one_walk_answers_each_set(fs, bounds, seed):
+    rng = random.Random(seed)
+    for i, f in enumerate(fs):
+        sets = _property_sets(rng, with_empty=i % 2 == 0)
+        n = bounds[i % len(bounds)]
+        assert (find_countermodels(f, sets, n, SIG_PQ)
+                == [find_countermodel(f, s, n, SIG_PQ) for s in sets]), (f, sets, n)
+
+
+def test_one_walk_answers_each_set_as_its_own_search():
+    _assert_one_walk_answers_each_set(seeded_formulas(31, 160), (1, 2, 3, 4), 31)
+
+
+@pytest.mark.parametrize("bits", [3, 5, 8])
+def test_one_walk_answers_each_set_at_every_tile_size(tile_bits, bits):
+    tile_bits(bits)
+    _assert_one_walk_answers_each_set(seeded_formulas(bits, 24), (1, 2, 3), bits)
+
+
+def test_one_walk_answers_every_isomorph_free_probe():
+    sets = [p.values[0] for p in _ISOMORPH_FREE_PROPERTY_SETS]
+    for text, sig in _ISOMORPH_FREE_PROBES:
+        f = parse(text, sig)
+        assert (find_countermodels(f, sets, 4, sig)
+                == [find_countermodel(f, s, 4, sig) for s in sets]), text
+
+
+def test_one_walk_has_no_sets_to_answer():
+    f = parse("p -> box p", SIG_P)
+    assert find_countermodels(f, [], 3, SIG_P) == []
+    with pytest.raises(ValueError):
+        find_countermodels(f, [], 0, SIG_P)
+
+
+def test_the_walk_takes_the_frames_the_pending_sets_share(monkeypatch):
+    # K is answered at 2 worlds, where the reflexive and the reflexive
+    # symmetric sets are not; from 3 worlds on the walk takes the reflexive
+    # frames alone
+    listed = []
+
+    def listing(n, props, **kwargs):
+        listed.append((n, props))
+        return bitgrid.admitted(n, props, **kwargs)
+
+    monkeypatch.setattr(countermodel, "admitted", listing)
+    f = parse("box p -> box box p", SIG_P)
+    found = list(countermodels(f, [set(), {R}, {R, S}], 3, SIG_P))
+    assert [(i, m.n_worlds) for i, m, _ in found] == [(0, 2), (1, 3), (2, 3)]
+    assert listed == [(1, frozenset()), (2, frozenset()), (3, frozenset({R}))]
+
+
+def test_a_refused_walk_keeps_the_answers_found_before_it(monkeypatch):
+    # the 2-world walk is within the budget and the 3-world one is not
+    monkeypatch.setattr(bitgrid, "MAX_WORK", 2 * 10**7)
+    f = parse("box p -> box box p", SIG_P)
+    walk = countermodels(f, [set(), {R}], 3, SIG_P)
+    assert next(walk) == (0, *find_countermodel(f, set(), 3, SIG_P))
+    with pytest.raises(ResourceLimitExceeded):
+        next(walk)
+    with pytest.raises(ResourceLimitExceeded):
+        find_countermodels(f, [set(), {R}], 3, SIG_P)
 
 
 # Runs find_countermodel under python -O with the search's frame list or
