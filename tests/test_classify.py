@@ -8,6 +8,7 @@ minimal antichains are what this file pins down.
 
 import pytest
 
+from modalkit import bitgrid
 from modalkit.classify import (
     CORPUS_SIGNATURE,
     ClassificationError,
@@ -17,7 +18,6 @@ from modalkit.classify import (
     corpus,
     render_table,
 )
-from modalkit import bitgrid
 from modalkit.countermodel import find_countermodels
 from modalkit.decide import Invalid, Valid, decide
 from modalkit.errors import ResourceLimitExceeded
@@ -220,5 +220,5 @@ def test_the_corpus_is_classified_in_at_most_25_slabs(monkeypatch):
     classify_corpus()  # list the canonical frames first
     built = recorded_slab_counts(monkeypatch)
     classify_corpus()
-    # one walk per formula; a search per Invalid logic built 88
+    # one walk per formula; a search per Invalid logic would take 88
     assert len(built) <= 25
