@@ -7,23 +7,28 @@ monotone in the frame conditions; a violation indicates a prover bug and
 raises rather than returning a bogus table.
 
 The evidence of an Invalid logic is normalised to its canonically first
-countermodel up to 4 worlds, and one walk (countermodel.countermodels)
+countermodel up to 4 worlds, and one walk (countermodel.find_countermodels)
 finds them for every Invalid logic at once.  A formula invalid in some
 logic is invalid in K, whose frames include every other logic's, so the
-walk is K's own search until K is answered, and takes fewer frames after.
-Over the work budget the walk stops, and each logic it has not answered
-by then keeps the tableau's certified countermodel, as does a logic with
-none up to 4 worlds; the verdicts do not depend on the walk.
+walk is K's own search until K is answered; after that it takes the frames
+the logics still waiting share, or each logic's own frames where those are
+fewer to walk.  The walk is charged at least each logic's own search, so
+when the work budget refuses it, each logic is normalised by its own
+search instead, and a logic whose own search is refused too, or that has
+no countermodel up to 4 worlds, keeps the tableau's certified
+countermodel.  So the evidence is always each logic's own normalisation,
+and the verdicts do not depend on the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .countermodel import countermodels
+from .countermodel import find_countermodel, find_countermodels
 from .decide import (Invalid, ResourceLimitExceeded, TableauResult, Valid,
                      decide)
 from .hilbert import ALL_LOGICS, Logic
+from .kripke import FrameProperty, KripkeModel
 from .syntax import Formula, Signature, atoms_of, parse, pretty, sorted_signature
 
 CORPUS_SIGNATURE = Signature(("p", "q"))
@@ -74,6 +79,16 @@ def _tableau_verdict(f: Formula, logic: Logic, sig: Signature) -> TableauResult 
         return None
 
 
+def _own_search(f: Formula, props: frozenset[FrameProperty], sig: Signature
+                ) -> tuple[KripkeModel, int] | None:
+    """One logic's first countermodel up to 4 worlds, or None when there is
+    none or its search is over the work budget."""
+    try:
+        return find_countermodel(f, props, 4, sig)
+    except ResourceLimitExceeded:
+        return None
+
+
 def classify(f: Formula, *, sig: Signature | None = None) -> ClassificationResult:
     """Decide f in all eight logics, extract the minimal antichain and
     normalise the evidence of the Invalid logics."""
@@ -95,12 +110,14 @@ def classify(f: Formula, *, sig: Signature | None = None) -> ClassificationResul
                     and not any(o.schemata < l.schemata for o in valid))
 
     invalid = [l for l in ALL_LOGICS if isinstance(evidence[l.name], Invalid)]
+    prop_sets = [l.frame_properties for l in invalid]
     try:
-        for i, model, world in countermodels(
-                f, [l.frame_properties for l in invalid], 4, sig):
-            evidence[invalid[i].name] = Invalid(model, world)
+        found = find_countermodels(f, prop_sets, 4, sig)
     except ResourceLimitExceeded:
-        pass  # the logics still pending keep the tableau's countermodel
+        found = [_own_search(f, props, sig) for props in prop_sets]
+    for logic, small in zip(invalid, found):
+        if small is not None:
+            evidence[logic.name] = Invalid(*small)
     return ClassificationResult(f, minimal, evidence)
 
 

@@ -18,7 +18,7 @@ from modalkit.classify import (
     corpus,
     render_table,
 )
-from modalkit.countermodel import find_countermodels
+from modalkit.countermodel import find_countermodel, find_countermodels
 from modalkit.decide import Invalid, Valid, decide
 from modalkit.errors import ResourceLimitExceeded
 from modalkit.hilbert import ALL_LOGICS, Logic
@@ -166,15 +166,16 @@ def test_monotonicity_violations_raise(monkeypatch):
         module.classify(parse("p -> p", CORPUS_SIGNATURE))
 
 
-def test_verdict_keeps_the_tableau_model_when_the_search_is_over_budget():
-    # every countermodel needs four worlds, and the walk over the 4-world
-    # frames with six atoms is refused by the work budget while K is still
-    # pending, so no logic is answered
+def test_verdict_keeps_the_tableau_model_when_the_search_is_over_budget(monkeypatch):
+    # every countermodel needs four worlds, and K's search over the 4-world
+    # frames with six atoms is refused by the work budget.  The lowered
+    # budget refuses every other logic's own 4-world search too
     sig = Signature(("p", "q", "r", "s", "t", "u"))
     f = parse("~(p & q & r & s & t & u & dia (p & ~q & ~r) & dia (~p & q & ~r)"
               " & dia (~p & ~q & r))", sig)
     with pytest.raises(ResourceLimitExceeded):
-        find_countermodels(f, [set()], 4, sig)
+        find_countermodel(f, set(), 4, sig)
+    monkeypatch.setattr(bitgrid, "MAX_WORK", 5 * 10**10)
     res = classify(f, sig=sig)
     assert res.minimal == ()
     assert render_table([("F", res)]).count("✗") == 8
@@ -186,14 +187,17 @@ def test_verdict_keeps_the_tableau_model_when_the_search_is_over_budget():
         assert eval_deep(result.model, result.world, f) is False
 
 
-def test_a_refused_walk_leaves_each_pending_logic_its_tableau_model(monkeypatch):
+def test_a_refused_walk_hands_each_logic_to_its_own_search(monkeypatch):
     # box p -> box box p is invalid in K, KT, KB and KTB.  The walk answers
     # K and KB at 2 worlds; with this budget it is refused at 3, where KT
-    # and KTB have their first countermodels
+    # and KTB have their first countermodels, and so are their own searches
     sig = Signature(("p",))
     f = parse("box p -> box box p", sig)
     marks = render_table([("F", classify(f, sig=sig))])
     monkeypatch.setattr(bitgrid, "MAX_WORK", 2 * 10**7)
+    invalid = [l for l in ALL_LOGICS if l.name in ("K", "KT", "KB", "KTB")]
+    with pytest.raises(ResourceLimitExceeded):
+        find_countermodels(f, [l.frame_properties for l in invalid], 4, sig)
     res = classify(f, sig=sig)
     assert render_table([("F", res)]) == marks
     for name in ("K", "KB"):
@@ -201,7 +205,19 @@ def test_a_refused_walk_leaves_each_pending_logic_its_tableau_model(monkeypatch)
         assert res.evidence[name].trace is None
     for name in ("KT", "KTB"):
         assert res.evidence[name] == decide(f, Logic.from_name(name), sig=sig)
-    # each logic's own search is refused at 3 worlds too
+    assert res.evidence == per_logic_evidence(f, sig)
+
+
+def test_evidence_equals_each_logics_own_search_under_a_lowered_budget(monkeypatch):
+    # K and K4 are answered at 2 worlds and the other six logics at 4,
+    # where each walks its own frames: a walk over every canonical 4-world
+    # frame would be over this budget
+    sig = Signature(("p", "q", "s"))
+    f = parse("~(dia box false | (s & dia (~s & p & ~q) & dia (~s & ~p & q)"
+              " & dia (~s & p & q)))", sig)
+    monkeypatch.setattr(bitgrid, "MAX_WORK", 2 * 10**9)
+    res = classify(f, sig=sig)
+    assert [res.evidence[l.name].model.n_worlds for l in ALL_LOGICS] == [2, 4, 4, 2, 4, 4, 4, 4]
     assert res.evidence == per_logic_evidence(f, sig)
 
 

@@ -11,7 +11,6 @@ from modalkit import bitgrid, countermodel
 from modalkit.bitgrid import ModelSlab, slabs
 from modalkit.cli import main
 from modalkit.countermodel import (
-    countermodels,
     export_dot,
     find_countermodel,
     find_countermodels,
@@ -434,31 +433,63 @@ def test_one_walk_has_no_sets_to_answer():
         find_countermodels(f, [], 0, SIG_P)
 
 
+def _walked_lists(monkeypatch):
+    """Record (world count, frame list) of every walk over frames."""
+    walked = []
+
+    def recording(n, atoms, frames):
+        walked.append((n, list(frames)))
+        return slabs(n, atoms, frames)
+
+    monkeypatch.setattr(countermodel, "slabs", recording)
+    return walked
+
+
+def _canonical(*lists):
+    return [(n, list(bitgrid.admitted(n, props, isomorph_free=True))) for n, props in lists]
+
+
 def test_the_walk_takes_the_frames_the_pending_sets_share(monkeypatch):
     # K is answered at 2 worlds, where the reflexive and the reflexive
-    # symmetric sets are not; from 3 worlds on the walk takes the reflexive
+    # symmetric sets are not; at 3 worlds the walk takes the reflexive
     # frames alone
-    listed = []
-
-    def listing(n, props, **kwargs):
-        listed.append((n, props))
-        return bitgrid.admitted(n, props, **kwargs)
-
-    monkeypatch.setattr(countermodel, "admitted", listing)
+    walked = _walked_lists(monkeypatch)
     f = parse("box p -> box box p", SIG_P)
-    found = list(countermodels(f, [set(), {R}, {R, S}], 3, SIG_P))
-    assert [(i, m.n_worlds) for i, m, _ in found] == [(0, 2), (1, 3), (2, 3)]
-    assert listed == [(1, frozenset()), (2, frozenset()), (3, frozenset({R}))]
+    found = find_countermodels(f, [set(), {R}, {R, S}], 3, SIG_P)
+    assert [m.n_worlds for m, _ in found] == [2, 3, 3]
+    assert walked == _canonical((1, ()), (2, ()), (3, {R}))
 
 
-def test_a_refused_walk_keeps_the_answers_found_before_it(monkeypatch):
-    # the 2-world walk is within the budget and the 3-world one is not
+# a countermodel is a world with a dead-end successor, which K's and K4's
+# frames have at 2 worlds, or one that sees three worlds unlike itself,
+# which the other six cube classes need 4 worlds for
+_FEW_OWN_FRAMES = ("~(dia box false | (s & dia (~s & p & ~q) & dia (~s & ~p & q)"
+                   " & dia (~s & p & q)))")
+
+
+def test_the_walk_takes_each_sets_own_frames_where_they_are_fewer(monkeypatch):
+    # the six sets pending at 4 worlds share no property: a walk over every
+    # canonical 4-world frame is charged over 9e9 units, while the walks
+    # over the six sets' own frames, and every walk before them, come to
+    # 1.3e9
+    sig = Signature(("p", "q", "s"))
+    f = parse(_FEW_OWN_FRAMES, sig)
+    sets = [logic.frame_properties for logic in ALL_LOGICS]
+    monkeypatch.setattr(bitgrid, "MAX_WORK", 2 * 10**9)
+    walked = _walked_lists(monkeypatch)
+    found = find_countermodels(f, sets, 4, sig)
+    assert [m.n_worlds for m, _ in found] == [2, 4, 4, 2, 4, 4, 4, 4]
+    assert [w for w in walked if w[0] == 4] == _canonical(
+        *((4, props) for props, (m, _) in zip(sets, found) if m.n_worlds == 4))
+    assert found == [find_countermodel(f, props, 4, sig) for props in sets]
+
+
+def test_a_refused_walk_gives_no_answers(monkeypatch):
+    # the 2-world walk, which answers K, is within the budget and the
+    # 3-world one is not
     monkeypatch.setattr(bitgrid, "MAX_WORK", 2 * 10**7)
     f = parse("box p -> box box p", SIG_P)
-    walk = countermodels(f, [set(), {R}], 3, SIG_P)
-    assert next(walk) == (0, *find_countermodel(f, set(), 3, SIG_P))
-    with pytest.raises(ResourceLimitExceeded):
-        next(walk)
+    assert find_countermodel(f, set(), 3, SIG_P)[0].n_worlds == 2
     with pytest.raises(ResourceLimitExceeded):
         find_countermodels(f, [set(), {R}], 3, SIG_P)
 
