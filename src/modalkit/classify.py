@@ -1,10 +1,11 @@
 """Classification of formulas by the weakest modal-cube logics proving them.
 
 For each of the eight cube logics the tableau decides validity; the result
-is the antichain of minimal logics (under schema-set inclusion) where the
-formula is valid, together with per-logic evidence.  Validity must be
-monotone in the frame conditions; a violation indicates a prover bug and
-raises rather than returning a bogus table.
+is the antichain of minimal logics where the formula is valid, together
+with per-logic evidence.  A logic is below another when its frame class
+includes the other's, that is when its frame properties are a proper subset
+of the other's.  Validity must be monotone in this order; a violation
+indicates a prover bug and raises rather than returning a bogus table.
 
 The evidence of an Invalid logic is normalised to its canonically first
 countermodel up to 4 worlds, and one walk (countermodel.find_countermodels)
@@ -99,7 +100,7 @@ def classify(f: Formula, *, sig: Signature | None = None) -> ClassificationResul
     valid = {l for l in ALL_LOGICS if isinstance(evidence[l.name], Valid)}
     for weaker in valid:
         for stronger in ALL_LOGICS:
-            if (weaker.schemata < stronger.schemata
+            if (weaker.frame_properties < stronger.frame_properties
                     and evidence[stronger.name] is not None
                     and stronger not in valid):
                 raise ClassificationError(
@@ -107,7 +108,7 @@ def classify(f: Formula, *, sig: Signature | None = None) -> ClassificationResul
                     f"{stronger.name}; frame conditions must preserve validity")
     minimal = tuple(l for l in ALL_LOGICS
                     if l in valid
-                    and not any(o.schemata < l.schemata for o in valid))
+                    and not any(o.frame_properties < l.frame_properties for o in valid))
 
     invalid = [l for l in ALL_LOGICS if isinstance(evidence[l.name], Invalid)]
     prop_sets = [l.frame_properties for l in invalid]

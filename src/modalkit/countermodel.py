@@ -65,12 +65,6 @@ from .kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from .syntax import Formula, Signature, atoms_of, desugar, size
 
 
-def search_atoms(f: Formula, sig: Signature) -> tuple[str, ...]:
-    """The atoms a countermodel search has to assign: those in f after
-    desugaring (so true/false contribute the signature's first atom)."""
-    return tuple(sorted(atoms_of(desugar(f, sig))))
-
-
 def find_countermodel(f: Formula, props: Collection[FrameProperty], max_worlds: int,
                       sig: Signature) -> tuple[KripkeModel, int] | None:
     """First model up to max_worlds (canonical order) with all props where
@@ -91,7 +85,7 @@ def find_countermodels(f: Formula, prop_sets: Sequence[Collection[FrameProperty]
     if missing:
         raise ValueError(f"formula uses atoms outside the signature: {sorted(missing)}")
     goal = desugar(f, sig)
-    atoms = tuple(sorted(atoms_of(goal)))  # search_atoms(f, sig)
+    atoms = tuple(sorted(atoms_of(goal)))
     nodes = size(goal)
     what = f"a countermodel search with {len(atoms)} atoms up to {max_worlds} worlds"
     found: list[tuple[KripkeModel, int] | None] = [None] * len(prop_sets)

@@ -65,7 +65,7 @@ _BASE_SCHEMAS = frozenset({AxiomSchemaId.H1, AxiomSchemaId.H2,
                            AxiomSchemaId.H3, AxiomSchemaId.KDIST})
 
 # the axioms a logic may add to K, each with the frame property it
-# corresponds to; a logic's frame class is read off this one table
+# corresponds to; a logic's axioms are read off its frame class here
 FRAME_CONDITIONS: dict[AxiomSchemaId, FrameProperty] = {
     AxiomSchemaId.T: FrameProperty.REFLEXIVE,
     AxiomSchemaId.B: FrameProperty.SYMMETRIC,
@@ -73,54 +73,45 @@ FRAME_CONDITIONS: dict[AxiomSchemaId, FrameProperty] = {
 }
 
 
-@dataclass(frozen=True)
-class Logic:
-    """A member of the modal cube: K plus a subset of {T, B, 4}."""
+_R, _S, _T = FrameProperty.REFLEXIVE, FrameProperty.SYMMETRIC, FrameProperty.TRANSITIVE
 
-    schemata: frozenset[AxiomSchemaId]
 
-    def __post_init__(self):
-        extra = self.schemata - FRAME_CONDITIONS.keys()
-        if extra:
-            raise ValueError(f"a logic may only add T, B and 4; got {sorted(x.value for x in extra)}")
+class Logic(Enum):
+    """A member of the modal cube, valued by its class of frames; its
+    axioms are K's plus the schemas of FRAME_CONDITIONS the class admits."""
 
-    @property
-    def name(self) -> str:
-        return _LOGIC_NAMES[self.schemata]
+    K = frozenset()
+    KT = frozenset({_R})
+    KB = frozenset({_S})
+    K4 = frozenset({_T})
+    KTB = frozenset({_R, _S})
+    S4 = frozenset({_R, _T})
+    KB4 = frozenset({_S, _T})
+    S5 = frozenset({_R, _S, _T})
 
     @property
     def frame_properties(self) -> frozenset[FrameProperty]:
-        return frozenset(FRAME_CONDITIONS[s] for s in self.schemata)
+        return self.value
+
+    @property
+    def schemata(self) -> frozenset[AxiomSchemaId]:
+        return frozenset(s for s, p in FRAME_CONDITIONS.items() if p in self.value)
 
     def admits(self, schema: AxiomSchemaId) -> bool:
-        return schema in _BASE_SCHEMAS or schema in self.schemata
+        return schema in _BASE_SCHEMAS or FRAME_CONDITIONS.get(schema) in self.value
 
     @classmethod
     def from_name(cls, name: str) -> "Logic":
-        key = name.strip().upper()
-        for schemata, lname in _LOGIC_NAMES.items():
-            if lname.upper() == key:
-                return cls(schemata)
-        raise ValueError(f"unknown logic {name!r}")
+        try:
+            return cls[name.strip().upper()]
+        except KeyError:
+            raise ValueError(f"unknown logic {name!r}") from None
 
     def __str__(self):
         return self.name
 
 
-_T, _B, _4 = AxiomSchemaId.T, AxiomSchemaId.B, AxiomSchemaId.FOUR
-
-_LOGIC_NAMES: dict[frozenset[AxiomSchemaId], str] = {
-    frozenset(): "K",
-    frozenset({_T}): "KT",
-    frozenset({_B}): "KB",
-    frozenset({_4}): "K4",
-    frozenset({_T, _B}): "KTB",
-    frozenset({_T, _4}): "S4",
-    frozenset({_B, _4}): "KB4",
-    frozenset({_T, _B, _4}): "S5",
-}
-
-ALL_LOGICS: tuple[Logic, ...] = tuple(Logic(s) for s in _LOGIC_NAMES)
+ALL_LOGICS: tuple[Logic, ...] = tuple(Logic)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ class CheckReport:
     violation_count: int
     examples: list[Violation] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.violation_count == 0
-
     def render(self) -> str:
         lines = [
             f"check: {self.name}",

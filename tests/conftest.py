@@ -4,13 +4,16 @@ The naive evaluator here is deliberately written from scratch against the
 connective semantics (including sugar) rather than reusing the package's
 desugaring pipeline, so differential tests compare two genuinely separate
 routes to the same truth value.  The other oracles, the reference model
-enumeration, the scalar evaluator of translated forms, schema validity on a
-bare frame and the admitted frame lists, serve the tests alone and share no
-code with the bit-packed engines they are compared with.  So do the formula
-helpers: the core test, AST depth and schema instantiation.  The per-logic
-classification evidence is the exception: it runs the countermodel search
-once per logic, the route that classify's one walk for every logic
-replaces, so the two are compared on the same engine.
+enumeration, the scalar evaluator of translated forms and schema validity
+on a bare frame, serve the tests alone and share no code with the
+bit-packed engines they are compared with.  So do the formula helpers: the
+core test, AST depth, schema instantiation and the atoms a search assigns.
+Two helpers are exceptions and run the engines themselves.  The admitted
+frame lists are bitgrid.admitted's own, which the tests check against the
+scalar property checks of kripke.has_property.  The per-logic
+classification evidence runs the countermodel search once per logic, the
+route that classify's one walk for every logic replaces, so the two are
+compared on the same engine.
 """
 
 import random
@@ -212,6 +215,12 @@ def unguarded_min(f):
         return ForallWorld(v, go(g.body, v, counter))
 
     return go(f, "w", [0])
+
+
+def search_atoms(f: Formula, sig: Signature) -> tuple[str, ...]:
+    """The atoms a countermodel search has to assign: those in f after
+    desugaring (so true/false contribute the signature's first atom)."""
+    return tuple(sorted(atoms_of(desugar(f, sig))))
 
 
 def enumerate_models(n_worlds: int, atoms: tuple[str, ...]):

@@ -5,6 +5,7 @@ Exit code conventions under test: 0 success/affirmative, 1 negative result
 """
 
 import contextlib
+import importlib
 import io
 import itertools
 import json
@@ -372,6 +373,15 @@ def test_classify_needs_input(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 2
     assert "needs a formula or --corpus" in err
+
+
+def test_classify_marks_a_verdict_over_the_rule_budget(monkeypatch, capsys):
+    # 16 rules cut short F4's valid runs in every logic but KB
+    monkeypatch.setattr(importlib.import_module("modalkit.decide"), "_MAX_RULES", 16)
+    code, out, err = run(capsys, "classify", "box dia box dia p -> box dia p")
+    assert code == 3
+    assert out.splitlines()[1].split()[-9:] == ["✗", "✗", "✓", "?", "?", "?", "?", "?", "KB"]
+    assert err == "warning: some verdicts hit the resource limit\n"
 
 
 def test_classify_output_is_deterministic(capsys):

@@ -10,19 +10,14 @@ from hypothesis import given, settings
 from modalkit import bitgrid, countermodel
 from modalkit.bitgrid import ModelSlab, slabs
 from modalkit.cli import main
-from modalkit.countermodel import (
-    export_dot,
-    find_countermodel,
-    find_countermodels,
-    search_atoms,
-)
+from modalkit.countermodel import export_dot, find_countermodel, find_countermodels
 from modalkit.errors import ResourceLimitExceeded
 from modalkit.hilbert import ALL_LOGICS
 from modalkit.kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from modalkit.syntax import Signature, desugar, parse
 
 from conftest import (SIG_P, SIG_PQ, enumerate_models, formulas, naive_eval,
-                      recorded_slab_counts, seeded_formulas)
+                      recorded_slab_counts, search_atoms, seeded_formulas)
 
 R = FrameProperty.REFLEXIVE
 

@@ -5,14 +5,17 @@ Valid verdict must survive an exhaustive bounded model search, and an
 Invalid verdict must hand over a model that scalar evaluation rejects.
 """
 
+import importlib
 import itertools
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from modalkit.classify import corpus
 from modalkit.countermodel import find_countermodel
 from modalkit.decide import (
     CrossCheckReport,
@@ -250,6 +253,50 @@ def test_closure_equals_the_fixpoint():
 def test_a_label_budget_below_one_is_rejected(max_labels):
     with pytest.raises(ValueError, match="max_labels"):
         decide(_f("~box p"), K, max_labels=max_labels)
+
+
+# --- the rule budget --------------------------------------------------------------
+
+# the module, which the package's decide function shadows as an attribute
+DECIDE = importlib.import_module("modalkit.decide")
+RULES = 16
+# valid in S4 in 46 rules; 16 rules cut its branch short
+F4 = "box dia box dia p -> box dia p"
+
+
+def test_a_branch_cut_short_by_the_rule_budget_never_yields_valid(monkeypatch):
+    unbounded = {(name, logic): decide(f, logic) for name, f in corpus() for logic in ALL_LOGICS}
+    monkeypatch.setattr(DECIDE, "_MAX_RULES", RULES)
+    seen = Counter()
+    for name, f in corpus():
+        for logic in ALL_LOGICS:
+            full = unbounded[name, logic]
+            try:
+                result = decide(f, logic)
+            except ResourceLimitExceeded:
+                assert full.trace.rule_applications >= RULES, (name, logic)
+                seen["limit"] += 1
+                continue
+            if isinstance(result, Valid):
+                # every branch closed inside the budget: the unbounded run
+                assert result == full, (name, logic)
+                seen["valid"] += 1
+                continue
+            assert not isinstance(full, Valid), (name, logic)
+            assert naive_eval(result.model, result.world, f) is False
+            assert all(has_property(result.model, p) for p in logic.frame_properties)
+            seen["fallback" if result.trace.fallback else "invalid"] += 1
+    # the budget cut some valid runs short, and some invalid ones fell back
+    assert seen == {"valid": 23, "limit": 15, "invalid": 37, "fallback": 5}
+
+
+def test_cross_check_reports_a_tableau_over_the_rule_budget(monkeypatch):
+    monkeypatch.setattr(DECIDE, "_MAX_RULES", RULES)
+    report = cross_check(_f(F4), S4, 4)
+    assert report.tableau_valid is None
+    assert report.finder_found is False
+    assert report.consistent
+    assert report.detail.startswith("tableau hit its budget")
 
 
 # --- cross-checking against the bounded finder ----------------------------------
