@@ -98,7 +98,7 @@ from .errors import ResourceLimitExceeded
 from .kripke import FrameProperty, KripkeModel
 from .syntax import (
     Atom, Box, CImp, CNot, CoreForm, ForallWorld, Formula, Implies, MetaVar,
-    Not, PredR, PredV, PredW, Schema, Signature,
+    Not, PredR, PredV, PredW, Signature, metavars_of,
 )
 
 
@@ -588,7 +588,7 @@ class ModelSlab:
 
     # -- schemas -----------------------------------------------------------
 
-    def schema_validity_mask(self, s: Schema,
+    def schema_validity_mask(self, s: Formula,
                              hints: dict[int, int] | None = None) -> int:
         """Models where every instantiation of s's metavariables by subsets
         of the designated worlds is valid.
@@ -606,8 +606,7 @@ class ModelSlab:
         first, then the others in ascending order, and a valuation that
         empties this slab is written back.
         """
-        names = s.metavars
-        body = s.body
+        names = metavars_of(s)
         full = self.full
         out = full
         ds = self._dsorted
@@ -617,7 +616,7 @@ class ModelSlab:
             assignment = _assignment(names, ds, choice)
             memo: dict = {}
             for w in ds:
-                out = _meet(full, out, self._deep(body, w, memo, assignment))
+                out = _meet(full, out, self._deep(s, w, memo, assignment))
             if not out:
                 if hints is not None:
                     hints[self.n] = choice

@@ -126,6 +126,21 @@ def classify_corpus() -> list[tuple[str, ClassificationResult]]:
     return [(name, classify(f, sig=CORPUS_SIGNATURE)) for name, f in corpus()]
 
 
+def _minimal_cell(res: ClassificationResult) -> str:
+    """The minimal logics, or ? when a verdict over the resource limit could
+    change them.  An unknown logic strictly above a valid one is valid but
+    not minimal, and one strictly below an invalid one is invalid, so only
+    the other unknown logics leave the column open."""
+    valid = res.valid_logics
+    invalid = [l for l in ALL_LOGICS if isinstance(res.evidence[l.name], Invalid)]
+    for l in ALL_LOGICS:
+        if (res.evidence[l.name] is None
+                and not any(v.frame_properties < l.frame_properties for v in valid)
+                and not any(l.frame_properties < i.frame_properties for i in invalid)):
+            return "?"
+    return ", ".join(l.name for l in res.minimal) or "-"
+
+
 def render_table(rows: list[tuple[str, ClassificationResult]]) -> str:
     """Fixed-width text table, one row per formula, one column per logic."""
     headers = ["name", "formula"] + [l.name for l in ALL_LOGICS] + ["minimal"]
@@ -135,8 +150,7 @@ def render_table(rows: list[tuple[str, ClassificationResult]]) -> str:
         for logic in ALL_LOGICS:
             v = res.evidence[logic.name]
             marks.append("?" if v is None else ("✓" if isinstance(v, Valid) else "✗"))
-        minimal = ", ".join(l.name for l in res.minimal) or "-"
-        body.append([name, pretty(res.formula)] + marks + [minimal])
+        body.append([name, pretty(res.formula)] + marks + [_minimal_cell(res)])
     widths = [max(len(headers[i]), *(len(r[i]) for r in body)) if body else len(headers[i])
               for i in range(len(headers))]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]

@@ -18,8 +18,8 @@ from .decide import ResourceLimitExceeded, Valid, decide
 from .hilbert import (AxiomSchemaId, Logic, SCHEMAS, check_proof,
                       parse_proof_script)
 from .kripke import FrameProperty, eval_deep, load_model, dump_model
-from .syntax import (FormulaSyntaxError, Signature, UnknownAtomError,
-                     infer_signature, parse, parse_schema, pretty, to_sexpr)
+from .syntax import (FormulaSyntaxError, Signature, infer_signature, parse,
+                     parse_schema, pretty, to_sexpr)
 from .translate import check_faithfulness
 
 _ATOM_POOL = ("p", "q", "r", "s", "t", "u", "v", "w")
@@ -35,7 +35,7 @@ def _parse_formula(text: str, sig: Signature | None = None):
         if sig is None:
             sig = infer_signature(text)
         return parse(text, sig), sig
-    except (FormulaSyntaxError, UnknownAtomError) as e:
+    except FormulaSyntaxError as e:
         raise _InputError(f"cannot parse formula {text!r}: {e}") from None
 
 

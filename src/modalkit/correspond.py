@@ -15,15 +15,15 @@ from .bitgrid import charge, slabs, work
 from .hilbert import FRAME_CONDITIONS, SCHEMAS, AxiomSchemaId
 from .kripke import FrameProperty
 from .reporting import CheckReport, Violation
-from .syntax import (Formula, MetaVar, Schema, atoms_of, desugar, map_leaves,
-                     size, sorted_signature)
+from .syntax import (Formula, MetaVar, atoms_of, desugar, map_leaves,
+                     metavars_of, size, sorted_signature)
 
 
-def _core_body(s: Schema) -> Formula:
-    """The schema body with sugar removed and every leaf renamed to its own
+def _core_body(s: Formula) -> Formula:
+    """The schema with sugar removed and every leaf renamed to its own
     metavariable, in order of first occurrence.  Concrete atoms are thus
     quantified like metavariables, and ?p stays distinct from p."""
-    body = desugar(s.body, sorted_signature(atoms_of(s.body)))
+    body = desugar(s, sorted_signature(atoms_of(s)))
     fresh: dict = {}
 
     def rename(leaf: Formula) -> Formula:
@@ -32,7 +32,7 @@ def _core_body(s: Schema) -> Formula:
     return map_leaves(body, rename)
 
 
-def _sweep(max_worlds: int, s: Schema):
+def _sweep(max_worlds: int, s: Formula):
     """(n, tile, mask) for every atom-free tile with 1 to max_worlds worlds,
     in canonical order, mask being s's schema validity on the tile.  The
     whole sweep is charged to the work budget before the first tile is
@@ -43,7 +43,7 @@ def _sweep(max_worlds: int, s: Schema):
     valuation that emptied the last one of its size."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    m, nodes = len(s.metavars), size(s.body)
+    m, nodes = len(metavars_of(s)), size(s)
     what = f"a sweep of a schema with {m} letters over the frames of up to {max_worlds} worlds"
     spent = 0
     for n in range(1, max_worlds + 1):
@@ -78,13 +78,13 @@ class CounterFrame:
                 f"({self.direction})")
 
 
-def correspondence_check(s: Schema, p: FrameProperty,
+def correspondence_check(s: Formula, p: FrameProperty,
                          max_worlds: int) -> Holds | CounterFrame:
     """Check that p holds on a frame exactly when s is valid on it, over all
     frames up to max_worlds; the first frame (canonical order) violating
     either direction is returned."""
     checked = 0
-    for n, slab, valid in _sweep(max_worlds, Schema(_core_body(s))):
+    for n, slab, valid in _sweep(max_worlds, _core_body(s)):
         prop = slab.property_mask(p)
         disagree = prop ^ valid
         checked += slab.count
@@ -119,8 +119,7 @@ def loeb_suite(max_worlds: int) -> list[CheckReport]:
     well-foundedness implies Loeb validity, and Loeb validity implies each
     of converse well-foundedness, irreflexivity and transitivity.
     """
-    loeb = Schema(_core_body(SCHEMAS[AxiomSchemaId.LOEB]))
-    tiles = _sweep(max_worlds, loeb)
+    tiles = _sweep(max_worlds, _core_body(SCHEMAS[AxiomSchemaId.LOEB]))
     claims = ("transitive+cwf-implies-loeb", "loeb-implies-cwf",
               "loeb-implies-irreflexive", "loeb-implies-transitive")
     reports = {name: CheckReport(name=name, instances=0, violation_count=0,

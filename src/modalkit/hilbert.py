@@ -20,8 +20,8 @@ from importlib import resources
 
 from .kripke import FrameProperty
 from .syntax import (
-    RESERVED_WORDS, Box, Formula, Implies, MetaVar, Not, Schema, Signature,
-    atoms_of, desugar, parse, parse_schema, pretty, sorted_signature,
+    RESERVED_WORDS, Box, Formula, Implies, MetaVar, Not, Signature, atoms_of,
+    desugar, metavars_of, parse, parse_schema, pretty, sorted_signature,
 )
 
 
@@ -48,7 +48,7 @@ _SCHEMA_NAMES: dict[str, AxiomSchemaId] = {
     "M": AxiomSchemaId.T, "L": AxiomSchemaId.LOEB, "GL": AxiomSchemaId.LOEB}
 
 
-SCHEMAS: dict[AxiomSchemaId, Schema] = {
+SCHEMAS: dict[AxiomSchemaId, Formula] = {
     AxiomSchemaId.H1: parse_schema("?phi -> (?psi -> ?phi)"),
     AxiomSchemaId.H2: parse_schema("(?phi -> (?psi -> ?gamma)) -> ((?phi -> ?psi) -> (?phi -> ?gamma))"),
     AxiomSchemaId.H3: parse_schema("(~?phi -> ~?psi) -> (?psi -> ?phi)"),
@@ -59,7 +59,7 @@ SCHEMAS: dict[AxiomSchemaId, Schema] = {
     AxiomSchemaId.LOEB: parse_schema("box (box ?phi -> ?phi) -> box ?phi"),
 }
 
-_METAVARS = {schema: s.metavars for schema, s in SCHEMAS.items()}
+_METAVARS = {schema: metavars_of(s) for schema, s in SCHEMAS.items()}
 
 _BASE_SCHEMAS = frozenset({AxiomSchemaId.H1, AxiomSchemaId.H2,
                            AxiomSchemaId.H3, AxiomSchemaId.KDIST})
@@ -182,7 +182,7 @@ def check_proof(proof: Proof, logic: Logic) -> CheckResult:
     Axiom steps must instantiate a schema the logic admits; a modus ponens
     step MP i j requires step j to be (step i) -> x and yields x;
     necessitation boxes an earlier step.  Comparison is structural after
-    desugaring, of each distinct binding and schema body once; derived
+    desugaring, of each distinct binding and schema once; derived
     formulas share equal subterms, so most comparisons end at identity.
     """
     sig = _proof_signature(proof)
@@ -211,7 +211,7 @@ def check_proof(proof: Proof, logic: Logic) -> CheckResult:
                 return CheckResult(False, failed_step=num,
                                    reason=f"schema {step.schema.value} has no ?{extra[0]}")
             bound = {v: core(f) for v, f in step.subst.items()}
-            formula = _hash_cons(core(SCHEMAS[step.schema].body),
+            formula = _hash_cons(core(SCHEMAS[step.schema]),
                                  lambda g: bound[g.name] if type(g) is MetaVar else g, table)
         elif isinstance(step, MpStep):
             i, j = step.premise, step.implication

@@ -353,7 +353,7 @@ def desugar(f: Formula, sig: Signature) -> Formula:
     The constant true becomes p -> p for the signature's first atom, false
     its negation.  Core formulas come back unchanged (the same object), so
     the function is idempotent.  Metavariable leaves are left in place so
-    schema bodies can be desugared too.
+    schemas can be desugared too.
     """
     t = type(f)
     if t is Atom or t is MetaVar:
@@ -412,20 +412,6 @@ def metavars_of(f: Formula) -> tuple[str, ...]:
 def size(f: Formula) -> int:
     """Number of AST nodes."""
     return 1 + sum(map(size, _children(f)))
-
-
-@dataclass(frozen=True)
-class Schema:
-    """A formula shape whose metavariable leaves stand for arbitrary formulas."""
-
-    body: Formula
-
-    @property
-    def metavars(self) -> tuple[str, ...]:
-        return metavars_of(self.body)
-
-    def __str__(self):
-        return pretty(self.body)
 
 
 def map_leaves(f: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
@@ -607,9 +593,10 @@ def parse(text: str, sig: Signature) -> Formula:
     return _Parser(text, sig, allow_metavars=False).parse()
 
 
-def parse_schema(text: str, sig: Signature | None = None) -> Schema:
-    """Parse a schema; leaves may be ?metavariables (and atoms if sig given)."""
-    return Schema(_Parser(text, sig, allow_metavars=True).parse())
+def parse_schema(text: str) -> Formula:
+    """Parse a schema: a formula whose leaves may also be ?metavariables,
+    standing for arbitrary formulas.  Atoms of any name are accepted."""
+    return _Parser(text, None, allow_metavars=True).parse()
 
 
 def infer_signature(text: str) -> Signature:

@@ -34,7 +34,7 @@ from modalkit.hilbert import ALL_LOGICS
 from modalkit.kripke import KripkeModel, valid_in_model
 from modalkit.syntax import (And, Atom, Bot, Box, CImp, CNot, CoreForm,
                              Dia, ForallWorld, Formula, Implies, LexError,
-                             MetaVar, Not, Or, PredR, PredV, PredW, Schema,
+                             MetaVar, Not, Or, PredR, PredV, PredW,
                              Signature, Top, atoms_of, desugar, map_leaves,
                              sorted_signature)
 
@@ -193,11 +193,6 @@ def substitute_metavars(f: Formula, subst: Mapping[str, Formula]) -> Formula:
     return map_leaves(f, leaf)
 
 
-def instantiate(s: Schema, subst: Mapping[str, Formula]) -> Formula:
-    """Produce the instance of schema s under a total metavariable substitution."""
-    return substitute_metavars(s.body, subst)
-
-
 def unguarded_min(f):
     """Deliberately broken minimal translation: drops the R guard.  The
     mutation tests inject it into the faithfulness grid."""
@@ -285,7 +280,7 @@ def _eval_core(c: CoreForm, m: KripkeModel, binding: dict[str, int]) -> bool:
     raise TypeError(f"not a translated form: {c!r}")
 
 
-def schema_valid_on_frame(worlds: set, rel: set, s: Schema) -> bool:
+def schema_valid_on_frame(worlds: set, rel: set, s: Formula) -> bool:
     """True when s holds on the bare frame under propositional quantification.
 
     Every metavariable (and any concrete atom in the schema) ranges over
@@ -298,7 +293,7 @@ def schema_valid_on_frame(worlds: set, rel: set, s: Schema) -> bool:
         raise ValueError(f"relation pair {bad[0]} leaves the world set")
     # every leaf, metavariable or atom, becomes an atom of its own, so ?p
     # stays distinct from p
-    body = desugar(s.body, sorted_signature(atoms_of(s.body)))
+    body = desugar(s, sorted_signature(atoms_of(s)))
     fresh: dict = {}
     f = map_leaves(body, lambda leaf: fresh.setdefault((type(leaf), leaf.name),
                                                        Atom(f"m{len(fresh)}")))

@@ -27,10 +27,10 @@ from modalkit.syntax import (
     Atom,
     Implies,
     MetaVar,
-    Schema,
     Signature,
     desugar,
     enumerate_formulas,
+    metavars_of,
     parse,
     parse_schema,
 )
@@ -251,13 +251,11 @@ def _schema_valid_scalar(slab, index, body, names):
     "dia ?phi -> ?psi", "box (?phi -> ?psi) -> ?psi",
 ])
 def test_schema_validity_mask_matches_scalar_check(text):
-    raw = parse_schema(text)
-    body = desugar(raw.body, SIG_P)
-    schema = Schema(body)
-    names = list(schema.metavars)
+    body = desugar(parse_schema(text), SIG_P)
+    names = list(metavars_of(body))
     for designated in ((0, 1, 2), (0, 2)):
         slab = ModelSlab(3, (), designated)
-        mask = slab.schema_validity_mask(schema)
+        mask = slab.schema_validity_mask(body)
         for index in range(slab.count):
             assert (bool(mask >> index & 1)
                     == _schema_valid_scalar(slab, index, body, names)), (designated, index)
@@ -273,7 +271,7 @@ def test_a_metavariable_consequent_is_still_read_outside_a_schema():
 def test_schema_validity_ignores_the_valuation():
     # with atoms present as slab columns the mask must still be a function
     # of the frame alone, since atom leaves range over assignments too
-    schema = Schema(desugar(parse_schema("box ?phi -> ?phi").body, SIG_P))
+    schema = desugar(parse_schema("box ?phi -> ?phi"), SIG_P)
     slab = ModelSlab(2, ("p",))
     mask = slab.schema_validity_mask(schema)
     frames = {}
@@ -407,7 +405,7 @@ def test_a_tile_is_the_full_slab_restricted_to_its_block():
     for prop in FrameProperty:
         assert tile.property_mask(prop) == whole.property_mask(prop) >> 320 & window, prop
     for schema in SCHEMAS.values():
-        core = Schema(_core_body(schema))
+        core = _core_body(schema)
         assert (tile.schema_validity_mask(core)
                 == whole.schema_validity_mask(core) >> 320 & window), schema
 

@@ -19,10 +19,10 @@ from modalkit.classify import (
     render_table,
 )
 from modalkit.countermodel import find_countermodel, find_countermodels
-from modalkit.decide import Invalid, Valid, decide
+from modalkit.decide import Invalid, TableauTrace, Valid, decide
 from modalkit.errors import ResourceLimitExceeded
 from modalkit.hilbert import ALL_LOGICS, Logic
-from modalkit.kripke import eval_deep, has_property
+from modalkit.kripke import KripkeModel, eval_deep, has_property
 from modalkit.syntax import Signature, parse, pretty
 
 from conftest import per_logic_evidence, recorded_slab_counts, seeded_formulas
@@ -141,6 +141,38 @@ def test_render_table_layout(table):
 
 def test_render_table_empty():
     assert render_table([]).startswith("name")
+
+
+def _synthetic(marks: str) -> ClassificationResult:
+    """A result with the verdicts ✓, ✗ or ? (over the limit), one per logic
+    in ALL_LOGICS order, and the minimal logics among the ✓ ones."""
+    sig = Signature(("p",))
+    verdict = {"✓": Valid(TableauTrace()),
+               "✗": Invalid(KripkeModel(1, [0], [], {"p": []}, sig), 0), "?": None}
+    evidence = {l.name: verdict[m] for l, m in zip(ALL_LOGICS, marks.split())}
+    valid = [l for l in ALL_LOGICS if isinstance(evidence[l.name], Valid)]
+    minimal = tuple(l for l in valid
+                    if not any(o.frame_properties < l.frame_properties for o in valid))
+    return ClassificationResult(parse("p", sig), minimal, evidence)
+
+
+@pytest.mark.parametrize("marks, cell", [
+    ("✓ ✓ ✓ ✓ ✓ ✓ ✓ ✓", "K"),
+    ("✗ ✗ ✗ ✗ ✗ ✗ ✗ ✗", "-"),
+    # every unknown logic is strictly above valid K, so valid and not minimal
+    ("✓ ? ? ? ? ? ? ?", "K"),
+    # unknown K4 is strictly below invalid KB4, so invalid
+    ("✗ ✓ ✗ ? ✓ ✓ ✗ ✓", "KT"),
+    ("✗ ✗ ✗ ? ✗ ✗ ✗ ✗", "-"),
+    # unknown K4 and S4 are above no valid and below no invalid logic
+    ("✗ ✗ ✓ ? ? ? ? ?", "?"),
+    ("✗ ✗ ✗ ✗ ✗ ✗ ✗ ?", "?"),
+    ("? ? ? ? ? ? ? ?", "?"),
+], ids=lambda v: v.replace("✓", "v").replace("✗", "x").replace(" ", ""))
+def test_render_table_minimal_cell_with_unknown_verdicts(
+        marks, cell):
+    row = render_table([("F", _synthetic(marks))]).splitlines()[1].split()
+    assert row[-9:] == marks.split() + [cell]
 
 
 def test_monotonicity_violations_raise(monkeypatch):

@@ -376,11 +376,12 @@ def test_classify_needs_input(capsys):
 
 
 def test_classify_marks_a_verdict_over_the_rule_budget(monkeypatch, capsys):
-    # 16 rules cut short F4's valid runs in every logic but KB
+    # 16 rules cut short F4's valid runs in every logic but KB.  Unknown K4
+    # and S4 are above no valid logic, so either may be minimal
     monkeypatch.setattr(importlib.import_module("modalkit.decide"), "_MAX_RULES", 16)
     code, out, err = run(capsys, "classify", "box dia box dia p -> box dia p")
     assert code == 3
-    assert out.splitlines()[1].split()[-9:] == ["✗", "✗", "✓", "?", "?", "?", "?", "?", "KB"]
+    assert out.splitlines()[1].split()[-9:] == ["✗", "✗", "✓", "?", "?", "?", "?", "?", "?"]
     assert err == "warning: some verdicts hit the resource limit\n"
 
 
@@ -427,6 +428,23 @@ def test_loeb_suite_clean(capsys):
     assert code == 0
     assert "total violations: 0" in out
     assert "loeb-implies-transitive" in out
+
+
+def test_loeb_violations_list_their_example_frames(capsys, monkeypatch):
+    # a mask that calls every frame Loeb-valid breaks all but the first claim
+    monkeypatch.setattr(bitgrid.ModelSlab, "schema_validity_mask",
+                        lambda self, s, hints=None: self.full)
+    code, out, err = run(capsys, "loeb", "--max-worlds", "3")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[:3] == ["check: transitive+cwf-implies-loeb", "instances checked: 530",
+                         "violations: 0"]
+    start = lines.index("check: loeb-implies-cwf")
+    assert lines[start + 1:start + 5] == ["instances checked: 530", "violations: 501",
+                                          "  worlds=1 rel=[(0, 0)]",
+                                          "  worlds=2 rel=[(0, 0)]"]
+    assert sum(line.startswith("  worlds=") for line in lines) == 15
+    assert lines[-1] == "total violations: 1306"
 
 
 def test_faithful_defaults(capsys):
@@ -483,10 +501,12 @@ def test_formulas_at_the_depth_limit_still_answer(capsys, text, code):
     ["countermodel", "p $ q"],
     ["classify", "p $ q"],
     ["countermodel", "p", "--max-worlds", "0"],
+    ["countermodel", "p", "--max-worlds", "abc"],
     ["correspond", "T", "reflexive", "--max-worlds", "0"],
     ["loeb", "--max-worlds", "0"],
     ["faithful", "--max-worlds", "0"],
     ["faithful", "--depth", "-1"],
+    ["faithful", "--atoms", "9"],
     ["faithful", "--jobs", "2"],
     ["classify", "--corpus", "--jobs", "2"],
 ], ids=" ".join)
@@ -500,6 +520,22 @@ def test_bad_input_exits_2_with_an_error_line(capsys, argv):
     assert captured.out == ""
     assert "error:" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_an_unwritable_dot_path_exits_2_after_the_model(tmp_path, capsys):
+    dot = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, "countermodel", "p", "--dot", str(dot))
+    assert code == 2
+    assert out.startswith("countermodel found: p fails at world 0\n")
+    assert err.startswith("error: cannot write graph file: ")
+    assert "Traceback" not in err
+    assert not dot.parent.exists()
+
+
+def test_empty_property_names_are_ignored(capsys):
+    argv = ["countermodel", "box p -> dia p", "--max-worlds", "2", "--props"]
+    assert run(capsys, *argv, "reflexive,,serial") == run(capsys, *argv, "reflexive,serial")
+    assert run(capsys, *argv, ",serial,") == (0, "no countermodel with up to 2 worlds\n", "")
 
 
 def test_missing_subcommand_exits_2():

@@ -20,7 +20,7 @@ from modalkit.correspond import (
 from modalkit.hilbert import SCHEMAS, AxiomSchemaId
 from modalkit.kripke import FrameProperty, KripkeModel, has_property
 from modalkit.reporting import Violation
-from modalkit.syntax import Schema, parse_schema
+from modalkit.syntax import metavars_of, parse_schema
 
 from conftest import SIG_P, schema_valid_on_frame
 
@@ -80,11 +80,11 @@ def test_scalar_and_packed_schema_validity_agree():
 
     slab = ModelSlab(3, ())
     for schema in _AGREEMENT_SCHEMAS:
-        mask = slab.schema_validity_mask(Schema(_core_body(schema)))
+        mask = slab.schema_validity_mask(_core_body(schema))
         for index in range(slab.count):
             n, rel = slab.frame_at(index)
             expected = schema_valid_on_frame(set(range(n)), set(rel), schema)
-            assert bool(mask >> index & 1) == expected, (str(schema.body), sorted(rel))
+            assert bool(mask >> index & 1) == expected, (str(schema), sorted(rel))
 
 
 # --- correspondence -----------------------------------------------------------
@@ -232,7 +232,7 @@ def sweep_log(monkeypatch):
         return assignment(names, ds, choice)
 
     def recording_mask(self, s, *args):
-        log.append([self.n, 1 << len(s.metavars) * len(self.designated), [], None])
+        log.append([self.n, 1 << len(metavars_of(s)) * len(self.designated), [], None])
         log[-1][3] = mask(self, s, *args)
         return log[-1][3]
 
@@ -258,7 +258,7 @@ def test_hinted_sweeps_equal_the_scalar_reference(monkeypatch):
     monkeypatch.setattr(bitgrid, "TILE_BITS", 4)
     for s, p, _ in _ORDER_CASES:
         assert correspondence_check(s, p, 3) == _scalar_correspondence(s, p, 3), \
-            (str(s.body), p)
+            (str(s), p)
 
 
 def test_each_tile_tries_the_last_emptying_valuation_first(monkeypatch, sweep_log):
@@ -293,7 +293,7 @@ def test_sweeps_try_fewer_valuations_than_in_ascending_order(sweep_log):
 
 def test_a_single_slab_tries_the_valuations_in_ascending_order(sweep_log):
     slab = ModelSlab(3, ())
-    loeb = Schema(_core_body(SCHEMAS[AxiomSchemaId.LOEB]))
+    loeb = _core_body(SCHEMAS[AxiomSchemaId.LOEB])
     slab.schema_validity_mask(loeb)
     [(_, _, tried, out)] = sweep_log
     assert tried == list(range(8))
@@ -383,7 +383,7 @@ def test_loeb_does_not_imply_reflexivity():
     slab = ModelSlab(1, ())
     from modalkit.correspond import _core_body
 
-    loeb = Schema(_core_body(SCHEMAS[AxiomSchemaId.LOEB]))
+    loeb = _core_body(SCHEMAS[AxiomSchemaId.LOEB])
     valid = slab.schema_validity_mask(loeb)
     refl = slab.property_mask(FrameProperty.REFLEXIVE)
     assert valid & (slab.full ^ refl), "expected a Loeb-valid irreflexive frame"

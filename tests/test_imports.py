@@ -121,3 +121,10 @@ def test_only_the_budgets_raise_resource_limit_exceeded():
                    for site in _raise_sites(ast.parse(path.read_text()),
                                             "ResourceLimitExceeded"))
     assert sites == ["bitgrid.charge", "decide.decide"]
+
+
+def test_package_exports_are_sorted_unique_and_resolve():
+    names = modalkit.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(modalkit, n)] == []

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (SIG_P, SIG_PQ, SchemaError, depth, formulas, instantiate, is_core,
-                      reference_tokenize)
+from conftest import (SIG_P, SIG_PQ, SchemaError, depth, formulas, is_core,
+                      reference_tokenize, substitute_metavars)
 from modalkit.syntax import (
     MAX_FORMULA_DEPTH, And, Atom, Bot, Box, Dia, Formula, Implies, LexError,
     MetaVar, Not, Or, ParseError, _tokenize,
-    Schema, Signature, Top, UnknownAtomError, atoms_of,
+    Signature, Top, UnknownAtomError, atoms_of,
     desugar, enumerate_formulas, infer_signature,
     metavars_of, parse, parse_schema, pretty, size, to_sexpr,
 )
@@ -102,7 +102,7 @@ _NESTED = {
 def test_nesting_limit(shape):
     f = parse(shape(MAX_FORMULA_DEPTH), SIG_P)
     assert depth(f) == MAX_FORMULA_DEPTH
-    assert parse_schema(shape(MAX_FORMULA_DEPTH).replace("p", "?p")).metavars == ("p",)
+    assert metavars_of(parse_schema(shape(MAX_FORMULA_DEPTH).replace("p", "?p"))) == ("p",)
     for k in (MAX_FORMULA_DEPTH + 1, 2000):
         with pytest.raises(ParseError, match="nested deeper than 100 levels"):
             parse(shape(k), SIG_P)
@@ -182,11 +182,11 @@ def test_atoms_depth_size():
 
 def test_schema_parse_and_instantiate():
     s = parse_schema("box ?phi -> ?phi")
-    assert s.metavars == ("phi",)
-    inst = instantiate(s, {"phi": parse("p & q", SIG_PQ)})
+    assert metavars_of(s) == ("phi",)
+    inst = substitute_metavars(s, {"phi": parse("p & q", SIG_PQ)})
     assert inst == parse("box (p & q) -> (p & q)", SIG_PQ)
     with pytest.raises(SchemaError):
-        instantiate(s, {})
+        substitute_metavars(s, {})
 
 
 def test_metavars_rejected_in_plain_formulas():
@@ -195,17 +195,15 @@ def test_metavars_rejected_in_plain_formulas():
 
 
 def test_metavar_order_is_first_occurrence():
-    s = parse_schema("(?psi -> ?phi) -> ?psi")
-    assert s.metavars == ("psi", "phi")
-    assert metavars_of(s.body) == ("psi", "phi")
+    assert metavars_of(parse_schema("(?psi -> ?phi) -> ?psi")) == ("psi", "phi")
 
 
 def test_instantiate_commutes_with_desugar():
     s = parse_schema("?phi -> box dia ?phi")
     arg = parse("p | q", SIG_PQ)
-    a = desugar(instantiate(s, {"phi": arg}), SIG_PQ)
-    b = desugar(instantiate(Schema(desugar(s.body, SIG_PQ)),
-                            {"phi": desugar(arg, SIG_PQ)}), SIG_PQ)
+    a = desugar(substitute_metavars(s, {"phi": arg}), SIG_PQ)
+    b = desugar(substitute_metavars(desugar(s, SIG_PQ), {"phi": desugar(arg, SIG_PQ)}),
+                SIG_PQ)
     assert a == b
 
 
