@@ -15,7 +15,7 @@ from .classify import classify, classify_corpus, render_table
 from .correspond import correspondence_check, loeb_suite
 from .countermodel import export_dot, find_countermodel
 from .decide import ResourceLimitExceeded, Valid, decide
-from .hilbert import (AxiomSchemaId, Logic, SCHEMAS, check_proof,
+from .hilbert import (AxiomSchemaId, Logic, SCHEMA_NAMES, SCHEMAS, check_proof,
                       parse_proof_script)
 from .kripke import FrameProperty, eval_deep, load_model, dump_model
 from .syntax import (FormulaSyntaxError, Signature, infer_signature, parse,
@@ -152,6 +152,8 @@ def _cmd_countermodel(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.corpus:
+        if args.formula:
+            raise _InputError("classify takes a formula or --corpus, not both")
         rows = classify_corpus()
     elif args.formula:
         f, sig = _parse_formula(args.formula)
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("correspond", help="check a schema/frame-property correspondence")
-    p.add_argument("schema", help="schema name (T, B, 4, LOEB) or schema text")
+    p.add_argument("schema", help=f"schema name ({', '.join(SCHEMA_NAMES)}) or schema text")
     p.add_argument("property", help="frame property name")
     p.add_argument("--max-worlds", type=_int_at_least(1), default=4)
     p.set_defaults(func=_cmd_correspond)

@@ -38,12 +38,12 @@ class AxiomSchemaId(Enum):
     @classmethod
     def from_name(cls, name: str) -> "AxiomSchemaId":
         try:
-            return _SCHEMA_NAMES[name.strip().upper()]
+            return SCHEMA_NAMES[name.strip().upper()]
         except KeyError:
             raise ValueError(f"unknown axiom schema {name!r}") from None
 
 
-_SCHEMA_NAMES: dict[str, AxiomSchemaId] = {
+SCHEMA_NAMES: dict[str, AxiomSchemaId] = {
     **AxiomSchemaId.__members__, "K": AxiomSchemaId.KDIST, "4": AxiomSchemaId.FOUR,
     "M": AxiomSchemaId.T, "L": AxiomSchemaId.LOEB, "GL": AxiomSchemaId.LOEB}
 

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from modalkit import bitgrid
 from modalkit.cli import main
-from modalkit.hilbert import (ALL_LOGICS, ProofScriptError, corpus_proof_text,
-                              parse_proof_script)
+from modalkit.hilbert import (ALL_LOGICS, AxiomSchemaId, ProofScriptError,
+                              corpus_proof_text, parse_proof_script)
 from modalkit.kripke import FrameProperty, ModelFormatError, load_model
 from modalkit.syntax import Signature, pretty
 
@@ -373,6 +373,11 @@ def test_classify_needs_input(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 2
     assert "needs a formula or --corpus" in err
+    # a formula given with --corpus is refused, not dropped
+    code, out, err = run(capsys, "classify", "--corpus", "p")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: classify takes a formula or --corpus, not both\n")
+    assert "usage: modalkit" in err
 
 
 def test_classify_marks_a_verdict_over_the_rule_budget(monkeypatch, capsys):
@@ -414,6 +419,17 @@ def test_correspond_schema_text(capsys):
     code, out, _ = run(capsys, "correspond", "box ?phi -> ?phi", "reflexive",
                        "--max-worlds", "2")
     assert code == 0
+
+
+def test_correspond_help_lists_every_schema_name(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["correspond", "--help"])
+    assert exit_.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    listed = help_text.split("schema name (", 1)[1].split(")", 1)[0].split(", ")
+    assert {AxiomSchemaId.from_name(name) for name in listed} == set(AxiomSchemaId)
+    assert {s.value for s in AxiomSchemaId} <= set(listed)
+    assert {"M", "L", "GL"} <= set(listed)
 
 
 def test_correspond_bad_inputs(capsys):

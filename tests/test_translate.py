@@ -415,6 +415,41 @@ def test_every_memo_is_cut_back_after_each_top_depth_formula(monkeypatch, inject
             assert {key: later[key] for key in first} == first
 
 
+@pytest.mark.parametrize("max_worlds, per_route", [
+    # 11 slabs, but the forms built on the first are kept
+    (3, {True: 1, False: 1}),
+    # 4 slabs, 2 of them totally designated, and nothing kept
+    (2, {True: 4, False: 2}),
+])
+def test_top_depth_formulas_are_translated_once_from_three_worlds(monkeypatch, max_worlds,
+                                                                  per_route):
+    top_calls = Counter()  # by guarded, i.e. by route
+    own = translate._translate
+
+    def counted(g, depth, guarded, memo, scratch=None, top=False):
+        top_calls[guarded] += top
+        return own(g, depth, guarded, memo, scratch, top)
+
+    monkeypatch.setattr(translate, "_translate", counted)
+    assert check_faithfulness(SIG_P, 3, max_worlds).ok
+    n_top = len(enumerate_formulas(SIG_P, 3)) - len(enumerate_formulas(SIG_P, 2))
+    assert top_calls == {guarded: n * n_top for guarded, n in per_route.items()}
+
+
+def test_an_injected_translation_is_called_once_per_top_depth_formula():
+    calls = Counter()
+
+    def counted_min(f):
+        calls[f] += 1
+        return unguarded_min(f)
+
+    assert not check_faithfulness(SIG_P, 3, 3, translate_min_fn=counted_min).ok
+    lower = enumerate_formulas(SIG_P, 2)
+    top = enumerate_formulas(SIG_P, 3)[len(lower):]
+    # a lower formula is translated on each of the 3 totally designated slabs
+    assert calls == {**{f: 3 for f in lower}, **{f: 1 for f in top}}
+
+
 def test_grid_is_refused_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
