@@ -12,13 +12,15 @@ countermodel up to 4 worlds, and one walk (countermodel.find_countermodels)
 finds them for every Invalid logic at once.  A formula invalid in some
 logic is invalid in K, whose frames include every other logic's, so the
 walk is K's own search until K is answered; after that it takes the frames
-the logics still waiting share, or each logic's own frames where those are
-fewer to walk.  The walk is charged at least each logic's own search, so
-when the work budget refuses it, each logic is normalised by its own
-search instead, and a logic whose own search is refused too, or that has
-no countermodel up to 4 worlds, keeps the tableau's certified
-countermodel.  So the evidence is always each logic's own normalisation,
-and the verdicts do not depend on the search.
+that have every property of at least one logic still waiting.  Each
+logic's frames are among those, and there are no more of them than the
+waiting logics' own frames together, so the walk is charged at least each
+logic's own search and at most their sum.  When the work budget refuses
+the walk, each logic is normalised by its own search instead, and a logic
+whose own search is refused too, or that has no countermodel up to 4
+worlds, keeps the tableau's certified countermodel.  So the evidence is
+always each logic's own normalisation, and the verdicts do not depend on
+the search.
 """
 
 from __future__ import annotations

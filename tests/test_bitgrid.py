@@ -204,6 +204,14 @@ def test_transitive_and_cwf_masks_on_a_proper_four_world_subset():
             assert bool(mask >> index & 1) == expected[key], (p, index)
 
 
+_R, _S, _T = FrameProperty.REFLEXIVE, FrameProperty.SYMMETRIC, FrameProperty.TRANSITIVE
+
+# pairs of property sets: disjoint, overlapping, nested and with the empty set
+_PROPERTY_SET_PAIRS = [({_R}, {_S}), ({_R, _T}, {_S, _T}), ({_T}, {_R, _S, _T}),
+                       ({FrameProperty.SERIAL}, {FrameProperty.IRREFLEXIVE}),
+                       (set(), {_S})]
+
+
 def test_properties_mask_is_the_intersection():
     slab = ModelSlab(2, ("p",))
     both = slab.properties_mask([FrameProperty.REFLEXIVE, FrameProperty.SYMMETRIC])
@@ -211,6 +219,12 @@ def test_properties_mask_is_the_intersection():
         FrameProperty.SYMMETRIC
     )
     assert slab.properties_mask([]) == slab.full
+
+
+@pytest.mark.parametrize("a, b", _PROPERTY_SET_PAIRS)
+def test_properties_mask_of_several_sets_is_the_union(a, b):
+    slab = ModelSlab(3, ("p",))
+    assert slab.properties_mask(a, b) == slab.properties_mask(a) | slab.properties_mask(b)
 
 
 # --- schema validity ---------------------------------------------------------
@@ -600,6 +614,20 @@ _FOUR_WORLD_CLASSES = {"K": 3_044, "KT": 218, "KB": 90, "K4": 242,
 
 def _isomorph_free_frames(n, props=()):
     return list(bitgrid.admitted(n, props, isomorph_free=True))
+
+
+@pytest.mark.parametrize("a, b", _PROPERTY_SET_PAIRS)
+@pytest.mark.parametrize("n, isomorph_free", [(3, True), (4, True), (3, False)])
+def test_admitted_frames_of_several_sets_are_the_union(n, isomorph_free, a, b):
+    frames = list(bitgrid.admitted(n, a, b, isomorph_free=isomorph_free))
+    assert frames == sorted({*bitgrid.admitted(n, a, isomorph_free=isomorph_free),
+                             *bitgrid.admitted(n, b, isomorph_free=isomorph_free)})
+
+
+def test_a_set_that_includes_another_is_dropped():
+    assert (bitgrid.admitted(4, {_R}, {_R, _S}, isomorph_free=True)
+            is bitgrid.admitted(4, {_R}, isomorph_free=True))
+    assert bitgrid.admitted(3, set(), {_R}) == bitgrid.admitted(3) == range(512)
 
 
 def test_isomorph_free_walks_take_one_frame_per_class():

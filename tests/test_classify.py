@@ -242,8 +242,8 @@ def test_a_refused_walk_hands_each_logic_to_its_own_search(monkeypatch):
 
 def test_evidence_equals_each_logics_own_search_under_a_lowered_budget(monkeypatch):
     # K and K4 are answered at 2 worlds and the other six logics at 4,
-    # where each walks its own frames: a walk over every canonical 4-world
-    # frame would be over this budget
+    # where the walk takes the frames that are reflexive or symmetric: a
+    # walk over every canonical 4-world frame would be over this budget
     sig = Signature(("p", "q", "s"))
     f = parse("~(dia box false | (s & dia (~s & p & ~q) & dia (~s & ~p & q)"
               " & dia (~s & p & q)))", sig)

@@ -462,21 +462,75 @@ _FEW_OWN_FRAMES = ("~(dia box false | (s & dia (~s & p & ~q) & dia (~s & ~p & q)
                    " & dia (~s & p & q)))")
 
 
-def test_the_walk_takes_each_sets_own_frames_where_they_are_fewer(monkeypatch):
-    # the six sets pending at 4 worlds share no property: a walk over every
-    # canonical 4-world frame is charged over 9e9 units, while the walks
-    # over the six sets' own frames, and every walk before them, come to
-    # 1.3e9
+def test_the_walk_takes_the_frames_some_pending_set_admits(monkeypatch):
+    # the six sets pending at 4 worlds share no property, and the walk takes
+    # the 297 canonical frames that are reflexive or symmetric, where the
+    # six sets' answers lie scattered.  Its 3-atom slabs, 13 of them, are
+    # the known cost against own walks that stop one by one (9 slabs)
     sig = Signature(("p", "q", "s"))
     f = parse(_FEW_OWN_FRAMES, sig)
     sets = [logic.frame_properties for logic in ALL_LOGICS]
-    monkeypatch.setattr(bitgrid, "MAX_WORK", 2 * 10**9)
     walked = _walked_lists(monkeypatch)
+    built = recorded_slab_counts(monkeypatch)
     found = find_countermodels(f, sets, 4, sig)
+    walk_slabs = [b for b in built if b[1] == len(sig.atoms)]
     assert [m.n_worlds for m, _ in found] == [2, 4, 4, 2, 4, 4, 4, 4]
-    assert [w for w in walked if w[0] == 4] == _canonical(
-        *((4, props) for props, (m, _) in zip(sets, found) if m.n_worlds == 4))
+    pending = [props for props, (m, _) in zip(sets, found) if m.n_worlds == 4]
+    union = list(bitgrid.admitted(4, *pending, isomorph_free=True))
+    assert len(union) == 297
+    assert union == sorted({*bitgrid.admitted(4, {R}, isomorph_free=True),
+                            *bitgrid.admitted(4, {S}, isomorph_free=True)})
+    assert [w for w in walked if w[0] == 4] == [(4, union)]
     assert found == [find_countermodel(f, props, 4, sig) for props in sets]
+    assert len(walk_slabs) <= 13
+
+
+def test_the_walk_takes_the_union_of_the_sets_pending_after_k(monkeypatch):
+    # K is answered at 2 worlds; at 3 worlds the reflexive and the symmetric
+    # sets are pending, and the walk takes the canonical frames that have
+    # one of the two properties, not every canonical frame
+    walked = _walked_lists(monkeypatch)
+    f = parse("dia box p -> box dia p", SIG_P)
+    found = find_countermodels(f, [set(), {R}, {S}], 3, SIG_P)
+    assert [x and x[0].n_worlds for x in found] == [2, 3, None]
+    union = sorted({*bitgrid.admitted(3, {R}, isomorph_free=True),
+                    *bitgrid.admitted(3, {S}, isomorph_free=True)})
+    assert walked[2:] == [(3, union)]
+    assert len(union) < len(bitgrid.admitted(3, isomorph_free=True))
+
+
+def test_the_union_walk_is_charged_less_than_the_own_walks(monkeypatch):
+    # by the charge formula the six own walks and those before them come to
+    # about 1.28e9 units, and the one walk over the union to about 0.99e9
+    sig = Signature(("p", "q", "s"))
+    f = parse(_FEW_OWN_FRAMES, sig)
+    sets = [logic.frame_properties for logic in ALL_LOGICS]
+    monkeypatch.setattr(bitgrid, "MAX_WORK", 11 * 10**8)
+    assert all(find_countermodels(f, sets, 4, sig))
+
+
+def test_a_search_above_the_isomorph_free_bound_lists_once(monkeypatch):
+    # with canonical frames up to 2 worlds, the 3-world frames of the two
+    # sets are listed in one sweep
+    for module in (bitgrid, countermodel):
+        monkeypatch.setattr(module, "ISOMORPH_FREE_WORLDS", 2)
+    listed = []
+    frame_array = bitgrid._frame_array
+
+    def recording(n, slices):
+        listed.append(n)
+        return frame_array(n, slices)
+
+    monkeypatch.setattr(bitgrid, "_frame_array", recording)
+    # both sets are pending at 3 worlds: the first two formulas have a
+    # reflexive 3-world countermodel, and none has a symmetric transitive one
+    sets = [{R}, {S, T}]
+    for text in ("box p -> box box p", "dia dia p -> dia p", "box (box p -> p)"):
+        f = parse(text, SIG_P)
+        del listed[:]
+        found = find_countermodels(f, sets, 3, SIG_P)
+        assert listed.count(3) == 1, text
+        assert found == [find_countermodel(f, props, 3, SIG_P) for props in sets], text
 
 
 def test_a_refused_walk_gives_no_answers(monkeypatch):
