@@ -37,8 +37,9 @@ block) - low fills the blocks.
 
 Truth values across the window are Python integers with one bit per model,
 which makes the connectives single big-integer operations.  The scalar
-evaluators in kripke and translate stay the reference semantics; the test
-suite pins the two routes against each other.
+kripke.eval_deep stays the reference semantics of formulas, and the test
+suite's eval_core (tests/conftest.py) that of translated forms; the tests
+pin the packed routes against them.
 
 Work is bounded by one budget, MAX_WORK, in one unit: a mask operation
 over M models costs max(M, OP_FLOOR) units, the floor standing for the
@@ -594,8 +595,7 @@ class ModelSlab:
 
     # -- schemas -----------------------------------------------------------
 
-    def schema_validity_mask(self, s: Formula,
-                             hints: dict[int, int] | None = None) -> int:
+    def schema_validity_mask(self, s: Formula, hints: dict[int, int]) -> int:
         """Models where every instantiation of s's metavariables by subsets
         of the designated worlds is valid.
 
@@ -606,17 +606,17 @@ class ModelSlab:
         and the loop stops at the first valuation that leaves it 0.  The
         order of the valuations only decides how many run before that: AND
         is commutative and 0 absorbs it, so the mask is the same in any
-        order.  Without hints they run in ascending order.  hints, shared
-        by the tiles of one sweep of one schema, maps a world count to the
-        valuation that last emptied a tile of that size; that valuation runs
-        first, then the others in ascending order, and a valuation that
-        empties this slab is written back.
+        order.  hints, shared by the tiles of one sweep of one schema, maps
+        a world count to the valuation that last emptied a tile of that
+        size; that valuation runs first, then the others in ascending order
+        ({} runs them all in ascending order), and a valuation that empties
+        this slab is written back.
         """
         names = metavars_of(s)
         full = self.full
         out = full
         ds = self._dsorted
-        first = hints.get(self.n, 0) if hints else 0
+        first = hints.get(self.n, 0)
         rest = 1 << (len(names) * len(ds))
         for choice in chain((first,), range(first), range(first + 1, rest)):
             assignment = _assignment(names, ds, choice)
@@ -624,8 +624,7 @@ class ModelSlab:
             for w in ds:
                 out = _meet(full, out, self._deep(s, w, memo, assignment))
             if not out:
-                if hints is not None:
-                    hints[self.n] = choice
+                hints[self.n] = choice
                 break
         return out
 

@@ -18,8 +18,8 @@ from .decide import ResourceLimitExceeded, Valid, decide
 from .hilbert import (AxiomSchemaId, Logic, SCHEMA_NAMES, SCHEMAS, check_proof,
                       parse_proof_script)
 from .kripke import FrameProperty, eval_deep, load_model, dump_model
-from .syntax import (FormulaSyntaxError, Signature, infer_signature, parse,
-                     parse_schema, pretty, to_sexpr)
+from .syntax import (FormulaSyntaxError, Signature, atoms_of, parse, parse_schema,
+                     pretty, sorted_signature, to_sexpr)
 from .translate import check_faithfulness
 
 _ATOM_POOL = ("p", "q", "r", "s", "t", "u", "v", "w")
@@ -30,11 +30,9 @@ class _InputError(Exception):
 
 
 def _parse_formula(text: str, sig: Signature | None = None):
-    """The formula and its signature: sig, or the atoms it names."""
+    """The formula of text, over sig when one is given."""
     try:
-        if sig is None:
-            sig = infer_signature(text)
-        return parse(text, sig), sig
+        return parse(text, sig)
     except FormulaSyntaxError as e:
         raise _InputError(f"cannot parse formula {text!r}: {e}") from None
 
@@ -87,7 +85,7 @@ def _parse_props(text: str) -> set[FrameProperty]:
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_parse(args) -> int:
-    f, _ = _parse_formula(args.formula)
+    f = _parse_formula(args.formula)
     print(pretty(f))
     print(to_sexpr(f))
     return 0
@@ -95,7 +93,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = _load(args.model, "model file", load_model)
-    f, _ = _parse_formula(args.formula, model.sig)
+    f = _parse_formula(args.formula, model.sig)
     if args.world not in model.worlds:
         raise _InputError(f"world {args.world} is not designated in the model")
     value = eval_deep(model, args.world, f)
@@ -118,7 +116,7 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    f, _ = _parse_formula(args.formula)
+    f = _parse_formula(args.formula)
     logic = _parse_logic(args.logic)
     result = decide(f, logic)
     if isinstance(result, Valid):
@@ -130,9 +128,9 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
-    f, sig = _parse_formula(args.formula)
+    f = _parse_formula(args.formula)
     props = _parse_props(args.props) if args.props else set()
-    found = find_countermodel(f, props, args.max_worlds, sig)
+    found = find_countermodel(f, props, args.max_worlds, sorted_signature(atoms_of(f)))
     if found is None:
         print(f"no countermodel with up to {args.max_worlds} worlds")
         return 0
@@ -156,8 +154,7 @@ def _cmd_classify(args) -> int:
             raise _InputError("classify takes a formula or --corpus, not both")
         rows = classify_corpus()
     elif args.formula:
-        f, sig = _parse_formula(args.formula)
-        rows = [("F", classify(f, sig=sig))]
+        rows = [("F", classify(_parse_formula(args.formula)))]
     else:
         raise _InputError("classify needs a formula or --corpus")
     print(render_table(rows), end="")

@@ -20,8 +20,8 @@ from importlib import resources
 
 from .kripke import FrameProperty
 from .syntax import (
-    RESERVED_WORDS, Box, Formula, Implies, MetaVar, Not, Signature, atoms_of,
-    desugar, metavars_of, parse, parse_schema, pretty, sorted_signature,
+    Box, Formula, Implies, MetaVar, Not, Signature, atoms_of, desugar,
+    metavars_of, parse, parse_schema, pretty, sorted_signature,
 )
 
 
@@ -271,14 +271,13 @@ _BINDING_RE = re.compile(r'\s*([A-Za-z][A-Za-z0-9_]*)\s*:=\s*"([^"]*)"\s*\Z')
 
 
 def parse_proof_script(text: str) -> Proof:
-    sig = _script_signature(text)
     steps: list = []
     conclusion: Formula | None = None
     expected = 1
     parsed: dict[str, Formula] = {}  # each distinct text is parsed once
 
     def read(quoted: str) -> Formula:
-        return parsed.get(quoted) or parsed.setdefault(quoted, parse(quoted, sig))
+        return parsed.get(quoted) or parsed.setdefault(quoted, parse(quoted))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -330,11 +329,6 @@ def parse_proof_script(text: str) -> Proof:
     if conclusion is None:
         raise ProofScriptError("missing QED line", len(text.splitlines()) or 1)
     return Proof(steps, conclusion)
-
-
-def _script_signature(text: str) -> Signature:
-    quoted = " ".join(set(re.findall(r'"([^"]*)"', text)))
-    return sorted_signature(set(re.findall(r"[A-Za-z][A-Za-z0-9_]*", quoted)) - RESERVED_WORDS)
 
 
 def serialize_proof(proof: Proof) -> str:

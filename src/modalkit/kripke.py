@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping
 
 from .syntax import (
@@ -180,29 +181,10 @@ def has_property(m: KripkeModel, p: FrameProperty) -> bool:
 
 def _acyclic(ws: list[int], rel: frozenset[tuple[int, int]]) -> bool:
     """No directed cycle (self-loops included) within the designated worlds."""
-    colors = {w: 0 for w in ws}  # 0 fresh, 1 on stack, 2 done
-    inside = set(ws)
-    for start in ws:
-        if colors[start]:
-            continue
-        stack = [(start, iter(ws))]
-        colors[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in inside or (node, v) not in rel:
-                    continue
-                if colors[v] == 1:
-                    return False
-                if colors[v] == 0:
-                    colors[v] = 1
-                    stack.append((v, iter(ws)))
-                    advanced = True
-                    break
-            if not advanced:
-                colors[node] = 2
-                stack.pop()
+    try:
+        TopologicalSorter({w: [v for v in ws if (w, v) in rel] for w in ws}).prepare()
+    except CycleError:
+        return False
     return True
 
 

@@ -583,8 +583,10 @@ class _Parser:
         raise ParseError(f"expected a formula, found {found}", pos)
 
 
-def parse(text: str, sig: Signature) -> Formula:
-    """Parse formula text over the given signature.
+def parse(text: str, sig: Signature | None = None) -> Formula:
+    """Parse formula text.  With a signature, a name outside it is an
+    UnknownAtomError; without one, every name that is not a keyword is an
+    atom.
 
     Precedence, tightest first: the prefix operators ~ / box / dia, then &,
     then |, then the right-associative ->.  A formula deeper than
@@ -597,18 +599,6 @@ def parse_schema(text: str) -> Formula:
     """Parse a schema: a formula whose leaves may also be ?metavariables,
     standing for arbitrary formulas.  Atoms of any name are accepted."""
     return _Parser(text, None, allow_metavars=True).parse()
-
-
-def infer_signature(text: str) -> Signature:
-    """Signature made of the non-keyword identifiers in text, in order of
-    first occurrence.  Falls back to a single atom p when none occur."""
-    names: list[str] = []
-    for kind, tok, _ in _tokenize(text):
-        if kind == "name" and tok not in RESERVED_WORDS and tok not in names:
-            names.append(tok)
-    if not names:
-        names = ["p"]
-    return Signature(tuple(names))
 
 
 # ---------------------------------------------------------------------------

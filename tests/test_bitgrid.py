@@ -174,7 +174,7 @@ def test_property_masks_on_three_worlds_match_scalar_check(designated):
 
 def test_cycle_detection_on_three_worlds():
     # the peeling rounds for converse well-foundedness, against the scalar
-    # depth-first search, over all 512 three-world frames
+    # check's topological sort, over all 512 three-world frames
     slab = ModelSlab(3, ())
     mask = slab.property_mask(FrameProperty.CONVERSE_WELL_FOUNDED)
     for index in range(slab.count):
@@ -269,7 +269,7 @@ def test_schema_validity_mask_matches_scalar_check(text):
     names = list(metavars_of(body))
     for designated in ((0, 1, 2), (0, 2)):
         slab = ModelSlab(3, (), designated)
-        mask = slab.schema_validity_mask(body)
+        mask = slab.schema_validity_mask(body, {})
         for index in range(slab.count):
             assert (bool(mask >> index & 1)
                     == _schema_valid_scalar(slab, index, body, names)), (designated, index)
@@ -287,7 +287,7 @@ def test_schema_validity_ignores_the_valuation():
     # of the frame alone, since atom leaves range over assignments too
     schema = desugar(parse_schema("box ?phi -> ?phi"), SIG_P)
     slab = ModelSlab(2, ("p",))
-    mask = slab.schema_validity_mask(schema)
+    mask = slab.schema_validity_mask(schema, {})
     frames = {}
     for index in range(slab.count):
         _, rel = slab.frame_at(index)
@@ -420,8 +420,8 @@ def test_a_tile_is_the_full_slab_restricted_to_its_block():
         assert tile.property_mask(prop) == whole.property_mask(prop) >> 320 & window, prop
     for schema in SCHEMAS.values():
         core = _core_body(schema)
-        assert (tile.schema_validity_mask(core)
-                == whole.schema_validity_mask(core) >> 320 & window), schema
+        assert (tile.schema_validity_mask(core, {})
+                == whole.schema_validity_mask(core, {}) >> 320 & window), schema
 
 
 def test_a_tile_with_atoms_round_trips_and_restricts_the_full_slab():

@@ -449,7 +449,7 @@ def test_loeb_suite_clean(capsys):
 def test_loeb_violations_list_their_example_frames(capsys, monkeypatch):
     # a mask that calls every frame Loeb-valid breaks all but the first claim
     monkeypatch.setattr(bitgrid.ModelSlab, "schema_validity_mask",
-                        lambda self, s, hints=None: self.full)
+                        lambda self, s, hints: self.full)
     code, out, err = run(capsys, "loeb", "--max-worlds", "3")
     assert (code, err) == (1, "")
     lines = out.splitlines()
@@ -468,6 +468,65 @@ def test_faithful_defaults(capsys):
     assert code == 0
     for name in ("truth-deep-max", "validity-deep-max", "truth-deep-min", "truth-max-min"):
         assert name in out
+
+
+# --- true and false beside atoms out of sorted order --------------------------
+#
+# Only eval parses over a signature, the model's; the other commands take
+# the formula's own atoms.  true and false desugar over a signature's first
+# atom, which is always one of the formula's atoms (or p when it has none),
+# so no output depends on which atom comes first.
+
+_CONSTANT_CASES = [
+    (("countermodel", "q -> p & true"), 1,
+     'countermodel found: q -> p & true fails at world 0\nworlds: 1\nin: [0]\n'
+     'rel: []\nval: {"p": [], "q": [0]}\n'),
+    (("countermodel", "box false -> r | s", "--max-worlds", "2"), 1,
+     'countermodel found: box false -> r | s fails at world 0\nworlds: 1\nin: [0]\n'
+     'rel: []\nval: {"r": [], "s": []}\n'),
+    (("countermodel", "false"), 1,
+     'countermodel found: false fails at world 0\nworlds: 1\nin: [0]\n'
+     'rel: []\nval: {"p": []}\n'),
+    (("classify", "q -> p | true"), 0,
+     "name  formula        K  KT  KB  K4  KTB  S4  KB4  S5  minimal\n"
+     "F     q -> p | true  ✓  ✓   ✓   ✓   ✓    ✓   ✓    ✓   K\n"),
+    (("classify", "b -> a & false"), 0,
+     "name  formula         K  KT  KB  K4  KTB  S4  KB4  S5  minimal\n"
+     "F     b -> a & false  ✗  ✗   ✗   ✗   ✗    ✗   ✗    ✗   -\n"),
+    (("prove", "--logic", "S4", "q -> true & p"), 1,
+     "invalid in S4: falsified at world 0\nworlds: 1\nin: [0]\nrel: [[0, 0]]\n"
+     'val: {"p": [], "q": [0]}\n'),
+    (("parse", "z & true | false"), 0,
+     "z & true | false\n(or (and (atom z) (top)) (bot))\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", _CONSTANT_CASES)
+def test_constants_beside_unsorted_atoms(capsys, argv, code, out):
+    assert run(capsys, *argv) == (code, out, "")
+
+
+def test_constants_beside_unsorted_atoms_in_a_graph(tmp_path, capsys):
+    dot = tmp_path / "g.dot"
+    code, out, err = run(capsys, "countermodel", "--dot", str(dot), "r & true -> q")
+    assert (code, err) == (1, "")
+    assert out == ('countermodel found: r & true -> q fails at world 0\nworlds: 1\n'
+                   f'in: [0]\nrel: []\nval: {{"q": [], "r": [0]}}\ngraph written to {dot}\n')
+    assert dot.read_text() == ('digraph countermodel {\n  rankdir=LR;\n'
+                               '  init [shape=point, label=""];\n'
+                               '  w0 [shape=circle, label="w0\\n~q r"];\n'
+                               '  init -> w0;\n}\n')
+
+
+def test_eval_keeps_the_models_signature(tmp_path, capsys):
+    path = tmp_path / "m.model"
+    path.write_text(GOOD_MODEL)
+    code, out, err = run(capsys, "eval", "p -> true", "--model", str(path), "--world", "0")
+    assert (code, out, err) == (0, "true\n", "")
+    code, out, err = run(capsys, "eval", "r | true", "--model", str(path), "--world", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse formula 'r | true': "
+                          "unknown atom 'r' (at position 0)\n")
 
 
 # --- formula nesting limit -------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_scalar_and_packed_schema_validity_agree():
 
     slab = ModelSlab(3, ())
     for schema in _AGREEMENT_SCHEMAS:
-        mask = slab.schema_validity_mask(_core_body(schema))
+        mask = slab.schema_validity_mask(_core_body(schema), {})
         for index in range(slab.count):
             n, rel = slab.frame_at(index)
             expected = schema_valid_on_frame(set(range(n)), set(rel), schema)
@@ -294,7 +294,7 @@ def test_sweeps_try_fewer_valuations_than_in_ascending_order(sweep_log):
 def test_a_single_slab_tries_the_valuations_in_ascending_order(sweep_log):
     slab = ModelSlab(3, ())
     loeb = _core_body(SCHEMAS[AxiomSchemaId.LOEB])
-    slab.schema_validity_mask(loeb)
+    slab.schema_validity_mask(loeb, {})
     [(_, _, tried, out)] = sweep_log
     assert tried == list(range(8))
     assert out
@@ -358,7 +358,7 @@ def test_dense_violations_are_counted_and_sampled_in_canonical_order(monkeypatch
     # with every frame forced Loeb-valid, each loeb-implies claim fails on
     # every frame that lacks its property, and the first claim on none
     monkeypatch.setattr(ModelSlab, "schema_validity_mask",
-                        lambda self, s, hints=None: self.full)
+                        lambda self, s, hints: self.full)
     lacking = {"transitive+cwf-implies-loeb": None,
                "loeb-implies-cwf": FrameProperty.CONVERSE_WELL_FOUNDED,
                "loeb-implies-irreflexive": FrameProperty.IRREFLEXIVE,
@@ -384,7 +384,7 @@ def test_loeb_does_not_imply_reflexivity():
     from modalkit.correspond import _core_body
 
     loeb = _core_body(SCHEMAS[AxiomSchemaId.LOEB])
-    valid = slab.schema_validity_mask(loeb)
+    valid = slab.schema_validity_mask(loeb, {})
     refl = slab.property_mask(FrameProperty.REFLEXIVE)
     assert valid & (slab.full ^ refl), "expected a Loeb-valid irreflexive frame"
 

@@ -389,7 +389,7 @@ def test_each_distinct_script_text_is_parsed_once(monkeypatch, name, distinct):
     texts = []
     real = hilbert.parse
 
-    def counting(text, sig):
+    def counting(text, sig=None):
         texts.append(text)
         return real(text, sig)
 

@@ -113,6 +113,9 @@ def test_properties_restricted_to_designated_set():
     assert has_property(m, FrameProperty.IRREFLEXIVE) is True
     assert has_property(m, FrameProperty.CONVERSE_WELL_FOUNDED) is True
     assert has_property(m, FrameProperty.REFLEXIVE) is False
+    # so does a cycle that passes through world 2
+    through = _frame(3, [(0, 2), (2, 1), (1, 2)], worlds=[0, 1])
+    assert has_property(through, FrameProperty.CONVERSE_WELL_FOUNDED) is True
 
 
 def test_frame_property_from_name():

@@ -1,5 +1,7 @@
 """Parser, printer, desugaring and enumeration."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from modalkit.syntax import (
     MAX_FORMULA_DEPTH, And, Atom, Bot, Box, Dia, Formula, Implies, LexError,
     MetaVar, Not, Or, ParseError, _tokenize,
     Signature, Top, UnknownAtomError, atoms_of,
-    desugar, enumerate_formulas, infer_signature,
+    desugar, enumerate_formulas,
     metavars_of, parse, parse_schema, pretty, size, to_sexpr,
 )
 
@@ -33,7 +35,7 @@ def test_parse_keywords_and_symbols_agree():
 def test_unknown_atom_is_reported_with_its_name():
     with pytest.raises(UnknownAtomError) as exc:
         parse("p -> zeta", SIG_PQ)
-    assert exc.value.name == "zeta"
+    assert (exc.value.name, exc.value.position) == ("zeta", 5)
 
 
 def test_syntax_error_carries_position():
@@ -127,11 +129,6 @@ def test_signature_validation():
         Signature(("3p",))
 
 
-def test_infer_signature_first_occurrence_order():
-    assert infer_signature("beta -> alpha & beta").atoms == ("beta", "alpha")
-    assert infer_signature("true").atoms == ("p",)
-
-
 def test_sexpr_golden():
     f = parse("box (p -> q) -> dia p", SIG_PQ)
     assert to_sexpr(f) == ("(implies (box (implies (atom p) (atom q))) "
@@ -150,6 +147,28 @@ def test_pretty_golden():
 @given(formulas())
 def test_parse_pretty_round_trip(f):
     assert parse(pretty(f), SIG_PQ) == f
+
+
+_SIG_PQR = Signature(("p", "q", "r"))
+
+
+@given(formulas(_SIG_PQR), st.data())
+def test_parse_without_a_signature_agrees_with_any_covering_one(f, data):
+    text = pretty(f)
+    extra = data.draw(st.lists(st.sampled_from(("r", "s", "zeta")), unique=True))
+    names = data.draw(st.permutations(sorted(atoms_of(f).union(extra)) or ["p"]))
+    assert parse(text) == parse(text, Signature(tuple(names))) == f
+
+
+@given(formulas(_SIG_PQR).filter(atoms_of), st.data())
+def test_a_signature_still_rejects_the_first_atom_outside_it(f, data):
+    text = pretty(f)
+    missing = data.draw(st.sampled_from(sorted(atoms_of(f))))
+    sig = Signature(tuple(sorted(atoms_of(f) - {missing})) or ("zeta",))
+    with pytest.raises(UnknownAtomError) as exc:
+        parse(text, sig)
+    assert exc.value.name == missing
+    assert exc.value.position == re.search(rf"\b{missing}\b", text).start()
 
 
 @given(formulas())
