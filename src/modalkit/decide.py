@@ -69,8 +69,7 @@ class _Branch:
     true-box bodies and parent, each a list indexed by label.  Copied
     wholesale at disjunctive choice points."""
 
-    __slots__ = ("signs", "succs", "universals", "parent", "todo", "pending",
-                 "incomplete")
+    __slots__ = ("signs", "succs", "universals", "parent", "todo", "pending")
 
     def __init__(self):
         self.signs: list[dict[Formula, bool]] = []
@@ -82,10 +81,6 @@ class _Branch:
         # saturation because later arrivals can break the blocking subset,
         # and read off as loop edges if still blocked there
         self.pending: list[tuple[int, Formula]] = []
-        # set when a rule could not be applied (label or rule budget): run
-        # stops once the queue drains, or at once past the rule budget, and
-        # an open outcome is unreliable; a clash met first still closes it
-        self.incomplete = False
 
     def copy(self) -> "_Branch":
         b = _Branch.__new__(_Branch)
@@ -95,7 +90,6 @@ class _Branch:
         b.parent = list(self.parent)
         b.todo = deque(self.todo)
         b.pending = list(self.pending)
-        b.incomplete = self.incomplete
         return b
 
 
@@ -113,7 +107,6 @@ class _Tableau:
     def new_label(self, b: _Branch, parent: int | None) -> int | None:
         w = len(b.parent)
         if w >= self.max_labels:
-            b.incomplete = True
             return None
         b.signs.append({})
         b.succs.append([])
@@ -142,15 +135,13 @@ class _Tableau:
                     if x in ws:
                         queue.append((w, y))
 
-    def witness(self, b: _Branch, w: int, f: Box) -> bool:
-        """Open a successor of w where the body of the false box f is false;
-        False when the label budget refuses it."""
+    def witness(self, b: _Branch, w: int, f: Box) -> None:
+        """Open a successor of w where the body of the false box f is false,
+        unless the label budget refuses it."""
         v = self.new_label(b, parent=w)
-        if v is None:
-            return False
-        b.todo.append((v, False, f.body))
-        self.add_edge(b, w, v)
-        return True
+        if v is not None:
+            b.todo.append((v, False, f.body))
+            self.add_edge(b, w, v)
 
     # -- blocking -------------------------------------------------------------
 
@@ -183,79 +174,67 @@ class _Tableau:
     def run(self, b: _Branch, alternatives: list[_Branch]) -> _Branch | None:
         """Apply rules until the branch clashes (None) or saturates.
 
-        Saturation alternates draining the work queue with rechecking
-        deferred box expansions; a block that went stale (the label gained
-        formulas its blocker lacks) is undone by expanding after all.
-        """
-        while True:
-            out = self._drain(b, alternatives)
-            if out is None:
-                return None
-            if b.incomplete:
-                return b
-            if not self._expand_pending(b) and not b.todo:
-                return b
-
-    def _expand_pending(self, b: _Branch) -> bool:
-        expanded = False
-        for item in list(b.pending):
-            w, f = item
-            if self.blocked_by(b, w) is not None:
-                continue
-            b.pending.remove(item)
-            expanded |= self.witness(b, w, f)
-        return expanded
-
-    def _drain(self, b: _Branch, alternatives: list[_Branch]) -> _Branch | None:
-        """Process queued signed formulas; None means the branch closed.
-
+        Each pass drains the work queue, then retries the deferred box
+        expansions: a block that went stale (the label gained formulas its
+        blocker lacks) is undone by expanding after all.  The branch is
+        returned once a retry expands nothing (saturated, or cut short by
+        the label budget), and as it stands at the rule budget.
         Disjunctive choice points push a copy of the branch onto
         alternatives; successors of a true box arriving later are handled
         by add_edge via the per-label universals list.
         """
-        while b.todo:
-            if self.trace.rule_applications >= _MAX_RULES:
-                b.incomplete = True
-                return b
-            self.trace.rule_applications += 1
-            w, sign, f = b.todo.popleft()
-            signs = b.signs[w]
-            prev = signs.get(f)
-            if prev is not None:
-                if prev != sign:
-                    return None  # clash: branch closes
-                continue
-            signs[f] = sign
-            if isinstance(f, Atom):
-                continue
-            if isinstance(f, Not):
-                b.todo.append((w, not sign, f.body))
-            elif isinstance(f, Implies):
-                if sign:
-                    alt = b.copy()
-                    alt.todo.append((w, True, f.right))
-                    alternatives.append(alt)
-                    b.todo.append((w, False, f.left))
+        while True:
+            while b.todo:
+                if self.trace.rule_applications >= _MAX_RULES:
+                    return b
+                self.trace.rule_applications += 1
+                w, sign, f = b.todo.popleft()
+                signs = b.signs[w]
+                prev = signs.get(f)
+                if prev is not None:
+                    if prev != sign:
+                        return None  # clash: branch closes
+                    continue
+                signs[f] = sign
+                if isinstance(f, Atom):
+                    continue
+                if isinstance(f, Not):
+                    b.todo.append((w, not sign, f.body))
+                elif isinstance(f, Implies):
+                    if sign:
+                        alt = b.copy()
+                        alt.todo.append((w, True, f.right))
+                        alternatives.append(alt)
+                        b.todo.append((w, False, f.left))
+                    else:
+                        b.todo.append((w, True, f.left))
+                        b.todo.append((w, False, f.right))
+                elif isinstance(f, Box):
+                    if sign:
+                        b.universals[w].append(f.body)
+                        for v in b.succs[w]:
+                            b.todo.append((v, True, f.body))
+                    elif self.blocked_by(b, w) is not None:
+                        b.pending.append((w, f))
+                    else:
+                        self.witness(b, w, f)
                 else:
-                    b.todo.append((w, True, f.left))
-                    b.todo.append((w, False, f.right))
-            elif isinstance(f, Box):
-                if sign:
-                    b.universals[w].append(f.body)
-                    for v in b.succs[w]:
-                        b.todo.append((v, True, f.body))
-                elif self.blocked_by(b, w) is not None:
+                    raise AssertionError(f"unexpected node in core formula: {f!r}")
+            # a witness only queues work when the label budget admits it
+            pending, b.pending = b.pending, []
+            for w, f in pending:
+                if self.blocked_by(b, w) is not None:
                     b.pending.append((w, f))
                 else:
                     self.witness(b, w, f)
-            else:
-                raise AssertionError(f"unexpected node in core formula: {f!r}")
-        return b
+            if not b.todo:
+                return b
 
     # -- extraction -------------------------------------------------------------
 
-    def extract(self, b: _Branch, sig: Signature) -> tuple[KripkeModel, int]:
-        """Read the branch off as a model closed under the frame properties.
+    def extract(self, b: _Branch, sig: Signature) -> KripkeModel:
+        """Read the branch off as a model closed under the frame properties;
+        the root is label 0.
 
         A label still blocked at saturation gets an edge to every successor
         of its blocker, which holds all of its signed formulas and has its
@@ -275,7 +254,7 @@ class _Tableau:
         rel = [(w, v) for w in range(n) for v in b.succs[w]]
         val = {a: {w for w in range(n) if b.signs[w].get(Atom(a)) is True}
                for a in sig.atoms}
-        return KripkeModel(n, set(range(n)), rel, val, sig), 0
+        return KripkeModel(n, set(range(n)), rel, val, sig)
 
 
 def decide(f: Formula, logic: Logic, *, sig: Signature | None = None,
@@ -308,10 +287,10 @@ def decide(f: Formula, logic: Logic, *, sig: Signature | None = None,
         open_branch = tab.run(cur, alternatives)
         if open_branch is None:
             continue  # closed
-        model, world = tab.extract(open_branch, sig)
-        if (not eval_deep(model, world, goal)
+        model = tab.extract(open_branch, sig)
+        if (not eval_deep(model, 0, goal)
                 and all(has_property(model, p) for p in props)):
-            return Invalid(model, world, trace)
+            return Invalid(model, 0, trace)
         # extraction did not survive the mandatory re-check; keep searching
         trace.abandoned += 1
 

@@ -25,23 +25,16 @@ class FrameProperty(Enum):
     def from_name(cls, name: str) -> "FrameProperty":
         key = name.strip().lower()
         try:
-            return _PROPERTY_NAMES[key]
-        except KeyError:
+            return _PROPERTY_ALIASES.get(key) or cls(key)
+        except ValueError:
             raise ValueError(f"unknown frame property {name!r}") from None
 
 
-_PROPERTY_NAMES = {
+_PROPERTY_ALIASES = {
     "r": FrameProperty.REFLEXIVE,
-    "reflexive": FrameProperty.REFLEXIVE,
     "s": FrameProperty.SYMMETRIC,
-    "symmetric": FrameProperty.SYMMETRIC,
     "t": FrameProperty.TRANSITIVE,
-    "transitive": FrameProperty.TRANSITIVE,
-    "serial": FrameProperty.SERIAL,
-    "euclidean": FrameProperty.EUCLIDEAN,
-    "irreflexive": FrameProperty.IRREFLEXIVE,
     "cwf": FrameProperty.CONVERSE_WELL_FOUNDED,
-    "converse-well-founded": FrameProperty.CONVERSE_WELL_FOUNDED,
 }
 
 
@@ -221,6 +214,14 @@ def _is_world_list(value) -> bool:
 
 
 def load_model(text: str) -> KripkeModel:
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for name, value in pairs:
+            if name in obj:
+                raise ModelFormatError(f"line {lineno}: duplicate atom {name!r}")
+            obj[name] = value
+        return obj
+
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -235,7 +236,7 @@ def load_model(text: str) -> KripkeModel:
         if key in fields:
             raise ModelFormatError(f"line {lineno}: duplicate field {key!r}")
         try:
-            fields[key] = json.loads(value)
+            fields[key] = json.loads(value, object_pairs_hook=unique if key == "val" else None)
         except json.JSONDecodeError as e:
             raise ModelFormatError(f"line {lineno}: bad value for {key!r}: {e}") from None
     missing = [k for k in ("worlds", "in", "rel", "val") if k not in fields]

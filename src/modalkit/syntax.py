@@ -85,9 +85,6 @@ class Node:
             return False
         return self._key() == other._key()
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class Formula(Node):
     """Base class for formula nodes.  A connective declares only its tag,

@@ -121,6 +121,14 @@ def test_deep_truth_matches_scalar_evaluation(slab):
                 assert bool(mask >> index & 1) == expected, (f, w, index)
 
 
+def test_deep_truth_refuses_a_foreign_atom_and_sugar():
+    slab = ModelSlab(1, ("p",))
+    with pytest.raises(ValueError, match="^atom 'q' is not in this slab$"):
+        slab.deep_truth(Atom("q"), 0)
+    with pytest.raises(TypeError, match=r"\(desugar first\)$"):
+        slab.deep_truth(parse("p | p", SIG_P), 0)
+
+
 def test_validity_mask_matches_scalar_validity():
     slab = ModelSlab(2, ("p",), (0, 1))
     for f in enumerate_formulas(SIG_P, 2):

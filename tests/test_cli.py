@@ -94,7 +94,8 @@ def test_eval_corrupt_model_file(tmp_path, capsys):
     assert "bad model file" in err
 
 
-@pytest.mark.parametrize("field", ['in: 3', 'val: {"p": 3}', 'val: {"p": [[0]]}'])
+@pytest.mark.parametrize("field", ['in: 3', 'val: {"p": 3}', 'val: {"p": [[0]]}',
+                                   'val: {"p": [0], "p": []}'])
 def test_eval_model_with_wrongly_typed_field(tmp_path, capsys, field):
     lines = {"worlds": "worlds: 1", "in": "in: [0]", "rel": "rel: []", "val": 'val: {"p": [0]}'}
     lines[field.split(":")[0]] = field
@@ -626,14 +627,10 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "modalkit.cli", "prove", "p -> p"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "valid in K"
+    for argv, want in ((["prove", "p -> p"], "valid in K\n"), (["parse", "p"], "p\n(atom p)\n")):
+        proc = subprocess.run([sys.executable, "-m", "modalkit.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, ""), argv
 
 
 def test_package_entry_point_prints_what_main_prints(capsys):

@@ -49,6 +49,10 @@ def test_cube_names_and_order():
     assert tuple(l.name for l in ALL_LOGICS) == ("K", "KT", "KB", "K4", "KTB", "S4", "KB4", "S5")
 
 
+def test_a_logic_prints_as_its_name():
+    assert str(Logic.S4) == "S4"
+
+
 def test_logic_from_name_is_case_insensitive():
     assert Logic.from_name("s4").schemata == frozenset({AxiomSchemaId.T, AxiomSchemaId.FOUR})
     assert Logic.from_name("kb4") is Logic(
@@ -165,6 +169,13 @@ def test_mutation_schema_swapped(identity_proof):
     assert isinstance(first, AxStep) and first.schema is AxiomSchemaId.H1
     first.schema = AxiomSchemaId.H3
     _assert_rejected(bad)
+
+
+def test_mutation_unknown_step_kind(identity_proof):
+    bad = copy.deepcopy(identity_proof)
+    bad.steps.insert(2, "junk")
+    result = _assert_rejected(bad, step=3)
+    assert result.reason == "unknown step kind 'junk'"
 
 
 def test_mutation_binding_changed(identity_proof):

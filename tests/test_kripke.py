@@ -258,6 +258,8 @@ def test_load_accepts_comments_and_blank_lines():
         ("worlds: 1\nin: [0]\nrel: []\nval: {\"p\": [[0]]}", "'val'"),
         ("worlds: 1\nin: [0]\nrel: [[0.7, \"0\"]]\nval: {\"p\": []}", "pairs"),
         ("worlds: true\nin: [0]\nrel: []\nval: {\"p\": []}", "positive"),
+        ("worlds: 2\nin: [0, 1]\nrel: []\nval: {\"p\": [0], \"p\": [1]}",
+         "line 4: duplicate atom 'p'"),
     ],
 )
 def test_load_rejects_malformed_input(text, fragment):
@@ -270,6 +272,12 @@ def test_load_rejects_semantic_errors():
     # structurally fine, semantically out of range
     with pytest.raises((ModelError, ModelFormatError)):
         load_model("worlds: 1\nin: [3]\nrel: []\nval: {\"p\": []}")
+
+
+def test_repr_and_comparison_with_a_non_model():
+    m = KripkeModel(2, {0, 1}, [(0, 1)], {"p": {0}}, SIG_P)
+    assert repr(m) == "KripkeModel(n_worlds=2, worlds=[0, 1], rel=[(0, 1)], val={p: [0]})"
+    assert (m == 3) is False and m != 3
 
 
 def test_describe_mentions_the_pieces(loop_model):

@@ -231,6 +231,10 @@ def test_enumerate_formulas_depth_one_golden():
     assert got == ["p", "~p", "p -> p", "box p"]
 
 
+def test_enumerate_formulas_below_depth_zero_is_empty():
+    assert enumerate_formulas(SIG_P, -1) == []
+
+
 def test_enumerate_formulas_counts():
     # one atom: 1 at depth 0; +3 at depth 1; +21 at depth 2 (3 negations,
     # 4*4-1 implications over the depth<=1 pool, 3 boxes)

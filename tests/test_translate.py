@@ -223,6 +223,8 @@ def test_dropping_the_r_guard_is_caught():
     assert report.by_name(CHECK_VALIDITY_DEEP_MAX).violation_count == 0
     ex = report.by_name(CHECK_TRUTH_DEEP_MIN).examples[0]
     assert ex.check == CHECK_TRUTH_DEEP_MIN and ex.formula
+    lines = report.by_name(CHECK_TRUTH_DEEP_MIN).render().splitlines()
+    assert lines[3] == "  formula: box p; worlds=1 in=[0] rel=[] val[p@[]]; world: 0"
 
 
 def test_swapping_max_for_min_is_caught():
