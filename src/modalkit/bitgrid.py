@@ -63,11 +63,11 @@ bitmask among its relabellings, one frame per isomorphism class (2, 10, 104
 and 3,044 of 2, 16, 512 and 65,536 frames for 1 to 4 worlds).  They are
 found on the atom-free tiles, one "a relabelling is smaller" mask per
 permutation of the worlds, listed once per process and world count, and
-filtered through ranked atom-free slabs to the frames with every property
-of one of the given sets; the walk's slabs are slices of the filtered
-list.  The countermodel search walks them, and counts its work only for
-them.  Sweeps and the faithfulness grid report labelled counts and walk
-every frame.
+filtered through ranked atom-free slabs to the frames with the given
+properties; the walk's slabs are slices of the filtered list.  The
+countermodel search walks them, and counts its work only for them.
+Sweeps and the faithfulness grid report labelled counts and walk every
+frame.
 
 A schema's mask on a tile is the AND over the valuations of its
 metavariables, and stops at the first valuation that leaves it 0.
@@ -186,34 +186,29 @@ def _frame_typecode(n_worlds: int) -> str:
     return next(c for c in "BHILQ" if array(c).itemsize * 8 >= bits)
 
 
-def admitted(n_worlds: int, *prop_sets: Iterable[FrameProperty],
+def admitted(n_worlds: int, props: Iterable[FrameProperty] = (), *,
              isomorph_free: bool = False) -> Sequence[int]:
     """Ascending relation bitmasks of the n-world frames with every property
-    of at least one of prop_sets, by default every frame: a range when that
-    is every frame, else an array read off the atom-free tiles in one sweep,
-    whatever the number of sets.  A set that includes another admits no
-    frame the other does not, so it is dropped.  isomorph_free takes, up to
-    ISOMORPH_FREE_WORLDS worlds, only the canonical frames, as the memo's
-    own array, which callers must not write; a walk over them has to
-    designate the whole domain (see _isomorph_free)."""
-    sets = frozenset(map(frozenset, prop_sets)) or frozenset([frozenset()])
-    if len(sets) > 1:
-        sets = frozenset(s for s in sets if not any(t < s for t in sets))
+    in props, by default every frame: a range when that is every frame,
+    else an array read off the atom-free tiles in one sweep.  isomorph_free
+    takes, up to ISOMORPH_FREE_WORLDS worlds, only the canonical frames, as
+    the memo's own array, which callers must not write; a walk over them
+    has to designate the whole domain (see _isomorph_free)."""
+    props = frozenset(props)
     if isomorph_free and n_worlds <= ISOMORPH_FREE_WORLDS:
-        return _isomorph_free(n_worlds, sets)
-    if frozenset() in sets:
+        return _isomorph_free(n_worlds, props)
+    if not props:
         return range(1 << n_worlds * n_worlds)
-    return _frame_array(n_worlds, [(tile.frames, tile.properties_mask(*sets))
+    return _frame_array(n_worlds, [(tile.frames, tile.properties_mask(props))
                                    for tile in slabs(n_worlds)])
 
 
 @lru_cache(maxsize=128)
-def _isomorph_free(n_worlds: int, prop_sets: frozenset[frozenset[FrameProperty]]) -> array:
+def _isomorph_free(n_worlds: int, props: frozenset[FrameProperty]) -> array:
     """Ascending relation bitmasks of the canonical n-world frames with
-    every property of at least one of prop_sets, none of which includes
-    another, as the memo's own array: with the empty set read off the
-    atom-free tiles, else filtered from that memoised list through ranked
-    atom-free slabs.  A 4-world list takes at most 6 KiB.
+    every property in props, as the memo's own array: without props read
+    off the atom-free tiles, with them filtered from that memoised list
+    through ranked atom-free slabs.  A 4-world list takes at most 6 KiB.
 
     A frame is canonical when no relabelling of its worlds gives a smaller
     relation bitmask; each isomorphism class has exactly one.  A search over
@@ -232,11 +227,11 @@ def _isomorph_free(n_worlds: int, prop_sets: frozenset[frozenset[FrameProperty]]
     on some frame is falsified on that frame's canonical relabelling, so
     "no countermodel" stays the same answer.
     """
-    if frozenset() in prop_sets:
+    if not props:
         return _frame_array(n_worlds, [(tile.frames, tile.full ^ _relabelled_smaller(tile))
                                        for tile in slabs(n_worlds)])
-    frames = _isomorph_free(n_worlds, frozenset([frozenset()]))
-    return _frame_array(n_worlds, [(slab.frames, slab.properties_mask(*prop_sets))
+    frames = _isomorph_free(n_worlds, frozenset())
+    return _frame_array(n_worlds, [(slab.frames, slab.properties_mask(props))
                                    for slab in slabs(n_worlds, (), frames)])
 
 
@@ -702,17 +697,11 @@ class ModelSlab:
             raise TypeError(f"unknown frame property {p!r}")
         return out
 
-    def properties_mask(self, *prop_sets: Iterable[FrameProperty]) -> int:
+    def properties_mask(self, props: Iterable[FrameProperty]) -> int:
         """Models whose relation, restricted to the designated set, has every
-        property of at least one of prop_sets; each property's mask is built
-        once."""
+        property in props."""
         full = self.full
-        prop_sets = [frozenset(props) for props in prop_sets]
-        masks = {p: self.property_mask(p) for p in frozenset().union(*prop_sets)}
-        out = 0
-        for props in prop_sets:
-            mask = full
-            for p in props:
-                mask = _meet(full, mask, masks[p])
-            out = _join(full, out, mask)
+        out = full
+        for p in props:
+            out = _meet(full, out, self.property_mask(p))
         return out

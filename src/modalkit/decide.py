@@ -265,12 +265,16 @@ def decide(f: Formula, logic: Logic, *, sig: Signature | None = None,
     falsifies f at the named world and has the logic's frame properties.
     Raises ResourceLimitExceeded when neither outcome can be certified
     within the budget, and ValueError when max_labels leaves no room for
-    the root label.
+    the root label or f has an atom outside sig.
     """
     if max_labels < 1:
         raise ValueError(f"max_labels must be at least 1, got {max_labels}")
+    atoms = atoms_of(f)
     if sig is None:
-        sig = sorted_signature(atoms_of(f))
+        sig = sorted_signature(atoms)
+    missing = atoms - set(sig.atoms)
+    if missing:
+        raise ValueError(f"formula uses atoms outside the signature: {sorted(missing)}")
     goal = desugar(f, sig)
     props = logic.frame_properties
     trace = TableauTrace()

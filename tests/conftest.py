@@ -11,9 +11,9 @@ core test, AST depth, schema instantiation and the atoms a search assigns.
 Two helpers are exceptions and run the engines themselves.  The admitted
 frame lists are bitgrid.admitted's own, which the tests check against the
 scalar property checks of kripke.has_property.  The per-logic
-classification evidence runs the countermodel search once per logic, the
-route that classify's one walk for every logic replaces, so the two are
-compared on the same engine.
+classification evidence runs the tableau and, where its model has more
+than 4 worlds, the countermodel search, logic by logic, so that it states
+classify's rule on the same engines.
 """
 
 import random
@@ -63,15 +63,17 @@ def formulas(sig=SIG_PQ, max_leaves=10, core_only=False):
     return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
-def seeded_formulas(seed: int, count: int, sig=SIG_PQ, max_depth=4) -> list[Formula]:
+def seeded_formulas(seed: int, count: int, sig=SIG_PQ, max_depth=4,
+                    leaf=0.2) -> list[Formula]:
     """count formulas over sig of depth at most max_depth, drawn from
-    random.Random(seed); a leaf is each atom four times as often as true or
-    as false."""
+    random.Random(seed); each node above depth 0 stops as a leaf with
+    chance leaf, and a leaf is each atom four times as often as true or as
+    false."""
     rng = random.Random(seed)
     leaves = [Atom(a) for a in sig.atoms] * 4 + [Top(), Bot()]
 
     def draw(depth: int) -> Formula:
-        if depth == 0 or rng.random() < 0.2:
+        if depth == 0 or rng.random() < leaf:
             return rng.choice(leaves)
         op = rng.choice((Not, Box, Dia, Implies, And, Or))
         if op in (Not, Box, Dia):
@@ -333,16 +335,16 @@ def recorded_slab_counts(monkeypatch):
 
 def per_logic_evidence(f: Formula, sig: Signature) -> dict:
     """classify's evidence logic by logic: the tableau's verdict, None when
-    it is over its budget, and an Invalid one replaced by the logic's own
-    search's first countermodel up to 4 worlds, unless there is none or the
-    search is over the work budget."""
+    it is over its budget, and an Invalid one of more than 4 worlds replaced
+    by the logic's own search's first countermodel up to 4 worlds, unless
+    there is none or the search is over the work budget."""
     evidence = {}
     for logic in ALL_LOGICS:
         try:
             result = decide(f, logic, sig=sig)
         except ResourceLimitExceeded:
             result = None
-        if isinstance(result, Invalid):
+        if isinstance(result, Invalid) and result.model.n_worlds > 4:
             try:
                 small = find_countermodel(f, set(logic.frame_properties), 4, sig)
             except ResourceLimitExceeded:

@@ -18,14 +18,15 @@ from modalkit.classify import (
     corpus,
     render_table,
 )
-from modalkit.countermodel import find_countermodel, find_countermodels
+from modalkit.countermodel import find_countermodel
 from modalkit.decide import Invalid, TableauTrace, Valid, decide
 from modalkit.errors import ResourceLimitExceeded
 from modalkit.hilbert import ALL_LOGICS, Logic
-from modalkit.kripke import KripkeModel, eval_deep, has_property
+from modalkit.kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from modalkit.syntax import Signature, parse, pretty
 
-from conftest import per_logic_evidence, recorded_slab_counts, seeded_formulas
+from conftest import (naive_eval, per_logic_evidence, recorded_slab_counts,
+                      seeded_formulas)
 
 _EXPECTED_MINIMAL = {
     "F1": {"K4"},
@@ -198,10 +199,57 @@ def test_monotonicity_violations_raise(monkeypatch):
         module.classify(parse("p -> p", CORPUS_SIGNATURE))
 
 
+def test_f4_in_kt_is_shrunk_to_the_searchs_3_world_model(table):
+    # the only corpus tableau model above 4 worlds
+    f4 = dict(corpus())["F4"]
+    tableau = decide(f4, Logic.KT, sig=CORPUS_SIGNATURE)
+    assert tableau.model.n_worlds == 11
+    small = find_countermodel(f4, {FrameProperty.REFLEXIVE}, 4, CORPUS_SIGNATURE)
+    assert small[0].n_worlds == 3 and small[1] == 1
+    assert dict(table)["F4"].evidence["KT"] == Invalid(*small)
+
+
+def test_every_other_corpus_evidence_is_the_tableaus_model(table):
+    kept = 0
+    for name, res in table:
+        for logic in ALL_LOGICS:
+            v = res.evidence[logic.name]
+            if isinstance(v, Invalid) and (name, logic.name) != ("F4", "KT"):
+                assert v == decide(res.formula, logic, sig=CORPUS_SIGNATURE), (name, logic)
+                kept += 1
+    assert kept == 41
+
+
+def test_seeded_evidence_is_a_small_certified_countermodel():
+    # an invariant stated without per_logic_evidence: each Invalid evidence
+    # falsifies the formula under the test suite's own evaluator, has the
+    # logic's properties, and has at most 4 worlds whenever the logic has a
+    # countermodel that small
+    sig = Signature(("p", "q", "r"))
+    invalid = shrunk = 0
+    for f in seeded_formulas(46, 120, sig, max_depth=5):
+        res = classify(f, sig=sig)
+        for logic in ALL_LOGICS:
+            v = res.evidence[logic.name]
+            if not isinstance(v, Invalid):
+                continue
+            invalid += 1
+            shrunk += v.trace is None  # the search's model, not the tableau's
+            assert naive_eval(v.model, v.world, f) is False, (pretty(f), logic)
+            assert all(has_property(v.model, p) for p in logic.frame_properties)
+            if v.model.n_worlds > 4:
+                try:
+                    small = find_countermodel(f, logic.frame_properties, 4, sig)
+                except ResourceLimitExceeded:
+                    continue
+                assert small is None, (pretty(f), logic)
+    assert invalid > 400 and shrunk > 20
+
+
 def test_verdict_keeps_the_tableau_model_when_the_search_is_over_budget(monkeypatch):
     # every countermodel needs four worlds, and K's search over the 4-world
-    # frames with six atoms is refused by the work budget.  The lowered
-    # budget refuses every other logic's own 4-world search too
+    # frames with six atoms is refused by the work budget.  The tableau's
+    # models have 4 worlds, so no search runs, even under a lowered budget
     sig = Signature(("p", "q", "r", "s", "t", "u"))
     f = parse("~(p & q & r & s & t & u & dia (p & ~q & ~r) & dia (~p & q & ~r)"
               " & dia (~p & ~q & r))", sig)
@@ -217,33 +265,41 @@ def test_verdict_keeps_the_tableau_model_when_the_search_is_over_budget(monkeypa
         assert isinstance(result, Invalid)
         assert result.model.n_worlds >= 4
         assert eval_deep(result.model, result.world, f) is False
+    # F4's 11-world tableau model in KT would be shrunk, but this budget
+    # refuses the search from its first world count on
+    f4 = dict(corpus())["F4"]
+    monkeypatch.setattr(bitgrid, "MAX_WORK", 10**6)
+    with pytest.raises(ResourceLimitExceeded):
+        find_countermodel(f4, {FrameProperty.REFLEXIVE}, 4, CORPUS_SIGNATURE)
+    res = classify(f4, sig=CORPUS_SIGNATURE)
+    assert {l.name for l in res.minimal} == {"KB", "K4"}
+    kept = res.evidence["KT"]
+    assert kept == decide(f4, Logic.KT, sig=CORPUS_SIGNATURE)
+    assert kept.model.n_worlds == 11
+    assert eval_deep(kept.model, kept.world, f4) is False
 
 
-def test_a_refused_walk_hands_each_logic_to_its_own_search(monkeypatch):
-    # box p -> box box p is invalid in K, KT, KB and KTB.  The walk answers
-    # K and KB at 2 worlds; with this budget it is refused at 3, where KT
-    # and KTB have their first countermodels, and so are their own searches
+def test_a_tableau_model_of_at_most_4_worlds_is_kept_whatever_the_budget(monkeypatch):
+    # box p -> box box p is invalid in K, KT, KB and KTB, each on a 3-world
+    # tableau model, though K and KB have 2-world countermodels.  No search
+    # runs, so a budget that refuses 3-world searches changes nothing
     sig = Signature(("p",))
     f = parse("box p -> box box p", sig)
-    marks = render_table([("F", classify(f, sig=sig))])
+    evidence = classify(f, sig=sig).evidence
     monkeypatch.setattr(bitgrid, "MAX_WORK", 2 * 10**7)
-    invalid = [l for l in ALL_LOGICS if l.name in ("K", "KT", "KB", "KTB")]
     with pytest.raises(ResourceLimitExceeded):
-        find_countermodels(f, [l.frame_properties for l in invalid], 4, sig)
+        find_countermodel(f, {FrameProperty.REFLEXIVE}, 4, sig)
     res = classify(f, sig=sig)
-    assert render_table([("F", res)]) == marks
-    for name in ("K", "KB"):
-        # the search's model, which carries no tableau trace
-        assert res.evidence[name].trace is None
-    for name in ("KT", "KTB"):
+    assert res.evidence == evidence == per_logic_evidence(f, sig)
+    for name in ("K", "KT", "KB", "KTB"):
         assert res.evidence[name] == decide(f, Logic.from_name(name), sig=sig)
-    assert res.evidence == per_logic_evidence(f, sig)
+        assert res.evidence[name].model.n_worlds == 3
 
 
 def test_evidence_equals_each_logics_own_search_under_a_lowered_budget(monkeypatch):
-    # K and K4 are answered at 2 worlds and the other six logics at 4,
-    # where the walk takes the frames that are reflexive or symmetric: a
-    # walk over every canonical 4-world frame would be over this budget
+    # K's and K4's tableau models have 2 worlds and the other six logics'
+    # 4, so each is kept, under a budget that refuses a search over every
+    # canonical 4-world frame
     sig = Signature(("p", "q", "s"))
     f = parse("~(dia box false | (s & dia (~s & p & ~q) & dia (~s & ~p & q)"
               " & dia (~s & p & q)))", sig)
@@ -264,9 +320,9 @@ def test_evidence_equals_each_logics_own_search_on_seeded_formulas():
             f, CORPUS_SIGNATURE), pretty(f)
 
 
-def test_the_corpus_is_classified_in_at_most_25_slabs(monkeypatch):
+def test_the_corpus_is_classified_in_at_most_3_slabs_with_atoms(monkeypatch):
     classify_corpus()  # list the canonical frames first
     built = recorded_slab_counts(monkeypatch)
     classify_corpus()
-    # one walk per formula; a search per Invalid logic would take 88
-    assert len(built) <= 25
+    # the one search, F4's in KT, which stops at 3 worlds
+    assert len([b for b in built if b[1]]) <= 3

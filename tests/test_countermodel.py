@@ -1,6 +1,5 @@
 """Bounded countermodel search against its own reference enumeration."""
 
-import random
 import subprocess
 import sys
 
@@ -10,14 +9,14 @@ from hypothesis import given, settings
 from modalkit import bitgrid, countermodel
 from modalkit.bitgrid import ModelSlab, slabs
 from modalkit.cli import main
-from modalkit.countermodel import export_dot, find_countermodel, find_countermodels
+from modalkit.countermodel import export_dot, find_countermodel
 from modalkit.errors import ResourceLimitExceeded
 from modalkit.hilbert import ALL_LOGICS
 from modalkit.kripke import FrameProperty, KripkeModel, eval_deep, has_property
 from modalkit.syntax import Signature, desugar, parse
 
 from conftest import (SIG_P, SIG_PQ, enumerate_models, formulas, naive_eval,
-                      recorded_slab_counts, search_atoms, seeded_formulas)
+                      recorded_slab_counts, search_atoms)
 
 R = FrameProperty.REFLEXIVE
 
@@ -383,49 +382,7 @@ def test_a_three_atom_search_at_four_worlds_finds_the_labelled_first_countermode
         "p": [0, 3], "q": [0, 2], "r": [0, 1]}
 
 
-# --- one walk for several property sets -------------------------------------------
-
-
-def _property_sets(rng, with_empty):
-    """One to five property sets of up to three properties each; without
-    with_empty, none of them is empty."""
-    props = list(FrameProperty)
-    return [set(rng.sample(props, rng.randint(0 if with_empty else 1, 3)))
-            for _ in range(rng.randint(1, 5))]
-
-
-def _assert_one_walk_answers_each_set(fs, bounds, seed):
-    rng = random.Random(seed)
-    for i, f in enumerate(fs):
-        sets = _property_sets(rng, with_empty=i % 2 == 0)
-        n = bounds[i % len(bounds)]
-        assert (find_countermodels(f, sets, n, SIG_PQ)
-                == [find_countermodel(f, s, n, SIG_PQ) for s in sets]), (f, sets, n)
-
-
-def test_one_walk_answers_each_set_as_its_own_search():
-    _assert_one_walk_answers_each_set(seeded_formulas(31, 160), (1, 2, 3, 4), 31)
-
-
-@pytest.mark.parametrize("bits", [3, 5, 8])
-def test_one_walk_answers_each_set_at_every_tile_size(tile_bits, bits):
-    tile_bits(bits)
-    _assert_one_walk_answers_each_set(seeded_formulas(bits, 24), (1, 2, 3), bits)
-
-
-def test_one_walk_answers_every_isomorph_free_probe():
-    sets = [p.values[0] for p in _ISOMORPH_FREE_PROPERTY_SETS]
-    for text, sig in _ISOMORPH_FREE_PROBES:
-        f = parse(text, sig)
-        assert (find_countermodels(f, sets, 4, sig)
-                == [find_countermodel(f, s, 4, sig) for s in sets]), text
-
-
-def test_one_walk_has_no_sets_to_answer():
-    f = parse("p -> box p", SIG_P)
-    assert find_countermodels(f, [], 3, SIG_P) == []
-    with pytest.raises(ValueError):
-        find_countermodels(f, [], 0, SIG_P)
+# --- the walked frames -------------------------------------------------------------
 
 
 def _walked_lists(monkeypatch):
@@ -444,74 +401,20 @@ def _canonical(*lists):
     return [(n, list(bitgrid.admitted(n, props, isomorph_free=True))) for n, props in lists]
 
 
-def test_the_walk_takes_the_frames_the_pending_sets_share(monkeypatch):
-    # K is answered at 2 worlds, where the reflexive and the reflexive
-    # symmetric sets are not; at 3 worlds the walk takes the reflexive
-    # frames alone
+def test_the_walk_takes_the_sets_canonical_frames(monkeypatch):
+    # the reflexive symmetric set's first countermodel has 3 worlds, and
+    # each world count walks that set's canonical frames alone
     walked = _walked_lists(monkeypatch)
     f = parse("box p -> box box p", SIG_P)
-    found = find_countermodels(f, [set(), {R}, {R, S}], 3, SIG_P)
-    assert [m.n_worlds for m, _ in found] == [2, 3, 3]
-    assert walked == _canonical((1, ()), (2, ()), (3, {R}))
-
-
-# a countermodel is a world with a dead-end successor, which K's and K4's
-# frames have at 2 worlds, or one that sees three worlds unlike itself,
-# which the other six cube classes need 4 worlds for
-_FEW_OWN_FRAMES = ("~(dia box false | (s & dia (~s & p & ~q) & dia (~s & ~p & q)"
-                   " & dia (~s & p & q)))")
-
-
-def test_the_walk_takes_the_frames_some_pending_set_admits(monkeypatch):
-    # the six sets pending at 4 worlds share no property, and the walk takes
-    # the 297 canonical frames that are reflexive or symmetric, where the
-    # six sets' answers lie scattered.  Its 3-atom slabs, 13 of them, are
-    # the known cost against own walks that stop one by one (9 slabs)
-    sig = Signature(("p", "q", "s"))
-    f = parse(_FEW_OWN_FRAMES, sig)
-    sets = [logic.frame_properties for logic in ALL_LOGICS]
-    walked = _walked_lists(monkeypatch)
-    built = recorded_slab_counts(monkeypatch)
-    found = find_countermodels(f, sets, 4, sig)
-    walk_slabs = [b for b in built if b[1] == len(sig.atoms)]
-    assert [m.n_worlds for m, _ in found] == [2, 4, 4, 2, 4, 4, 4, 4]
-    pending = [props for props, (m, _) in zip(sets, found) if m.n_worlds == 4]
-    union = list(bitgrid.admitted(4, *pending, isomorph_free=True))
-    assert len(union) == 297
-    assert union == sorted({*bitgrid.admitted(4, {R}, isomorph_free=True),
-                            *bitgrid.admitted(4, {S}, isomorph_free=True)})
-    assert [w for w in walked if w[0] == 4] == [(4, union)]
-    assert found == [find_countermodel(f, props, 4, sig) for props in sets]
-    assert len(walk_slabs) <= 13
-
-
-def test_the_walk_takes_the_union_of_the_sets_pending_after_k(monkeypatch):
-    # K is answered at 2 worlds; at 3 worlds the reflexive and the symmetric
-    # sets are pending, and the walk takes the canonical frames that have
-    # one of the two properties, not every canonical frame
-    walked = _walked_lists(monkeypatch)
-    f = parse("dia box p -> box dia p", SIG_P)
-    found = find_countermodels(f, [set(), {R}, {S}], 3, SIG_P)
-    assert [x and x[0].n_worlds for x in found] == [2, 3, None]
-    union = sorted({*bitgrid.admitted(3, {R}, isomorph_free=True),
-                    *bitgrid.admitted(3, {S}, isomorph_free=True)})
-    assert walked[2:] == [(3, union)]
-    assert len(union) < len(bitgrid.admitted(3, isomorph_free=True))
-
-
-def test_the_union_walk_is_charged_less_than_the_own_walks(monkeypatch):
-    # by the charge formula the six own walks and those before them come to
-    # about 1.28e9 units, and the one walk over the union to about 0.99e9
-    sig = Signature(("p", "q", "s"))
-    f = parse(_FEW_OWN_FRAMES, sig)
-    sets = [logic.frame_properties for logic in ALL_LOGICS]
-    monkeypatch.setattr(bitgrid, "MAX_WORK", 11 * 10**8)
-    assert all(find_countermodels(f, sets, 4, sig))
+    model, _ = find_countermodel(f, {R, S}, 3, SIG_P)
+    assert model.n_worlds == 3
+    assert walked == _canonical((1, {R, S}), (2, {R, S}), (3, {R, S}))
+    assert len(walked[2][1]) < len(bitgrid.admitted(3, {R}, isomorph_free=True))
 
 
 def test_a_search_above_the_isomorph_free_bound_lists_once(monkeypatch):
-    # with canonical frames up to 2 worlds, the 3-world frames of the two
-    # sets are listed in one sweep
+    # with canonical frames up to 2 worlds, the 3-world frames of the set
+    # are listed in one sweep
     for module in (bitgrid, countermodel):
         monkeypatch.setattr(module, "ISOMORPH_FREE_WORLDS", 2)
     listed = []
@@ -522,25 +425,25 @@ def test_a_search_above_the_isomorph_free_bound_lists_once(monkeypatch):
         return frame_array(n, slices)
 
     monkeypatch.setattr(bitgrid, "_frame_array", recording)
-    # both sets are pending at 3 worlds: the first two formulas have a
-    # reflexive 3-world countermodel, and none has a symmetric transitive one
-    sets = [{R}, {S, T}]
-    for text in ("box p -> box box p", "dia dia p -> dia p", "box (box p -> p)"):
-        f = parse(text, SIG_P)
-        del listed[:]
-        found = find_countermodels(f, sets, 3, SIG_P)
-        assert listed.count(3) == 1, text
-        assert found == [find_countermodel(f, props, 3, SIG_P) for props in sets], text
+    # the first two formulas have a reflexive 3-world countermodel, and none
+    # has a symmetric transitive one, so each search reaches 3 worlds
+    for props in ({R}, {S, T}):
+        for text in ("box p -> box box p", "dia dia p -> dia p", "box (box p -> p)"):
+            f = parse(text, SIG_P)
+            del listed[:]
+            found = find_countermodel(f, props, 3, SIG_P)
+            assert listed.count(3) == 1, (props, text)
+            assert found == _scalar_first_countermodel(f, props, 3, SIG_P), (props, text)
 
 
 def test_a_refused_walk_gives_no_answers(monkeypatch):
-    # the 2-world walk, which answers K, is within the budget and the
-    # 3-world one is not
+    # the 2-world walk, which answers K, is within the budget, and the
+    # 3-world one, where the reflexive set's first countermodel is, is not
     monkeypatch.setattr(bitgrid, "MAX_WORK", 2 * 10**7)
     f = parse("box p -> box box p", SIG_P)
     assert find_countermodel(f, set(), 3, SIG_P)[0].n_worlds == 2
     with pytest.raises(ResourceLimitExceeded):
-        find_countermodels(f, [set(), {R}], 3, SIG_P)
+        find_countermodel(f, {R}, 3, SIG_P)
 
 
 # Runs find_countermodel under python -O with the search's frame list or

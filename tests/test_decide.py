@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from modalkit.classify import corpus
+from modalkit.classify import classify, corpus
 from modalkit.countermodel import find_countermodel
 from modalkit.decide import (
     CrossCheckReport,
@@ -32,7 +32,7 @@ from modalkit.hilbert import ALL_LOGICS, FRAME_CONDITIONS, AxiomSchemaId, Logic
 from modalkit.kripke import FrameProperty, eval_deep, has_property
 from modalkit.syntax import Signature, parse
 
-from conftest import SIG_P, formulas, naive_eval
+from conftest import SIG_P, formulas, naive_eval, seeded_formulas
 
 K = Logic.from_name("K")
 KT = Logic.from_name("KT")
@@ -118,6 +118,17 @@ def test_invalid_models_respect_the_frame_class():
 def test_atom_free_formula_gets_a_default_signature():
     assert isinstance(decide(_f("true"), K), Valid)
     assert isinstance(decide(_f("box false -> false"), KT), Valid)
+
+
+@pytest.mark.parametrize("text, logic", [("q", K), ("box q -> q", KT)])
+def test_an_atom_outside_the_signature_is_rejected_before_any_work(text, logic):
+    # the first used to fail in the re-check with an unrelated message, and
+    # the second to answer Valid over a signature without q
+    message = r"^formula uses atoms outside the signature: \['q'\]$"
+    with pytest.raises(ValueError, match=message):
+        decide(parse(text), logic, sig=SIG_P)
+    with pytest.raises(ValueError, match=message):
+        classify(parse(text), sig=SIG_P)
 
 
 # --- resource budget -----------------------------------------------------------
@@ -355,3 +366,37 @@ def test_verdicts_agree_with_bounded_search(f, logic_name):
         # a model at least as large as the tableau's
         if m.n_worlds <= 3:
             assert found is not None
+
+
+# --- a seeded slice of deep formulas ------------------------------------------------
+
+# formulas per depth at each leaf chance: deep formulas with a low leaf
+# chance are the costly ones
+_SLICE = {0.05: 4, 0.2: 12}
+
+
+def test_a_seeded_slice_of_deep_formulas_keeps_the_oracles():
+    # p,q,r formulas of depth 5 to 8 in all eight logics, where exit 3 is
+    # an allowed answer: each Invalid model falsifies the formula under the
+    # test suite's own evaluator and has the logic's properties, and a
+    # formula valid in a logic is invalid in none whose frame properties
+    # include that logic's
+    sig = Signature(("p", "q", "r"))
+    for depth in (5, 6, 7, 8):
+        for leaf, count in _SLICE.items():
+            for f in seeded_formulas(15 + depth, count, sig, max_depth=depth, leaf=leaf):
+                verdict = {}
+                for logic in ALL_LOGICS:
+                    try:
+                        result = decide(f, logic, sig=sig)
+                    except ResourceLimitExceeded:
+                        continue
+                    verdict[logic] = isinstance(result, Valid)
+                    if not verdict[logic]:
+                        m, w = result.model, result.world
+                        assert naive_eval(m, w, f) is False, (f, logic)
+                        assert all(has_property(m, p) for p in logic.frame_properties)
+                for weaker, valid in verdict.items():
+                    for stronger, also in verdict.items():
+                        if valid and weaker.frame_properties <= stronger.frame_properties:
+                            assert also, (f, weaker, stronger)
