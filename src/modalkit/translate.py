@@ -9,19 +9,21 @@ variable is captured, and a subformula at a given box depth always
 translates to the same form; the guards of a depth are built once.  The
 forms are syntax.CoreForm nodes.  check_faithfulness grinds the two
 translations against the structural evaluator over an exhaustive
-formula/model grid, one walk of bitgrid.slabs per designated set, and
-reports any disagreement.  A slab's formulas below the top depth fill its
-memos, and each top-depth formula is checked one node deep from its
-children's entries: the top pass writes no shared memo (see _check_slab).
+formula/model grid, up to symmetry (one designated set per size, one
+top-depth formula per atom renaming), and reports any disagreement.  A
+slab's formulas below the top depth fill its memos, and each top-depth
+formula is checked one node deep from its children's entries: the top
+pass writes no shared memo (see _check_slab).
 
 A top-depth formula's two translations depend on the formula alone.  On
 grids of three worlds or more they are built on the first slab and kept
-for the rest: there each formula is checked on at least 1 + 3 + 7 = 11
+for the rest: there each formula is checked on at least 1 + 2 + 3 = 6
 slabs, and the work budget admits at most 15,008 top-depth formulas (p,q
 at depth 3), whose kept forms take about 4.3 MiB.  Smaller grids
 translate them again on each slab: one world is a single slab, and two
-worlds are 4 slabs for up to 713,184 top-depth formulas (4 atoms at
-depth 3), where keeping the forms would buy little time for much memory.
+worlds are 1 + 2 = 3 slabs for up to 712,340 top-depth formulas (4 atoms
+at depth 3), where keeping the forms would buy little time for much
+memory.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def _check_slab(slab, formulas: list[Formula], n_lower: int,
                 translate_max_fn: Translation | None, translate_min_fn: Translation | None,
                 translation_memos: list[dict], top_forms: list | None,
                 report: FaithfulnessReport) -> None:
-    """Add one slab's instances, violations and examples to the report.
+    """Add one slab's violations and examples to the report.
 
     A route whose translation function is None takes the module's own,
     which keeps its translations in the route's memo of translation_memos.
@@ -190,12 +192,6 @@ def _check_slab(slab, formulas: list[Formula], n_lower: int,
     truth_max, validity_max, truth_min, max_min = report.checks
     ds = sorted(slab.designated)
     is_total = len(ds) == slab.n
-    per_world = len(formulas) * slab.count
-    truth_max.instances += per_world * len(ds)
-    validity_max.instances += per_world
-    if is_total:
-        truth_min.instances += per_world * slab.n
-        max_min.instances += per_world * slab.n
 
     max_memo, min_memo = translation_memos
     deep_memo, max_core, min_core = {}, {}, {}
@@ -253,21 +249,37 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
     functions can be injected, which is how the mutation tests drive the
     grid.
 
-    Each designated set is walked in the slabs of bitgrid.slabs.  Every
-    formula is evaluated on every slab; the top-depth ones are checked one
-    node deep and write no shared memo.  With max_worlds of 3 or more, each
-    top-depth formula is translated once, on the first slab, and its forms
-    are kept for the at least 10 slabs that follow: the budget admits at
-    most 15,008 top-depth formulas there, about 4.3 MiB of forms.  Below 3
-    worlds they are translated on every slab: one world has a single slab,
-    and two worlds have 4 for up to 713,184 top-depth formulas; kept, the
-    forms took p at depth 4 on 2 worlds from 79 to 198 MiB peak to save 6%
-    of its time.  A formula on d designated worlds takes about 12*d mask
-    operations over the three routes, so one formula over the n-world
-    families takes 3*n*2**(n+1).
-    The whole grid is charged to the work budget before any formula or
-    slab exists, and raises ResourceLimitExceeded over it; a negative depth
-    or fewer than one world raises ValueError.
+    The grid is walked up to symmetry, in the slabs of bitgrid.slabs.
+    Relabelling the worlds maps the models of a designated set onto those
+    of any set of its size and keeps deep truth and every CoreForm's truth,
+    so world count n walks range(d) for d = 1..n, 6 slab families up to 3
+    worlds instead of 11, injected translations included.  Renaming the
+    atoms permutes a slab's valuations, and _translate and ModelSlab._deep
+    read an atom by its name alone, so they commute with it: with neither
+    translation injected and 2 atoms or more, the top-depth formulas
+    checked are those whose atoms, in order of first occurrence, are a
+    prefix of sig.atoms, one per orbit.  An injected translation need not
+    commute and meets every formula; the lower formulas fill the memos and
+    are all walked.  Instances count every set and formula.  A world count
+    whose representatives show a violation drops their results and is
+    walked again set by set over every formula, so counts and examples are
+    the labelled walk's; one world with no orbit skipped is that walk.
+
+    Every formula is evaluated on every slab it meets; the top-depth ones
+    are checked one node deep and write no shared memo.  With max_worlds
+    of 3 or more, each top-depth formula is translated once, on the first
+    slab, and its forms are kept for the at least 5 slabs that follow: the
+    budget admits at most 15,008 top-depth formulas there, about 4.3 MiB
+    of forms.  Below 3 worlds they are translated on every slab: one world
+    has a single slab, and two worlds have 3 for up to 712,340 top-depth
+    formulas; kept, the forms took p at depth 4 on 2 worlds from 79 to 198
+    MiB peak to save 6% of its time over 4 slabs.  A formula on d
+    designated worlds takes about 12*d mask operations over the three
+    routes, so one formula over every set of n worlds takes 3*n*2**(n+1).
+    The whole labelled grid, every designated set and every formula, is
+    charged to the work budget before any formula or slab exists, and
+    raises ResourceLimitExceeded over it; a negative depth or fewer than
+    one world raises ValueError.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be at least 0")
@@ -285,15 +297,51 @@ def check_faithfulness(sig: Signature, max_depth: int, max_worlds: int, *,
     # the enumeration is ordered by depth, so the formulas below max_depth
     # are a prefix of it
     n_lower = _formula_count(k, max_depth - 1, n_formulas) if max_depth else 0
+    walked = formulas
+    if k > 1 and translate_max_fn is None and translate_min_fn is None:
+        # the lower formulas, then the top-depth ones whose atoms in order
+        # of first occurrence are a prefix of sig.atoms
+        walked, first_atoms = formulas[:n_lower], {}
+        for i, f in enumerate(formulas):
+            t = type(f)
+            if t is Atom:
+                seen = (f.name,)
+            elif t is Implies:
+                seen = tuple(dict.fromkeys(first_atoms[f.left] + first_atoms[f.right]))
+            else:
+                seen = first_atoms[f.body]
+            if i < n_lower:
+                first_atoms[f] = seen
+            elif seen == sig.atoms[:len(seen)]:
+                walked.append(f)
     # the module's own translations share a memo per route across slabs; an
     # injected one keeps none
     memos: list[dict] = [{}, {}]
-    # keep the top-depth forms where each formula meets at least 11 slabs
+    # keep the top-depth forms where each formula meets at least 6 slabs
     top_forms = [] if max_worlds >= 3 else None
     report = FaithfulnessReport([CheckReport(name, 0, 0) for name in CHECK_NAMES])
+    truth_max, validity_max, truth_min, max_min = report.checks
+
+    def walk(n, sets, fs, kept):
+        for ds in sets:
+            for slab in slabs(n, sig.atoms, designated=ds):
+                _check_slab(slab, fs, n_lower, translate_max_fn, translate_min_fn,
+                            memos, kept, report)
+
     for n in range(1, max_worlds + 1):
-        for bits in range(1, 1 << n):
-            for slab in slabs(n, sig.atoms, designated=[w for w in range(n) if bits >> w & 1]):
-                _check_slab(slab, formulas, n_lower, translate_max_fn, translate_min_fn,
-                            memos, top_forms, report)
+        # the 2**n - 1 designated sets hold n * 2**(n-1) worlds
+        models = len(formulas) << n * (n + k)
+        truth_max.instances += models * n << n - 1
+        validity_max.instances += models * ((1 << n) - 1)
+        truth_min.instances += models * n
+        max_min.instances += models * n
+        marks = [(c.violation_count, len(c.examples)) for c in report.checks]
+        walk(n, [range(d) for d in range(1, n + 1)], walked, top_forms)
+        if (n > 1 or walked is not formulas) and any(
+                c.violation_count > v for c, (v, _) in zip(report.checks, marks)):
+            for c, (v, e) in zip(report.checks, marks):
+                c.violation_count = v
+                del c.examples[e:]
+            walk(n, ([w for w in range(n) if bits >> w & 1] for bits in range(1, 1 << n)),
+                 formulas, top_forms if walked is formulas else None)
     return report

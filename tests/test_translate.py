@@ -1,7 +1,7 @@
 """Translations into the explicit first-order core and the faithfulness grid."""
 
 from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 import pytest
@@ -13,6 +13,7 @@ from modalkit.cli import main
 from modalkit.kripke import KripkeModel, eval_deep
 from modalkit.reporting import CheckReport, Violation
 from modalkit.syntax import (
+    Atom,
     CImp,
     CNot,
     ForallWorld,
@@ -241,11 +242,18 @@ def test_swapping_max_for_min_is_caught():
 # --- the grid against a scalar reference ---------------------------------------
 
 
-@cache
+@lru_cache(maxsize=1)
+def _labelled_models(n, atoms):
+    return tuple(enumerate_models(n, atoms))
+
+
+# the models of one designated set at a time: 2 atoms on 3 worlds make
+# 32,768 of them per set, about 50 MiB
+@lru_cache(maxsize=1)
 def _scalar_models(sig, n, designated):
     """enumerate_models in canonical order, with the designated set replaced."""
     return [KripkeModel(n, designated, m.rel, m.val, sig)
-            for m in enumerate_models(n, sig.atoms)]
+            for m in _labelled_models(n, sig.atoms)]
 
 
 @cache
@@ -266,31 +274,31 @@ def _scalar_report(sig, route_max, route_min, max_depth, max_worlds):
     world), in slab, formula and world order, ten per check."""
     checks = {name: CheckReport(name, 0, 0) for name in CHECK_NAMES}
 
-    def compare(name, f, models, w, left, right):
-        bad = [m for m, x, y in zip(models, left, right) if x != y]
+    def compare(name, f, n, ds, w, left, right):
+        bad = [i for i, (x, y) in enumerate(zip(left, right)) if x != y]
         check = checks[name]
-        check.instances += len(models)
+        check.instances += len(left)
         check.violation_count += len(bad)
         if bad and len(check.examples) < 10:
-            check.examples.append(Violation(name, pretty(f), bad[0].describe(), w))
+            model = _scalar_models(sig, n, ds)[bad[0]]
+            check.examples.append(Violation(name, pretty(f), model.describe(), w))
 
     for n in range(1, max_worlds + 1):
         for bits in range(1, 1 << n):
             ds = tuple(w for w in range(n) if bits >> w & 1)
-            models = _scalar_models(sig, n, ds)
             for f in enumerate_formulas(sig, max_depth):
                 deep = _scalar_truths(None, sig, n, ds, f)
                 tmax = _scalar_truths(route_max, sig, n, ds, f)
                 for w in ds:
-                    compare(CHECK_TRUTH_DEEP_MAX, f, models, w, deep[w], tmax[w])
-                compare(CHECK_VALIDITY_DEEP_MAX, f, models, None,
+                    compare(CHECK_TRUTH_DEEP_MAX, f, n, ds, w, deep[w], tmax[w])
+                compare(CHECK_VALIDITY_DEEP_MAX, f, n, ds, None,
                         [all(t) for t in zip(*deep.values())],
                         [all(t) for t in zip(*tmax.values())])
                 if len(ds) == n:
                     tmin = _scalar_truths(route_min, sig, n, ds, f)
                     for w in ds:
-                        compare(CHECK_TRUTH_DEEP_MIN, f, models, w, deep[w], tmin[w])
-                        compare(CHECK_TRUTH_MAX_MIN, f, models, w, tmax[w], tmin[w])
+                        compare(CHECK_TRUTH_DEEP_MIN, f, n, ds, w, deep[w], tmin[w])
+                        compare(CHECK_TRUTH_MAX_MIN, f, n, ds, w, tmax[w], tmin[w])
     return [checks[name] for name in CHECK_NAMES]
 
 
@@ -300,7 +308,10 @@ def _scalar_report(sig, route_max, route_min, max_depth, max_worlds):
     (SIG_P, 0, 2), (SIG_PQ, 0, 2),
     # top-depth boxes step into designated sets of two of three worlds
     (SIG_P, 1, 3),
-], ids=["p", "pq", "p-depth-0-2-worlds", "pq-depth-0-2-worlds", "p-depth-1-3-worlds"])
+    # both symmetries: q stands for p, and 7 designated sets for 3
+    (SIG_PQ, 0, 3),
+], ids=["p", "pq", "p-depth-0-2-worlds", "pq-depth-0-2-worlds", "p-depth-1-3-worlds",
+        "pq-depth-0-3-worlds"])
 @pytest.mark.parametrize("routes", [
     (translate_max, translate_min, {}),
     (translate_max, unguarded_min, {"translate_min_fn": unguarded_min}),
@@ -312,6 +323,65 @@ def test_grid_matches_the_scalar_reference(sig, max_depth, max_worlds, routes):
     # the mutants leave examples to compare, except on atoms alone
     assert report.ok == (not injected or max_depth == 0)
     assert report.checks == _scalar_report(sig, route_max, route_min, max_depth, max_worlds)
+
+
+def _q_negated_max(f):
+    """translate_max, wrong on the atom q alone, which it reads as ~q."""
+    c = translate_max(f)
+    return CNot(c) if f == Atom("q") else c
+
+
+def test_an_injected_translation_wrong_on_q_alone_is_caught():
+    # at depth 0 both atoms are top-depth and q is p renamed, so a walk of
+    # one formula per atom orbit would never meet the fault
+    report = check_faithfulness(SIG_PQ, 0, 2, translate_max_fn=_q_negated_max)
+    assert report.by_name(CHECK_TRUTH_DEEP_MAX).violation_count > 0
+    assert report.checks == _scalar_report(SIG_PQ, _q_negated_max, translate_min, 0, 2)
+
+
+# check_faithfulness(SIG_PQ, 1, 3, translate_max_fn=translate_min), rendered
+# by the grid that walked every designated set and formula
+_MIN_AS_MAX_PQ_GOLDEN = "\n".join([
+    "check: truth-deep-max",
+    "instances checked: 3942480",
+    "violations: 120000",
+    "  formula: box p; worlds=2 in=[0] rel=[(0, 1)] val[p@[], q@[]]; world: 0",
+    "  formula: box q; worlds=2 in=[0] rel=[(0, 1)] val[p@[], q@[]]; world: 0",
+    "  formula: box p; worlds=2 in=[1] rel=[(1, 0)] val[p@[], q@[]]; world: 1",
+    "  formula: box q; worlds=2 in=[1] rel=[(1, 0)] val[p@[], q@[]]; world: 1",
+    "  formula: box p; worlds=3 in=[0] rel=[(0, 1)] val[p@[], q@[]]; world: 0",
+    "  formula: box q; worlds=3 in=[0] rel=[(0, 1)] val[p@[], q@[]]; world: 0",
+    "  formula: box p; worlds=3 in=[1] rel=[(1, 0)] val[p@[], q@[]]; world: 1",
+    "  formula: box q; worlds=3 in=[1] rel=[(1, 0)] val[p@[], q@[]]; world: 1",
+    "  formula: box p; worlds=3 in=[0, 1] rel=[(0, 2)] val[p@[], q@[]]; world: 0",
+    "  formula: box p; worlds=3 in=[0, 1] rel=[(1, 2)] val[p@[], q@[]]; world: 1",
+    "check: validity-deep-max",
+    "instances checked: 2301520",
+    "violations: 93504",
+    "  formula: box p; worlds=2 in=[0] rel=[(0, 1)] val[p@[], q@[]]",
+    "  formula: box q; worlds=2 in=[0] rel=[(0, 1)] val[p@[], q@[]]",
+    "  formula: box p; worlds=2 in=[1] rel=[(1, 0)] val[p@[], q@[]]",
+    "  formula: box q; worlds=2 in=[1] rel=[(1, 0)] val[p@[], q@[]]",
+    "  formula: box p; worlds=3 in=[0] rel=[(0, 1)] val[p@[], q@[]]",
+    "  formula: box q; worlds=3 in=[0] rel=[(0, 1)] val[p@[], q@[]]",
+    "  formula: box p; worlds=3 in=[1] rel=[(1, 0)] val[p@[], q@[]]",
+    "  formula: box q; worlds=3 in=[1] rel=[(1, 0)] val[p@[], q@[]]",
+    "  formula: box p; worlds=3 in=[0, 1] rel=[(0, 2)] val[p@[], q@[]]",
+    "  formula: box q; worlds=3 in=[0, 1] rel=[(0, 2)] val[p@[], q@[]]",
+    "check: truth-deep-min",
+    "instances checked: 988240",
+    "violations: 0",
+    "check: truth-max-min",
+    "instances checked: 988240",
+    "violations: 0",
+])
+
+
+def test_a_mutant_report_over_two_atoms_and_three_worlds_golden():
+    # the violations at 2 and 3 worlds re-walk every designated set there,
+    # so examples come from {1}, which no representative walk meets
+    report = check_faithfulness(SIG_PQ, 1, 3, translate_max_fn=translate_min)
+    assert report.render() == _MIN_AS_MAX_PQ_GOLDEN
 
 
 def test_a_fault_of_the_own_translation_at_top_depth_only_is_caught(monkeypatch):
@@ -369,9 +439,11 @@ def test_slab_memos_hold_no_top_depth_formula(monkeypatch):
     assert max(size for kind, size in sizes if kind == "core") <= len(lower) * 3 * 1
 
 
-@pytest.mark.parametrize("injected", [{}, {"translate_min_fn": unguarded_min}],
+# the own grid walks one designated set per size, 1 + 2 slabs; the mutant's
+# violations at 2 worlds re-walk its 3 sets after the 2 representatives
+@pytest.mark.parametrize("injected, n_slabs", [({}, 3), ({"translate_min_fn": unguarded_min}, 6)],
                          ids=["own", "unguarded-min"])
-def test_every_memo_is_cut_back_after_each_top_depth_formula(monkeypatch, injected):
+def test_every_memo_is_cut_back_after_each_top_depth_formula(monkeypatch, injected, n_slabs):
     memos = {}  # every memo the grid passed, by id; keeping them keeps the ids unique
     at_top = {}  # per slab (kept alive too), memo sizes at each top formula
 
@@ -408,7 +480,7 @@ def test_every_memo_is_cut_back_after_each_top_depth_formula(monkeypatch, inject
     report = check_faithfulness(SIG_P, 3, 2, **injected)
     assert report.ok == (not injected)
     final = {key: len(m) for key, m in memos.items()}
-    assert len(at_top) == 4  # one entry per slab
+    assert len(at_top) == n_slabs  # one entry per slab
     for sizes in at_top.values():
         first = sizes[0]
         assert len(sizes) == len(top)
@@ -418,10 +490,10 @@ def test_every_memo_is_cut_back_after_each_top_depth_formula(monkeypatch, inject
 
 
 @pytest.mark.parametrize("max_worlds, per_route", [
-    # 11 slabs, but the forms built on the first are kept
+    # 6 slabs, but the forms built on the first are kept
     (3, {True: 1, False: 1}),
-    # 4 slabs, 2 of them totally designated, and nothing kept
-    (2, {True: 4, False: 2}),
+    # 3 slabs, 2 of them totally designated, and nothing kept
+    (2, {True: 3, False: 2}),
 ])
 def test_top_depth_formulas_are_translated_once_from_three_worlds(monkeypatch, max_worlds,
                                                                   per_route):
@@ -448,8 +520,10 @@ def test_an_injected_translation_is_called_once_per_top_depth_formula():
     assert not check_faithfulness(SIG_P, 3, 3, translate_min_fn=counted_min).ok
     lower = enumerate_formulas(SIG_P, 2)
     top = enumerate_formulas(SIG_P, 3)[len(lower):]
-    # a lower formula is translated on each of the 3 totally designated slabs
-    assert calls == {**{f: 3 for f in lower}, **{f: 1 for f in top}}
+    # a lower formula is translated on each totally designated slab walked:
+    # once at 1 world, and at 2 and 3 worlds once among the representatives
+    # and once more in the labelled walk their violations bring about
+    assert calls == {**{f: 5 for f in lower}, **{f: 1 for f in top}}
 
 
 def test_grid_is_refused_before_any_work(monkeypatch, capsys):
@@ -492,7 +566,8 @@ def test_a_grid_that_checks_nothing_is_refused():
 def test_grids_in_tiles_of_sixteen_models_equal_the_default_ones(monkeypatch):
     # one atom on up to three worlds fits one slab per designated set at
     # the default tile size; in tiles of 16 models two worlds take 4 slabs
-    # and three worlds 256
+    # and three worlds 256.  Both grids walk one set per size; the mutant's
+    # violations at 2 and 3 worlds walk every set of those sizes again
     def run():
         return [check_faithfulness(SIG_P, 1, 3),
                 check_faithfulness(SIG_P, 2, 3, translate_min_fn=unguarded_min)]
@@ -509,9 +584,13 @@ def test_grids_in_tiles_of_sixteen_models_equal_the_default_ones(monkeypatch):
     monkeypatch.setattr(translate, "_check_slab", counted)
     assert run() == default
     assert not default[1].ok
-    assert taken == {(n, frozenset(designated)): 2 * {1: 1, 2: 4, 3: 256}[n]
-                     for n in range(1, 4) for k in range(1, n + 1)
-                     for designated in combinations(range(n), k)}
+    tiles = {1: 1, 2: 4, 3: 256}
+    representatives = Counter({(n, frozenset(range(k))): tiles[n]
+                               for n in tiles for k in range(1, n + 1)})
+    labelled = Counter({(n, frozenset(designated)): tiles[n]
+                        for n in (2, 3) for k in range(1, n + 1)
+                        for designated in combinations(range(n), k)})
+    assert taken == representatives + representatives + labelled
 
 
 def test_formula_count_is_the_enumeration_length():
