@@ -9,27 +9,27 @@ indicates a prover bug and raises rather than returning a bogus table.
 
 The evidence of an Invalid logic is the tableau's own countermodel, which
 decide has re-checked.  A model read off a tableau branch can be large (F4
-in KT gives 11 worlds), so one of more than 4 worlds is replaced by the
-logic's canonically first countermodel up to 4 worlds, when
-find_countermodel finds one within the work budget.  So the evidence has
-at most 4 worlds whenever a countermodel that small exists, a search that
-is refused or finds nothing keeps the tableau's model, and the verdicts
-never depend on the search.  4 is the bound because it is the largest
-world count whose search walks only the canonical frames
-(bitgrid.ISOMORPH_FREE_WORLDS), in milliseconds on the corpus.  From 5
-worlds on a search lists every admitted frame first: a two-atom search
-takes seconds in KT and is over the work budget in K.
+in KT gives 11 worlds), so one of more than bitgrid.ISOMORPH_FREE_WORLDS
+(4) worlds is replaced by the logic's canonically first countermodel up to
+that many worlds, when find_countermodel finds one within the work budget.
+So the evidence is that small whenever a countermodel that small exists, a
+search that is refused or finds nothing keeps the tableau's model, and the
+verdicts never depend on the search.  The bound is the largest world count
+whose search walks only the canonical frames, in milliseconds on the
+corpus.  From 5 worlds on a search lists every admitted frame first: a
+two-atom search takes seconds in KT and is over the work budget in K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bitgrid import ISOMORPH_FREE_WORLDS
 from .countermodel import find_countermodel
 from .decide import (Invalid, ResourceLimitExceeded, TableauResult, Valid,
                      decide)
 from .hilbert import ALL_LOGICS, Logic
-from .syntax import Formula, Signature, atoms_of, parse, pretty, sorted_signature
+from .syntax import Formula, Signature, parse, pretty, signature_for
 
 CORPUS_SIGNATURE = Signature(("p", "q"))
 
@@ -81,10 +81,10 @@ def _tableau_verdict(f: Formula, logic: Logic, sig: Signature) -> TableauResult 
 
 def classify(f: Formula, *, sig: Signature | None = None) -> ClassificationResult:
     """Decide f in all eight logics, extract the minimal antichain and
-    shrink the evidence of an Invalid logic to at most 4 worlds where a
-    search finds a model that small."""
-    if sig is None:
-        sig = sorted_signature(atoms_of(f))
+    shrink the evidence of an Invalid logic to at most
+    bitgrid.ISOMORPH_FREE_WORLDS worlds where a search finds a model that
+    small."""
+    sig = signature_for(f, sig)
     evidence = {logic.name: _tableau_verdict(f, logic, sig) for logic in ALL_LOGICS}
 
     valid = {l for l in ALL_LOGICS if isinstance(evidence[l.name], Valid)}
@@ -102,9 +102,9 @@ def classify(f: Formula, *, sig: Signature | None = None) -> ClassificationResul
 
     for logic in ALL_LOGICS:
         result = evidence[logic.name]
-        if isinstance(result, Invalid) and result.model.n_worlds > 4:
+        if isinstance(result, Invalid) and result.model.n_worlds > ISOMORPH_FREE_WORLDS:
             try:
-                small = find_countermodel(f, logic.frame_properties, 4, sig)
+                small = find_countermodel(f, logic.frame_properties, ISOMORPH_FREE_WORLDS, sig)
             except ResourceLimitExceeded:
                 small = None
             if small is not None:

@@ -18,8 +18,8 @@ from .decide import ResourceLimitExceeded, Valid, decide
 from .hilbert import (AxiomSchemaId, Logic, SCHEMA_NAMES, SCHEMAS, check_proof,
                       parse_proof_script)
 from .kripke import FrameProperty, eval_deep, load_model, dump_model
-from .syntax import (FormulaSyntaxError, Signature, atoms_of, parse, parse_schema,
-                     pretty, sorted_signature, to_sexpr)
+from .syntax import (FormulaSyntaxError, Signature, parse, parse_schema, pretty,
+                     signature_for, to_sexpr)
 from .translate import check_faithfulness
 
 _ATOM_POOL = ("p", "q", "r", "s", "t", "u", "v", "w")
@@ -62,24 +62,17 @@ def _int_at_least(low: int):
     return convert
 
 
-def _parse_logic(name: str) -> Logic:
+def _named(from_name, name: str):
+    """from_name(name); an unknown name is an input error."""
     try:
-        return Logic.from_name(name)
+        return from_name(name)
     except ValueError as e:
         raise _InputError(str(e)) from None
 
 
 def _parse_props(text: str) -> set[FrameProperty]:
-    props = set()
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            props.add(FrameProperty.from_name(part))
-        except ValueError as e:
-            raise _InputError(str(e)) from None
-    return props
+    return {_named(FrameProperty.from_name, part)
+            for part in map(str.strip, text.split(",")) if part}
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -103,7 +96,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_check_proof(args) -> int:
     proof = _load(args.script, "proof script", parse_proof_script)
-    logic = _parse_logic(args.logic)
+    logic = _named(Logic.from_name, args.logic)
     result = check_proof(proof, logic)
     if result.ok:
         n = len(proof.steps)
@@ -117,7 +110,7 @@ def _cmd_check_proof(args) -> int:
 
 def _cmd_prove(args) -> int:
     f = _parse_formula(args.formula)
-    logic = _parse_logic(args.logic)
+    logic = _named(Logic.from_name, args.logic)
     result = decide(f, logic)
     if isinstance(result, Valid):
         print(f"valid in {logic.name}")
@@ -130,7 +123,7 @@ def _cmd_prove(args) -> int:
 def _cmd_countermodel(args) -> int:
     f = _parse_formula(args.formula)
     props = _parse_props(args.props) if args.props else set()
-    found = find_countermodel(f, props, args.max_worlds, sorted_signature(atoms_of(f)))
+    found = find_countermodel(f, props, args.max_worlds, signature_for(f))
     if found is None:
         print(f"no countermodel with up to {args.max_worlds} worlds")
         return 0
@@ -172,10 +165,7 @@ def _cmd_correspond(args) -> int:
             schema = parse_schema(args.schema)
         except FormulaSyntaxError as e:
             raise _InputError(f"cannot parse schema {args.schema!r}: {e}") from None
-    try:
-        prop = FrameProperty.from_name(args.property)
-    except ValueError as e:
-        raise _InputError(str(e)) from None
+    prop = _named(FrameProperty.from_name, args.property)
     result = correspondence_check(schema, prop, args.max_worlds)
     if result:
         print(f"holds on all {result.frames_checked} frames with up to "

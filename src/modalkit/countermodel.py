@@ -41,7 +41,7 @@ from typing import Collection
 
 from .bitgrid import ISOMORPH_FREE_WORLDS, OP_FLOOR, admitted, charge, slabs, work
 from .kripke import FrameProperty, KripkeModel, eval_deep, has_property
-from .syntax import Formula, Signature, atoms_of, desugar, size
+from .syntax import Formula, Signature, atoms_of, desugar, signature_for, size
 
 
 def find_countermodel(f: Formula, props: Collection[FrameProperty], max_worlds: int,
@@ -52,11 +52,8 @@ def find_countermodel(f: Formula, props: Collection[FrameProperty], max_worlds: 
     it is answered."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    missing = atoms_of(f) - set(sig.atoms)
-    if missing:
-        raise ValueError(f"formula uses atoms outside the signature: {sorted(missing)}")
+    goal = desugar(f, signature_for(f, sig))
     props = frozenset(props)
-    goal = desugar(f, sig)
     atoms = tuple(sorted(atoms_of(goal)))
     nodes = size(goal)
     what = f"a countermodel search with {len(atoms)} atoms up to {max_worlds} worlds"

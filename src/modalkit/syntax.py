@@ -401,6 +401,18 @@ def atoms_of(f: Formula) -> frozenset[str]:
     return frozenset(_leaf_names(f, Atom))
 
 
+def signature_for(f: Formula, sig: Signature | None = None) -> Signature:
+    """sig, once it is checked to cover f's atoms; without sig, the sorted
+    signature of f's atoms.  Raises ValueError naming the atoms sig lacks."""
+    atoms = atoms_of(f)
+    if sig is None:
+        return sorted_signature(atoms)
+    missing = atoms - set(sig.atoms)
+    if missing:
+        raise ValueError(f"formula uses atoms outside the signature: {sorted(missing)}")
+    return sig
+
+
 def metavars_of(f: Formula) -> tuple[str, ...]:
     """Metavariable names in order of first occurrence."""
     return tuple(_leaf_names(f, MetaVar))

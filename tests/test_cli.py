@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modalkit import bitgrid
-from modalkit.cli import main
+from modalkit.cli import build_parser, main
 from modalkit.hilbert import (ALL_LOGICS, AxiomSchemaId, ProofScriptError,
                               corpus_proof_text, parse_proof_script)
 from modalkit.kripke import FrameProperty, ModelFormatError, load_model
@@ -612,6 +612,43 @@ def test_empty_property_names_are_ignored(capsys):
     argv = ["countermodel", "box p -> dia p", "--max-worlds", "2", "--props"]
     assert run(capsys, *argv, "reflexive,,serial") == run(capsys, *argv, "reflexive,serial")
     assert run(capsys, *argv, ",serial,") == (0, "no countermodel with up to 2 worlds\n", "")
+
+
+# logic and property names as users type them: (argv, exit code, stdout, the
+# error line or None); every name the CLI reads goes through the enums' own
+# from_name, FrameProperty's lower-casing and the others upper-casing
+_NAME_CASES = [
+    (["prove", "--logic", "s4", "box p -> p"], 0, "valid in S4\n", None),
+    (["prove", "--logic", " KB4 ", "box p -> p"], 1,
+     'invalid in KB4: falsified at world 0\nworlds: 1\nin: [0]\nrel: []\nval: {"p": []}\n',
+     None),
+    (["prove", "--logic", "KX", "box p -> p"], 2, "", "error: unknown logic 'KX'"),
+    (["countermodel", "--props", "r, t", "box p -> p"], 0,
+     "no countermodel with up to 4 worlds\n", None),
+    # reflexive and converse well-founded admit no frame: ROADMAP item 5
+    (["countermodel", "--props", "R,,cwf", "box p -> p"], 0,
+     "no countermodel with up to 4 worlds\n", None),
+    (["countermodel", "--props", "dense", "box p -> p"], 2, "",
+     "error: unknown frame property 'dense'"),
+    (["correspond", "T", "R", "--max-worlds", "2"], 0,
+     "holds on all 18 frames with up to 2 worlds\n", None),
+    (["correspond", "T", "cwf", "--max-worlds", "2"], 1,
+     "counter-frame: worlds=[0] rel=[] (property-holds-schema-fails)\n", None),
+    (["correspond", "T", "dense", "--max-worlds", "2"], 2, "",
+     "error: unknown frame property 'dense'"),
+    (["check-proof", "IDENTITY", "--logic", "kt"], 0, "proof ok: p -> p (5 steps, KT)\n",
+     None),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, error", _NAME_CASES,
+                         ids=[" ".join(case[0]) for case in _NAME_CASES])
+def test_name_inputs_keep_their_golden_output(tmp_path, capsys, argv, code, out, error):
+    path = tmp_path / "identity.proof"
+    path.write_text(corpus_proof_text("identity"))
+    argv = [str(path) if arg == "IDENTITY" else arg for arg in argv]
+    usage = build_parser().format_usage()
+    assert run(capsys, *argv) == (code, out, "" if error is None else f"{error}\n{usage}")
 
 
 def test_missing_subcommand_exits_2():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from modalkit.bitgrid import ModelSlab
 from modalkit.classify import classify, corpus
 from modalkit.countermodel import find_countermodel
 from modalkit.decide import (
@@ -30,10 +31,12 @@ from modalkit.decide import (
 )
 from modalkit.hilbert import ALL_LOGICS, FRAME_CONDITIONS, AxiomSchemaId, Logic
 from modalkit.kripke import FrameProperty, eval_deep, has_property
-from modalkit.syntax import Signature, parse
+from modalkit.syntax import Atom, Box, Signature, map_leaves, parse
 
 from conftest import SIG_P, formulas, naive_eval, seeded_formulas
 
+# the module, which the package's decide function shadows as an attribute
+DECIDE = importlib.import_module("modalkit.decide")
 K = Logic.from_name("K")
 KT = Logic.from_name("KT")
 KB = Logic.from_name("KB")
@@ -120,15 +123,57 @@ def test_atom_free_formula_gets_a_default_signature():
     assert isinstance(decide(_f("box false -> false"), KT), Valid)
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("a slab or a tableau label was built")
+
+
+# each engine that takes a signature, called on f over SIG_P in logic
+_SIGNED_ENGINES = (
+    lambda f, logic: decide(f, logic, sig=SIG_P),
+    lambda f, logic: find_countermodel(f, logic.frame_properties, 2, SIG_P),
+    lambda f, logic: classify(f, sig=SIG_P),
+)
+
+
 @pytest.mark.parametrize("text, logic", [("q", K), ("box q -> q", KT)])
-def test_an_atom_outside_the_signature_is_rejected_before_any_work(text, logic):
+def test_an_atom_outside_the_signature_is_rejected_before_any_work(text, logic,
+                                                                  monkeypatch):
     # the first used to fail in the re-check with an unrelated message, and
-    # the second to answer Valid over a signature without q
+    # the second to answer Valid over a signature without q; each engine
+    # raises syntax.signature_for's error before a slab or label is built
+    monkeypatch.setattr(ModelSlab, "__init__", _no_work)
+    monkeypatch.setattr(_Tableau, "new_label", _no_work)
     message = r"^formula uses atoms outside the signature: \['q'\]$"
-    with pytest.raises(ValueError, match=message):
-        decide(parse(text), logic, sig=SIG_P)
-    with pytest.raises(ValueError, match=message):
-        classify(parse(text), sig=SIG_P)
+    for engine in _SIGNED_ENGINES:
+        with pytest.raises(ValueError, match=message):
+            engine(parse(text), logic)
+
+
+@pytest.mark.parametrize("engine", ["decide", "classify", "cross_check"])
+@pytest.mark.parametrize("text, atoms", [("r -> q & p", ("p", "q", "r")),
+                                         ("dia true", ("p",))])
+def test_without_a_signature_the_engines_take_the_sorted_atoms(engine, text, atoms,
+                                                               monkeypatch):
+    # an atom-free formula gets the single atom p; every formula here is
+    # Invalid in K, so the model shows the signature it was read over
+    f = parse(text)
+    if engine == "decide":
+        sig = decide(f, K).model.sig
+    elif engine == "classify":
+        sig = classify(f).evidence["K"].model.sig
+    else:
+        seen = []
+        finder = DECIDE.find_countermodel
+
+        def recording(g, props, max_worlds, sig):
+            seen.append(sig)
+            return finder(g, props, max_worlds, sig)
+
+        monkeypatch.setattr(DECIDE, "find_countermodel", recording)
+        report = cross_check(f, K, 2)
+        assert (report.tableau_valid, report.finder_found) == (False, True)
+        sig = seen[0]
+    assert sig == Signature(atoms)
 
 
 # --- resource budget -----------------------------------------------------------
@@ -268,8 +313,6 @@ def test_a_label_budget_below_one_is_rejected(max_labels):
 
 # --- the rule budget --------------------------------------------------------------
 
-# the module, which the package's decide function shadows as an attribute
-DECIDE = importlib.import_module("modalkit.decide")
 RULES = 16
 # valid in S4 in 46 rules; 16 rules cut its branch short
 F4 = "box dia box dia p -> box dia p"
@@ -346,6 +389,15 @@ def test_cross_check_falsum():
     assert report.consistent
 
 
+def test_cross_check_reports_a_valid_verdict_the_finder_refutes(monkeypatch):
+    # the one disagreement left to report, since each route certifies its
+    # own models: a stand-in tableau calls a K-invalid formula valid
+    monkeypatch.setattr(DECIDE, "decide", lambda f, logic, sig=None: Valid(TableauTrace()))
+    report = cross_check(_f("dia box p -> box dia p"), K, 3)
+    assert (report.tableau_valid, report.finder_found, report.consistent) == (True, True, False)
+    assert report.detail == "tableau says valid but the finder has a model"
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(formulas(sig=SIG_P, max_leaves=5), st.sampled_from([l.name for l in ALL_LOGICS]))
 def test_verdicts_agree_with_bounded_search(f, logic_name):
@@ -400,3 +452,30 @@ def test_a_seeded_slice_of_deep_formulas_keeps_the_oracles():
                     for stronger, also in verdict.items():
                         if valid and weaker.frame_properties <= stronger.frame_properties:
                             assert also, (f, weaker, stronger)
+
+
+def _answer(f, logic, sig):
+    """True for Valid, False for Invalid, None for exit 3."""
+    try:
+        return isinstance(decide(f, logic, sig=sig), Valid)
+    except ResourceLimitExceeded:
+        return None
+
+
+def test_a_seeded_slice_keeps_substitution_and_necessitation():
+    # p,q,r formulas of depth 3 to 6 in all eight logics: where f is Valid,
+    # so are f with one atom replaced by a seeded formula of depth at most
+    # 3 (uniform substitution) and box f (necessitation); exit 3 is an
+    # allowed answer, as in the slice above
+    sig = Signature(("p", "q", "r"))
+    rng = random.Random(33)
+    substitutes = iter(seeded_formulas(34, 500, sig, max_depth=3))
+    for depth in (3, 4, 5, 6):
+        for f in seeded_formulas(40 + depth, 64, sig, max_depth=depth):
+            for logic in ALL_LOGICS:
+                if _answer(f, logic, sig) is not True:
+                    continue
+                atom, g = Atom(rng.choice(sig.atoms)), next(substitutes)
+                instance = map_leaves(f, lambda leaf: g if leaf == atom else leaf)
+                for image in (instance, Box(f)):
+                    assert _answer(image, logic, sig) is not False, (f, image, logic)
